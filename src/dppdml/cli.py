@@ -9,8 +9,7 @@ objective traces per mechanism).
 Every artifact-producing run writes a ``resolved_config.json`` capturing
 all defaults plus the seed; re-running with ``--config`` on that file
 reproduces the outputs byte-identically. Exit codes: 0 success, 2
-usage/config errors, 3 runtime failures. ``DPP_THREADS`` caps sweep
-parallelism.
+usage/config errors, 3 runtime failures.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -338,27 +335,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"privacy distance kappa={kappa_default.kappa} "
           f"({kappa_default.method}); node-dp kappa={kappa_node.kappa}")
 
-    threads = max(1, int(os.environ.get("DPP_THREADS", "1")))
-    common = dict(
+    reports = evaluation.run_experiment(
+        samples, pairs, graph, methods, epsilons,
         repeats=cfg["repeats"], config=base, seed=cfg["seed"], k=cfg["k"],
         kappa_default=kappa_default, kappa_node=kappa_node,
     )
-    if threads > 1:
-        cells = [(m, e) for m in methods for e in epsilons]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda cell: evaluation.run_experiment(
-                        samples, pairs, graph, [cell[0]], [cell[1]], **common
-                    )[0],
-                    cells,
-                )
-            )
-        reports = results
-    else:
-        reports = evaluation.run_experiment(
-            samples, pairs, graph, methods, epsilons, **common
-        )
 
     out = Path(cfg["out_dir"])
     sweep_path = Path(cfg["sweep_out"]) if cfg["sweep_out"] else out / "sweep.csv"

@@ -28,6 +28,7 @@ from .mechanisms import (
     PrivacyBudget,
     duchi_randomize_vector,
     gaussian_sigma,
+    laplace_sample,
     staircase_optimal_gamma,
     staircase_sample,
 )
@@ -201,10 +202,9 @@ def contrastive_loss(model: MetricModel, pair: PairwiseDatum, margin: float) -> 
         raise DimensionMismatch(
             f"pair has dimension {pair.dim}, model expects {model.d}"
         )
-    d_w = float(np.linalg.norm(model.w @ pair.delta_x))
-    if pair.y == 0:
-        return 0.5 * d_w**2
-    return 0.5 * max(0.0, margin - d_w) ** 2
+    return dataset_objective(
+        model.w, pair.delta_x[None, :], np.array([pair.y]), margin
+    )
 
 
 def gradient_row(
@@ -223,18 +223,14 @@ def gradient_row(
         )
     if not 0 <= row < model.d_prime:
         raise IndexError(f"row {row} out of range for d_prime={model.d_prime}")
-    dx = pair.delta_x
-    proj = float(model.w[row] @ dx)
-    if pair.y == 0:
-        return proj * dx
-    d_w = float(np.linalg.norm(model.w @ dx))
-    if d_w >= margin:
-        return np.zeros_like(dx)
-    if d_w == 0.0:
+    amat, degenerate = _coefficients(
+        model.w, pair.delta_x[None, :], np.array([pair.y]), margin
+    )
+    if degenerate:
         raise DegenerateDistance(
             "dissimilar pair with zero projected distance; hinge gradient undefined"
         )
-    return (d_w - margin) / d_w * proj * dx
+    return amat[row, 0] * pair.delta_x
 
 
 def _vector_norm(v: np.ndarray, norm_mode: str) -> float:
@@ -384,12 +380,12 @@ def _pair_order(
 
 def _coefficients(
     w: np.ndarray, dx: np.ndarray, y: np.ndarray, margin: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-pair gradient coefficient matrix and distances for one batch.
+) -> tuple[np.ndarray, int]:
+    """Per-pair gradient coefficient matrix for one batch.
 
-    Returns (A, d_w, degenerate) where row r of A holds the scalar that
+    Returns (A, degenerate) where row r of A holds the scalar that
     multiplies dx_j in the gradient of row r; the zero subgradient is used
-    for dissimilar pairs at zero distance.
+    for the ``degenerate`` dissimilar pairs at zero distance.
     """
     proj = w @ dx.T                       # (d_prime, n)
     d_w = np.linalg.norm(proj, axis=0)    # (n,)
@@ -399,7 +395,7 @@ def _coefficients(
     dead = (y == 1) & ((d_w >= margin) | (d_w == 0))
     coef[dead] = 0.0
     degenerate = int(np.count_nonzero((y == 1) & (d_w == 0)))
-    return proj * coef, d_w, degenerate
+    return proj * coef, degenerate
 
 
 def dataset_objective(
@@ -485,7 +481,7 @@ def train(
             yv = y_all[batch]
             n_b = len(batch)
 
-            amat, _, degenerate = _coefficients(w, dx, yv, margin)
+            amat, degenerate = _coefficients(w, dx, yv, margin)
             trace.degenerate_events += degenerate
             raw_norms = np.abs(amat) * dx_norms[batch]      # (d_prime, n)
             clip = np.maximum(1.0, raw_norms / h)
@@ -494,13 +490,11 @@ def train(
             g_peaks = clipped_norms.max(axis=1)
             mean_grad = (cmat @ dx) / n_b
 
-            basic = 2.0 * kappa * h / n_b
+            basic = sensitivity_basic(kappa, h, n_b, config.d_prime).per_row
             reduced = _reduced_bound(
                 g_peaks, w, h, margin, kappa, n_b, config.norm_mode
             )
-            sens = reduced if config.sensitivity_mode == "reduced" else np.full(
-                config.d_prime, basic
-            )
+            sens = reduced if config.sensitivity_mode == "reduced" else basic
 
             update = mean_grad
             if config.mechanism != "none":
@@ -516,7 +510,7 @@ def train(
             trace.epochs.append(epoch)
             trace.objectives.append(dataset_objective(w, dx_all, y_all, margin))
             trace.etas.append(eta)
-            trace.sens_basic.append(basic)
+            trace.sens_basic.append(float(basic[0]))
             trace.sens_reduced.append(reduced)
 
     return MetricModel(w), trace
@@ -537,7 +531,7 @@ def _row_noise(
     if math.isinf(eps_epoch) or sens == 0.0:
         return np.zeros(d)
     if config.mechanism == "laplace":
-        return rng.laplace(0.0, sens / eps_epoch, size=d)
+        return laplace_sample(sens / eps_epoch, rng, size=d)
     if config.mechanism == "gaussian":
         sigma = gaussian_sigma(
             PrivacyBudget(eps_epoch, config.delta, 1, 1), sens

@@ -174,7 +174,7 @@ def run_experiment(
 
     Seeds run ``seed + 0 .. seed + repeats - 1`` so cells are directly
     comparable; the privacy distance is computed once per distance notion
-    and reused across runs (or passed in by callers that fan out cells).
+    and reused across runs.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")

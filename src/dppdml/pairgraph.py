@@ -212,24 +212,19 @@ class PairGraph:
     def component_increase_on_removal(self, n: NodeId) -> int:
         """How many extra components deleting ``n`` (with its edges) creates.
 
-        An isolated node only disappears, so the count is floored at zero.
+        Only ``n``'s own component can split: it becomes the pieces that
+        ``n``'s neighbours fall into, so the increase is that count minus
+        one. An isolated node only disappears, so the count is floored at
+        zero.
         """
         idx = self.node_index(n)
-        if not self._adj[idx]:
-            return 0
-        before = self.component_count()
-        after = self._count_components_without(idx)
-        return max(0, after - before)
-
-    def _count_components_without(self, skip: int) -> int:
-        n = self.num_nodes
-        seen = [False] * n
-        seen[skip] = True
-        count = 0
-        for start in range(n):
+        seen = [False] * self.num_nodes
+        seen[idx] = True
+        pieces = 0
+        for start in self._adj[idx]:
             if seen[start]:
                 continue
-            count += 1
+            pieces += 1
             stack = [start]
             seen[start] = True
             while stack:
@@ -238,7 +233,7 @@ class PairGraph:
                     if not seen[w]:
                         seen[w] = True
                         stack.append(w)
-        return count
+        return max(0, pieces - 1)
 
     # --- derived graphs ---------------------------------------------------
 
@@ -320,13 +315,20 @@ def read_pairs_file(path, delimiter: str = ",") -> list[PairwiseDatum]:
             i = _parse_node_id(row[0])
             j = _parse_node_id(row[1])
             try:
-                y = int(float(row[2]))
+                label = float(row[2])
             except ValueError:
                 raise ParseError(
                     f"row {rownum}, col 3: label {row[2]!r} is not numeric",
                     row=rownum,
                     col=3,
                 ) from None
+            if not label.is_integer():
+                raise ParseError(
+                    f"row {rownum}, col 3: label {row[2]!r} is not an integer",
+                    row=rownum,
+                    col=3,
+                )
+            y = int(label)
             feats = []
             for colnum, cell in enumerate(row[3:], start=4):
                 try:

@@ -76,6 +76,12 @@ class TestAnalyzeKappa:
         assert run(["analyze-kappa", "--pairs", path]) == 2
         assert "row 2" in capsys.readouterr().err
 
+    def test_fractional_label_exits_two_naming_row(self, tmp_path, capsys):
+        path = tmp_path / "frac.csv"
+        path.write_text("a,b,0,0.5\nc,d,0.5,0.25\n")
+        assert run(["analyze-kappa", "--pairs", path]) == 2
+        assert "row 2, col 3" in capsys.readouterr().err
+
     def test_intransitive_relation(self, tmp_path, capsys):
         path = tmp_path / "tri.csv"
         pairs = [
@@ -237,29 +243,6 @@ class TestResolvedConfig:
         assert resolved["seed"] == 1
         samples = dataio.load_csv(out / "samples.csv")
         assert len(samples) == 240
-
-
-class TestParallelism:
-    def test_thread_fanout_matches_sequential_output(
-        self, toy_files, tmp_path, monkeypatch
-    ):
-        samples_path, pairs_path = toy_files
-
-        def sweep(out):
-            return run([
-                "sweep", "--data", samples_path, "--pairs", pairs_path,
-                "--out-dir", out, "--methods", "nonpriv,dpp_s",
-                "--epsilons", "1,2", "--repeats", 2, "--t-max", 1,
-                "--batch-size", 30, "--margin", 1.0,
-            ])
-
-        sequential = tmp_path / "seq"
-        assert sweep(sequential) == 0
-        monkeypatch.setenv("DPP_THREADS", "4")
-        threaded = tmp_path / "par"
-        assert sweep(threaded) == 0
-        assert (sequential / "sweep.csv").read_bytes() == (
-            threaded / "sweep.csv").read_bytes()
 
 
 class TestExitCodes:

@@ -428,3 +428,75 @@ class TestObjective:
         y = np.array([p.y for p in pairs])
         expected = np.mean([contrastive_loss(model, p, 0.8) for p in pairs])
         assert dataset_objective(w, dx, y, 0.8) == pytest.approx(expected)
+
+
+class TestTrainMatchesReference:
+    """One full-batch step of ``train`` equals the per-pair public functions:
+    gradient, clipping, the fixed bound and the data-dependent bound."""
+
+    H = 0.05
+    MARGIN = 0.5
+    SEED = 4
+
+    def pairs(self, rng):
+        fixed = [
+            pair([5.0, -4.0, 3.0], 0),     # similar, far apart: clipped
+            pair([40.0, 40.0, -40.0], 1),  # dissimilar beyond the margin
+            pair([0.0, 0.0, 0.0], 1),      # dissimilar at D = 0: degenerate
+            pair([0.02, -0.01, 0.03], 1),  # dissimilar inside the margin
+        ]
+        drawn = [pair(rng.normal(0, 1, 3), int(rng.integers(0, 2)))
+                 for _ in range(8)]
+        return [
+            PairwiseDatum(2 * k, 2 * k + 1, p.delta_x, p.y)
+            for k, p in enumerate(fixed + drawn)
+        ]
+
+    @pytest.mark.parametrize("norm_mode", ["l1", "l2"])
+    def test_one_step_equals_per_pair_reference(self, rng, norm_mode):
+        pairs = self.pairs(rng)
+        d, d_prime, n = 3, 2, len(pairs)
+        config = TrainConfig(
+            d_prime=d_prime, margin=self.MARGIN, lipschitz=self.H,
+            batch_size=n, t_max=1, mechanism="none", norm_mode=norm_mode,
+            seed=self.SEED,
+        )
+        model, trace = train(pairs, build_graph(pairs), config)
+
+        init_seed = np.random.SeedSequence(self.SEED).spawn(2 + d_prime)[0]
+        w0 = np.random.default_rng(init_seed).uniform(
+            -config.init_scale, config.init_scale, (d_prime, d)
+        )
+        start = MetricModel(w0)
+        degenerate = 0
+        blocks = []
+        for row in range(d_prime):
+            grads = []
+            for p in pairs:
+                try:
+                    g = gradient_row(start, p, self.MARGIN, row)
+                except DegenerateDistance:
+                    degenerate += 1
+                    g = np.zeros(d)
+                grads.append(clip_gradient(g, self.H, norm_mode))
+            blocks.append(np.stack(grads))
+
+        # the batch covers every case the kernel distinguishes
+        dists = [float(np.linalg.norm(w0 @ p.delta_x)) for p in pairs]
+        assert degenerate == d_prime
+        assert dists[1] >= self.MARGIN and 0 < dists[3] < self.MARGIN
+        raw = gradient_row(start, pairs[0], self.MARGIN, 0)
+        assert not np.allclose(clip_gradient(raw, self.H, norm_mode), raw)
+
+        expected_w = w0 - np.stack([b.mean(axis=0) for b in blocks])
+        np.testing.assert_allclose(model.w, expected_w, rtol=0, atol=1e-12)
+        assert trace.degenerate_events == 1
+        assert trace.sens_basic[0] == sensitivity_basic(
+            trace.kappa, self.H, n, d_prime
+        ).per_row[0]
+        reduced = sensitivity_reduced(
+            blocks, w0, self.H, self.MARGIN, trace.kappa, n, norm_mode
+        )
+        np.testing.assert_allclose(
+            trace.sens_reduced[0], reduced.per_row, rtol=1e-12, atol=0
+        )

@@ -130,6 +130,21 @@ class TestQueries:
         g = build_graph([datum("a", "b")], extra_nodes=["z"])
         assert g.component_increase_on_removal("z") == 0
 
+    def test_removal_increase_matches_recount(self, rng):
+        """Counting the pieces around a node equals recounting the
+        components of the graph without it, isolated nodes included."""
+        isolated = 0
+        for _ in range(150):
+            n, edges = oracles.random_graph(rng, max_nodes=10, max_edges=14)
+            g = graph_from_edges(edges, n_nodes=n)
+            for v in g.nodes():
+                isolated += g.degree(v) == 0
+                recount = (
+                    g.without_node(v).component_count() - g.component_count()
+                )
+                assert g.component_increase_on_removal(v) == max(0, recount)
+        assert isolated > 0
+
 
 class TestRemoveEdges:
     def test_remove_all_edges_keeps_nodes(self):
@@ -238,6 +253,19 @@ class TestPairsFile:
             read_pairs_file(path)
         assert err.value.row == 3
         assert err.value.col == 4
+
+    @pytest.mark.parametrize("label", ["0.5", "1.9", "-0.1", "nan", "inf"])
+    def test_fractional_label_rejected(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1,0,0.5\n1,2,{label},0.25\n")
+        with pytest.raises(ParseError) as err:
+            read_pairs_file(path)
+        assert (err.value.row, err.value.col) == (2, 3)
+
+    def test_integral_float_label_accepted(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("0,1,1.0,0.5\n1,2,0.0,0.25\n")
+        assert [p.y for p in read_pairs_file(path)] == [1, 0]
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
