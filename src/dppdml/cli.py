@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dataio, evaluation, kappa as kappa_mod
 from .dml import MetricModel, TrainConfig, train
-from .errors import DppError
+from .errors import ConfigInvalid, DppError
 from .pairgraph import build_graph, read_pairs_file, write_pairs_file
 
 _CONFIG_KEYS_IGNORED = {"command"}
@@ -140,6 +140,8 @@ SYNTH_DEFAULTS = {
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _resolve(SYNTH_DEFAULTS, args)
+    if cfg["mode"] not in ("toy", "density"):
+        raise ConfigInvalid(f"mode must be 'toy' or 'density', got {cfg['mode']!r}")
     samples = dataio.synth_two_gaussians(cfg["n_per_class"], seed=cfg["seed"])
     samples = dataio.normalize(samples, cfg["norm_mode"])
     if cfg["mode"] == "toy":

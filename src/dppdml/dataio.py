@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     InfeasibleBalance,
     InfeasibleDensity,
     MissingLabelColumn,
@@ -71,7 +72,7 @@ class SampleSet:
 def synth_two_gaussians(n_per_class: int, seed: int = 0) -> SampleSet:
     """Two anisotropic Gaussian strips with parallel major axes."""
     if n_per_class < 1:
-        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+        raise ConfigInvalid(f"n_per_class must be >= 1, got {n_per_class}")
     rng = np.random.default_rng(seed)
     a = rng.normal(TOY_MEAN_A, TOY_STD, size=(n_per_class, 2))
     b = rng.normal(TOY_MEAN_B, TOY_STD, size=(n_per_class, 2))
@@ -90,7 +91,7 @@ def normalize(samples: SampleSet, mode: str = "l1") -> SampleSet:
     zero with a warning.
     """
     if mode not in ("l1", "l2"):
-        raise ValueError(f"mode must be 'l1' or 'l2', got {mode!r}")
+        raise ConfigInvalid(f"mode must be 'l1' or 'l2', got {mode!r}")
     x = samples.x.copy()
     cap = L1_CAP if mode == "l1" else 1.0
     norm_of = (

@@ -127,8 +127,10 @@ class TrainConfig:
         if self.mechanism != "none" and not self.epsilon > 0:
             raise ConfigInvalid(f"epsilon must be positive, got {self.epsilon}")
         if self.mechanism == "gaussian":
-            if not self.delta > 0:
-                raise ConfigInvalid("gaussian mechanism requires delta > 0")
+            if not 0 < self.delta < 1:
+                raise ConfigInvalid(
+                    f"gaussian mechanism requires 0 < delta < 1, got {self.delta}"
+                )
             if self.norm_mode != "l2":
                 raise ConfigInvalid("gaussian mechanism requires norm_mode='l2'")
         elif self.delta != 0:

@@ -64,7 +64,7 @@ class EmptyBatch(DppError, ValueError):
 
 
 class ConfigInvalid(DppError, ValueError):
-    """Training configuration failed validation."""
+    """A configuration or option value failed validation."""
 
 
 # --- evaluation ---

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dml import MetricModel, TrainConfig, train
-from .errors import DimensionMismatch, EmptyTrainSet
+from .errors import ConfigInvalid, DimensionMismatch, EmptyTrainSet
 from .kappa import KappaReport, compute_kappa, kappa_node_dp
 from .dataio import SampleSet
 from .mechanisms import input_perturb
@@ -99,7 +99,7 @@ def knn_accuracy(
     if len(train_x) == 0:
         raise EmptyTrainSet("kNN needs at least one training point")
     if not 1 <= k <= len(train_x):
-        raise ValueError(f"k must lie in [1, {len(train_x)}], got {k}")
+        raise ConfigInvalid(f"k must lie in [1, {len(train_x)}], got {k}")
     y_train, y_test = _encode_labels(train_labels, test_labels)
     p_train = project(model, train_x)
     p_test = project(model, test_x)
@@ -154,7 +154,7 @@ def _method_config(
             base, mechanism="laplace", sensitivity_mode="basic",
             epsilon=epsilon, seed=seed,
         )
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    raise ConfigInvalid(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def run_experiment(
@@ -177,10 +177,10 @@ def run_experiment(
     and reused across runs.
     """
     if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+        raise ConfigInvalid(f"repeats must be >= 1, got {repeats}")
     for m in methods:
         if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+            raise ConfigInvalid(f"unknown method {m!r}; expected one of {METHODS}")
     train_idx, test_idx = split_by_participation(samples, pairs)
     if len(test_idx) == 0:
         test_idx = train_idx  # every individual participates; score in-sample

@@ -8,24 +8,26 @@ maximised over all node pairs.
 
 Computing that exactly requires a subset search (cycle isolation is a
 multiway-cut-like problem), so the exact routine is guarded by a size
-limit and a cheap upper bound ``max_s degree(s) - component_increase(s)``
-is provided for large graphs, along with the intransitive-relation variant
-and the node-privacy baseline (maximum degree).
+limit and an edge-scan budget, and a cheap upper bound
+``max_s degree(s) - component_increase(s)`` is provided for large graphs,
+along with the intransitive-relation variant and the node-privacy
+baseline (maximum degree).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import GraphTooLarge, SameNode
+from .errors import ConfigInvalid, GraphTooLarge, SameNode
 from .pairgraph import NodeId, PairGraph
 
 #: Node-count guard for the exact computation.
 DEFAULT_EXACT_LIMIT = 64
 
-#: Cap on edge scans one exact computation may spend searching for cycles.
-DEFAULT_SEARCH_BUDGET = 200_000_000
+#: Cap on edge scans one exact computation may spend searching for cycles;
+#: read when each search starts.
+SEARCH_BUDGET = 200_000_000
 
 #: ``auto`` only attempts the exact computation below this edge density;
 #: dense graphs make the cycle-isolation search explode.
@@ -97,7 +99,7 @@ def max_edge_disjoint_paths(
 def _unit_max_flow(g: PairGraph, s: int, t: int) -> tuple[int, list[set[int]]]:
     n = g.num_nodes
     cap: dict[tuple[int, int], int] = {}
-    adj: list[list[int]] = [g.neighbor_indices(v) for v in range(n)]
+    adj = [g.neighbor_indices(v) for v in range(n)]
     for a, b in g.iter_edge_indices():
         cap[(a, b)] = 1
         cap[(b, a)] = 1
@@ -173,7 +175,7 @@ def _edge_key(a: int, b: int) -> tuple[int, int]:
 
 
 def _shortest_cycle_through(
-    adj: list[list[int]], s: int, removed: set[tuple[int, int]]
+    adj: Sequence[Sequence[int]], s: int, removed: set[tuple[int, int]]
 ) -> tuple[list[tuple[int, int]] | None, int]:
     """Edge list of a short simple cycle through ``s`` (None if no cycle
     passes through s), plus the number of edge scans spent looking.
@@ -228,28 +230,23 @@ def _shortest_cycle_through(
 
 
 def _cycle_isolation(
-    adj: list[list[int]],
+    adj: Sequence[Sequence[int]],
     si: int,
     base_removed: Iterable[tuple[int, int]],
-    search_budget: int,
     label: NodeId,
     counter: list[int] | None = None,
 ) -> int:
     spent = counter if counter is not None else [0]
-
-    def find(removed: set[tuple[int, int]]):
-        cycle, work = _shortest_cycle_through(adj, si, removed)
-        spent[0] += work
-        if spent[0] > search_budget:
-            raise GraphTooLarge(
-                f"cycle isolation for node {label!r} exceeded the search "
-                f"budget of {search_budget} edge scans; use the upper bound "
-                "instead"
-            )
-        return cycle
+    budget = SEARCH_BUDGET
 
     def solvable(removed: set[tuple[int, int]], depth: int) -> bool:
-        cycle = find(removed)
+        cycle, work = _shortest_cycle_through(adj, si, removed)
+        spent[0] += work
+        if spent[0] > budget:
+            raise GraphTooLarge(
+                f"cycle isolation for node {label!r} exceeded the search "
+                f"budget of {budget} edge scans; use the upper bound instead"
+            )
         if cycle is None:
             return True
         if depth == 0:
@@ -264,54 +261,40 @@ def _cycle_isolation(
 
     base = set(base_removed)
     max_depth = sum(1 for w in adj[si] if _edge_key(si, w) not in base)
-
-    # greedy edge-disjoint cycle packing: every deletion set must hit each
-    # packed cycle separately, so the packing size floors the search depth
-    packed = set(base)
-    lower = 0
-    while True:
-        cycle = find(packed)
-        if cycle is None:
-            break
-        packed.update(cycle)
-        lower += 1
-
-    for k in range(lower, max_depth + 1):
+    for k in range(max_depth + 1):
         if solvable(set(base), k):
             return k
     return max_depth  # pragma: no cover - loop always returns by max_depth
 
 
-def cycle_isolation_count(
-    g: PairGraph, s: NodeId, search_budget: int = DEFAULT_SEARCH_BUDGET
-) -> int:
+def cycle_isolation_count(g: PairGraph, s: NodeId) -> int:
     """Minimum number of edge deletions leaving ``s`` on no cycle.
 
-    Exact: iterative deepening with branching on the edges of a shortest
-    remaining cycle through s (any valid deletion set must hit that
-    cycle). Raises :class:`GraphTooLarge` once the search spends more
-    than ``search_budget`` edge scans.
+    Exact: iterative deepening from zero deletions, branching on the edges
+    of a shortest remaining cycle through s (any valid deletion set must
+    hit that cycle). Raises :class:`GraphTooLarge` once the search spends
+    more than the module's ``SEARCH_BUDGET`` edge scans.
     """
     si = g.node_index(s)
     adj = [g.neighbor_indices(v) for v in range(g.num_nodes)]
-    return _cycle_isolation(adj, si, (), search_budget, s)
+    return _cycle_isolation(adj, si, (), s)
 
 
 # --- privacy distance variants ---------------------------------------------
 
 
-def kappa_exact(
-    g: PairGraph,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> KappaReport:
+def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaReport:
     """Exact privacy distance by the full pair loop.
 
     For every unordered node pair: the edge-disjoint path count, one
     deterministic maximum path set removed, then both cycle-isolation
     costs on the remainder. The maximum term wins; the witness is the
     first pair achieving it in a deterministic processing order.
-    Guarded by ``exact_limit`` nodes.
+    A node's whole-graph isolation cost is searched when first read: by a
+    pair across components, or by the pruning bound above the
+    term-recording size. Guarded by ``exact_limit`` nodes and, across all
+    searches together, by ``SEARCH_BUDGET`` edge scans
+    (:class:`GraphTooLarge` past either).
     """
     if g.num_nodes > exact_limit:
         raise GraphTooLarge(
@@ -343,15 +326,16 @@ def kappa_exact(
 
     adj = [g.neighbor_indices(v) for v in range(n)]
     counter = [0]  # one budget for the whole computation, not per node
-    c_full = [
-        _cycle_isolation(adj, v, (), search_budget, g.node_id(v), counter)
-        for v in range(n)
-    ]
-    deg = [len(adj[v]) for v in range(n)]
+    c_full_known: dict[int, int] = {}
+
+    def c_full(v: int) -> int:
+        if v not in c_full_known:
+            c_full_known[v] = _cycle_isolation(adj, v, (), g.node_id(v), counter)
+        return c_full_known[v]
 
     def bound(a: int, b: int) -> int:
         # paths <= min degree; removal never creates cycles
-        return min(deg[a], deg[b]) + min(c_full[a], c_full[b])
+        return min(len(adj[a]), len(adj[b])) + min(c_full(a), c_full(b))
 
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     if not record_terms:
@@ -361,6 +345,8 @@ def kappa_exact(
     best = -1
     witness = None
     terms: dict[tuple[NodeId, NodeId], tuple[int, int, int]] = {}
+    # a report holds a triple per pair but few distinct ones: share them
+    triples: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     for a, b in pairs:
         if not record_terms:
             cap = bound(a, b)
@@ -368,22 +354,23 @@ def kappa_exact(
                 break  # nothing later can exceed the current maximum
         sa, tb = g.node_id(a), g.node_id(b)
         if comp_of[a] != comp_of[b]:
-            n_paths, cs, ct = 0, c_full[a], c_full[b]
+            n_paths, cs, ct = 0, c_full(a), c_full(b)
         else:
             n_paths, paths = max_edge_disjoint_paths(g, sa, tb)
-            if not record_terms and n_paths + min(c_full[a], c_full[b]) <= best:
+            if not record_terms and n_paths + min(c_full(a), c_full(b)) <= best:
                 continue  # removal only lowers isolation costs
             removed = frozenset(
                 _edge_key(g.node_index(x), g.node_index(y))
                 for x, y in _path_edges(paths)
             )
-            cs = _cycle_isolation(adj, a, removed, search_budget, sa, counter)
+            cs = _cycle_isolation(adj, a, removed, sa, counter)
             if not record_terms and n_paths + cs <= best:
                 continue  # min(cs, ct) cannot exceed cs
-            ct = _cycle_isolation(adj, b, removed, search_budget, tb, counter)
+            ct = _cycle_isolation(adj, b, removed, tb, counter)
         term = n_paths + min(cs, ct)
         if record_terms:
-            terms[(sa, tb)] = (n_paths, cs, ct)
+            triple = (n_paths, cs, ct)
+            terms[(sa, tb)] = triples.setdefault(triple, triple)
         if term > best:
             best = term
             witness = (a, b)
@@ -423,7 +410,6 @@ def kappa_intransitive(
     g: PairGraph,
     exact: bool = True,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> KappaReport:
     """Privacy distance when pairwise labels do not compose.
 
@@ -446,9 +432,7 @@ def kappa_intransitive(
     def iso_cost(graph: PairGraph, node: NodeId) -> int:
         if exact:
             adjg = [graph.neighbor_indices(v) for v in range(graph.num_nodes)]
-            return _cycle_isolation(
-                adjg, graph.node_index(node), (), search_budget, node, counter
-            )
+            return _cycle_isolation(adjg, graph.node_index(node), (), node, counter)
         return max(
             0,
             graph.degree(node) - graph.component_increase_on_removal(node) - 1,
@@ -499,17 +483,17 @@ def compute_kappa(
     g: PairGraph,
     method: str = "auto",
     exact_limit: int = DEFAULT_EXACT_LIMIT,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> KappaReport:
     """Dispatch to the variant matching ``method`` and the relation kind.
 
     ``auto`` uses the exact computation when the graph fits under
     ``exact_limit`` nodes and is sparse enough for the cycle search
-    (falling back to the bound when the search blows past its budget),
-    and the upper bound otherwise.
+    (falling back to the bound when the search spends more than the
+    module's ``SEARCH_BUDGET`` edge scans), and the upper bound otherwise.
+    ``exact`` raises :class:`GraphTooLarge` instead of falling back.
     """
     if method not in ("auto", "exact", "upper", "node-dp"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ConfigInvalid(f"unknown method {method!r}")
     if method == "node-dp":
         return kappa_node_dp(g)
     attempt_exact = method == "exact" or (
@@ -521,8 +505,7 @@ def compute_kappa(
         if method == "upper" or not attempt_exact:
             return kappa_intransitive(g, exact=False)
         try:
-            return kappa_intransitive(g, exact=True, exact_limit=exact_limit,
-                                      search_budget=search_budget)
+            return kappa_intransitive(g, exact=True, exact_limit=exact_limit)
         except GraphTooLarge:
             if method == "exact":
                 raise
@@ -530,7 +513,7 @@ def compute_kappa(
     if method == "upper" or not attempt_exact:
         return kappa_upper(g)
     try:
-        return kappa_exact(g, exact_limit=exact_limit, search_budget=search_budget)
+        return kappa_exact(g, exact_limit=exact_limit)
     except GraphTooLarge:
         if method == "exact":
             raise

@@ -103,16 +103,18 @@ class PairGraph:
         for n in extra_nodes:
             self._intern(n)
         self._dim = dim
-        self._adj: list[dict[int, PairwiseDatum]] = [dict() for _ in self._order]
         self._edges: dict[tuple[int, int], PairwiseDatum] = {}
+        adj: list[list[int]] = [[] for _ in self._order]
         for p in pairs:
             a, b = self._index[p.i], self._index[p.j]
             key = (a, b) if a < b else (b, a)
             if key in self._edges:
                 raise DuplicateEdge(f"duplicate pair on ({p.i}, {p.j})")
             self._edges[key] = p
-            self._adj[a][b] = p
-            self._adj[b][a] = p
+            adj[a].append(b)
+            adj[b].append(a)
+        # ascending neighbour indices per node, immutable like the graph
+        self._adj: list[tuple[int, ...]] = [tuple(sorted(nb)) for nb in adj]
 
     def _intern(self, n: NodeId) -> int:
         idx = self._index.get(n)
@@ -168,11 +170,12 @@ class PairGraph:
         return ((a, b) if a < b else (b, a)) in self._edges
 
     def neighbors(self, n: NodeId) -> list[NodeId]:
-        idx = self.node_index(n)
-        return [self._order[m] for m in sorted(self._adj[idx])]
+        """Neighbour ids in ascending index order."""
+        return [self._order[m] for m in self._adj[self.node_index(n)]]
 
-    def neighbor_indices(self, idx: int) -> list[int]:
-        return sorted(self._adj[idx])
+    def neighbor_indices(self, idx: int) -> tuple[int, ...]:
+        """Neighbour indices of node ``idx`` in ascending order."""
+        return self._adj[idx]
 
     def iter_edge_indices(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._edges))

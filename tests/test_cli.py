@@ -245,9 +245,55 @@ class TestResolvedConfig:
         assert len(samples) == 240
 
 
+BAD_OPTION_VALUES = {
+    "evaluate-k-zero": (["evaluate", "--model", "{model}", "--data", "{samples}",
+                         "--k", 0], None),
+    "evaluate-k-too-large": (["evaluate", "--model", "{model}",
+                              "--data", "{samples}", "--k", 1000], None),
+    "sweep-k-zero": (["sweep", "--data", "{samples}", "--pairs", "{pairs}",
+                      "--methods", "nonpriv", "--epsilons", 1, "--repeats", 1,
+                      "--t-max", 1, "--k", 0], None),
+    "sweep-unknown-method": (["sweep", "--data", "{samples}", "--pairs", "{pairs}",
+                              "--methods", "bogus"], None),
+    "sweep-zero-repeats": (["sweep", "--data", "{samples}", "--pairs", "{pairs}",
+                            "--repeats", 0], None),
+    "synth-zero-samples": (["synth", "--n-per-class", 0], None),
+    "synth-config-norm-mode": (["synth"], {"norm_mode": "l3"}),
+    "synth-config-mode": (["synth"], {"mode": "bogus"}),
+    "train-gaussian-delta-above-one": (["train", "--pairs", "{pairs}",
+                                       "--mechanism", "gaussian", "--norm-mode",
+                                       "l2", "--delta", 1.5], None),
+    "analyze-config-method": (["analyze-kappa", "--pairs", "{pairs}"],
+                              {"method": "bogus"}),
+}
+
+
 class TestExitCodes:
     def test_no_command_prints_help(self, capsys):
         assert run([]) == 2
+
+    @pytest.mark.parametrize("args, config", BAD_OPTION_VALUES.values(),
+                             ids=BAD_OPTION_VALUES.keys())
+    def test_bad_option_value_exits_two(self, args, config, toy_files,
+                                        tmp_path, capsys):
+        samples_path, pairs_path = toy_files
+        model_path = tmp_path / "model.json"
+        if "{model}" in args:
+            assert run(["train", "--pairs", pairs_path, "--out", model_path,
+                        "--out-dir", tmp_path / "m", "--t-max", 1,
+                        "--mechanism", "none"]) == 0
+        paths = {"{model}": model_path, "{samples}": samples_path,
+                 "{pairs}": pairs_path}
+        argv = [paths.get(a, a) for a in args]
+        if config is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config))
+            argv += ["--config", config_path]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(argv + ["--out-dir", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "pairs.csv").exists()
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert run(["analyze-kappa", "--pairs", tmp_path / "ghost.csv"]) == 2

@@ -370,6 +370,9 @@ class TestTrain:
             train([], graph, vii_a_config())
         with pytest.raises(ConfigInvalid):
             train(pairs, graph, vii_a_config(mechanism="laplace", delta=0.5))
+        with pytest.raises(ConfigInvalid):
+            train(pairs, graph, vii_a_config(mechanism="gaussian",
+                                             norm_mode="l2", delta=1.5))
 
     def test_neighbouring_batch_deviation_bounded(self, rng):
         """Replacing one pair never moves the mean clipped row gradient by

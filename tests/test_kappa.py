@@ -4,6 +4,7 @@ import logging
 
 import pytest
 
+from dppdml import dataio, kappa
 from dppdml.errors import GraphTooLarge, SameNode, UnknownNode
 from dppdml.kappa import (
     compute_kappa,
@@ -14,6 +15,7 @@ from dppdml.kappa import (
     kappa_upper,
     max_edge_disjoint_paths,
 )
+from dppdml.pairgraph import build_graph
 
 from .conftest import graph_from_edges
 from . import oracles
@@ -173,6 +175,30 @@ class TestKappaExact:
         assert report.per_pair_terms[(0, 3)] == (0, 1, 1)
         oracle = oracles.kappa_oracle(6, edges, witness_paths_for(g))
         assert report.kappa == oracle["kappa"]
+
+        # a bowtie, a K4, a tree and an isolated node: every cross-component
+        # pair reads both whole-graph isolation costs
+        edges = ([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+                 + [(a, b) for a in range(5, 9) for b in range(a + 1, 9)]
+                 + [(9, 10), (10, 11), (10, 12)])
+        g = graph_from_edges(edges, n_nodes=14)
+        report = kappa_exact(g)
+        comp_of = {}
+        for ci, comp in enumerate(g.components()):
+            for v in comp:
+                comp_of[g.node_id(v)] = ci
+        assert len(set(comp_of.values())) == 4
+        cross = [(a, b) for (a, b) in report.per_pair_terms
+                 if comp_of[a] != comp_of[b]]
+        assert len(cross) == 14 * 13 // 2 - (10 + 6 + 6)
+        for a, b in cross:
+            assert report.per_pair_terms[(a, b)] == (
+                0, cycle_isolation_count(g, a), cycle_isolation_count(g, b)
+            )
+        assert report.per_pair_terms[(0, 5)] == (0, 2, 2)
+        assert report.kappa == max(
+            n + min(cs, ct) for n, cs, ct in report.per_pair_terms.values()
+        )
 
     def test_guard_rejects_large_graphs(self):
         g = graph_from_edges([(k, k + 1) for k in range(70)])
@@ -355,14 +381,16 @@ class TestDominanceAndDispatch:
         assert report.method == "upper_bound"
         assert report.kappa == 11
 
-    def test_forced_exact_respects_search_budget(self):
-        k12 = graph_from_edges(
-            [(i, j) for i in range(12) for j in range(i + 1, 12)]
-        )
+    def test_forced_exact_respects_search_budget(self, monkeypatch):
+        samples = dataio.normalize(dataio.synth_two_gaussians(12, seed=2))
+        g = build_graph(dataio.sample_pairs(samples, 3.0, seed=2))
+        # sparse enough that auto attempts the exact computation
+        assert (g.num_nodes, g.num_edges) == (24, 72)
+        monkeypatch.setattr(kappa, "SEARCH_BUDGET", 10_000)
         with pytest.raises(GraphTooLarge):
-            compute_kappa(k12, method="exact", search_budget=10_000)
+            compute_kappa(g, method="exact")
         # auto degrades to the bound instead of raising
-        report = compute_kappa(k12, search_budget=10_000)
+        report = compute_kappa(g)
         assert report.method == "upper_bound"
 
     def test_auto_respects_relation_kind(self):

@@ -99,6 +99,17 @@ class TestQueries:
     def test_fig5_degree_of_b(self, fig5_graph):
         assert fig5_graph.degree("b") == 2
 
+    def test_neighbours_ascending_and_read_only(self):
+        g = graph_from_edges([("c", "b"), ("c", "a"), ("d", "c"), ("a", "b")])
+        # indices follow first appearance: c=0, b=1, a=2, d=3
+        assert g.neighbor_indices(0) == (1, 2, 3)
+        assert g.neighbors("c") == ["b", "a", "d"]
+        assert g.neighbors("a") == ["c", "b"]
+        with pytest.raises(TypeError):
+            g.neighbor_indices(0)[0] = 3
+        g.neighbors("c").append("z")
+        assert g.neighbors("c") == ["b", "a", "d"]
+
     def test_component_count_two_disjoint_edges(self):
         g = build_graph([datum("a", "b"), datum("c", "d")])
         assert g.component_count() == 2
