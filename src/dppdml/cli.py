@@ -18,22 +18,28 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio, evaluation, kappa as kappa_mod
-from .dml import MetricModel, TrainConfig, train
+from .dml import (
+    BATCH_MODES,
+    NORM_MODES,
+    SENSITIVITY_MODES,
+    TRAIN_MECHANISMS,
+    MetricModel,
+    TrainConfig,
+    train,
+)
 from .errors import ConfigInvalid, DppError
-from .pairgraph import build_graph, read_pairs_file, write_pairs_file
+from .pairgraph import RELATION_KINDS, build_graph, read_pairs_file, write_pairs_file
 
 _CONFIG_KEYS_IGNORED = {"command"}
 
-TRAIN_FIELDS = (
-    "d_prime", "margin", "margin_ratio", "lipschitz", "batch_size", "t_max",
-    "epsilon", "delta", "mechanism", "sensitivity_mode", "norm_mode",
-    "init_scale", "staircase_gamma", "batch_mode",
-)
+#: TrainConfig fields set from flags; the seed comes from ``--seed``.
+TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
 MECHANISM_VARIANTS = {
     "lap": ("laplace", "basic"),
@@ -195,20 +201,8 @@ TRAIN_DEFAULTS = {
     "exact_limit": kappa_mod.DEFAULT_EXACT_LIMIT,
     "model_out": None,
     "trace_out": None,
-    "d_prime": 2,
-    "margin": None,
-    "margin_ratio": 1.0,
-    "lipschitz": 0.5,
-    "batch_size": 50,
-    "t_max": 10,
-    "epsilon": 2.0,
-    "delta": 0.0,
-    "mechanism": "laplace",
-    "sensitivity_mode": "reduced",
-    "norm_mode": "l1",
-    "init_scale": 0.1,
-    "staircase_gamma": None,
-    "batch_mode": "shuffle",
+    **{f.name: f.default for f in fields(TrainConfig) if f.name in TRAIN_FIELDS},
+    "d_prime": 2,  # TrainConfig leaves d_prime without a default
 }
 
 
@@ -421,15 +415,13 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-max", dest="t_max", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--mechanism",
-                   choices=["none", "laplace", "gaussian", "staircase", "duchi"])
+    p.add_argument("--mechanism", choices=TRAIN_MECHANISMS)
     p.add_argument("--sensitivity-mode", dest="sensitivity_mode",
-                   choices=["basic", "reduced"])
-    p.add_argument("--norm-mode", dest="norm_mode", choices=["l1", "l2"])
+                   choices=SENSITIVITY_MODES)
+    p.add_argument("--norm-mode", dest="norm_mode", choices=NORM_MODES)
     p.add_argument("--init-scale", dest="init_scale", type=float)
     p.add_argument("--staircase-gamma", dest="staircase_gamma", type=float)
-    p.add_argument("--batch-mode", dest="batch_mode",
-                   choices=["shuffle", "component"])
+    p.add_argument("--batch-mode", dest="batch_mode", choices=BATCH_MODES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,15 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balance", action="store_true")
     p.add_argument("--intra", type=int)
     p.add_argument("--inter", type=int)
-    p.add_argument("--norm-mode", dest="norm_mode", choices=["l1", "l2"])
+    p.add_argument("--norm-mode", dest="norm_mode", choices=NORM_MODES)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("analyze-kappa", help="privacy distance of a pairs file",
                        argument_default=argparse.SUPPRESS)
     _add_common(p)
     p.add_argument("--pairs")
-    p.add_argument("--relation", choices=["transitive", "intransitive"])
-    p.add_argument("--method", choices=["exact", "upper", "node-dp", "auto"])
+    p.add_argument("--relation", choices=RELATION_KINDS)
+    p.add_argument("--method", choices=kappa_mod.KAPPA_METHODS)
     p.add_argument("--exact-limit", dest="exact_limit", type=int)
     p.set_defaults(func=cmd_analyze_kappa)
 
@@ -465,9 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     _add_common(p)
     p.add_argument("--pairs")
-    p.add_argument("--relation", choices=["transitive", "intransitive"])
+    p.add_argument("--relation", choices=RELATION_KINDS)
     p.add_argument("--kappa-method", dest="kappa_method",
-                   choices=["exact", "upper", "node-dp", "auto"])
+                   choices=kappa_mod.KAPPA_METHODS)
     p.add_argument("--exact-limit", dest="exact_limit", type=int)
     p.add_argument("--out", dest="model_out", help="model file path")
     p.add_argument("--trace", dest="trace_out", help="trace CSV path")
@@ -488,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--data")
     p.add_argument("--pairs")
-    p.add_argument("--relation", choices=["transitive", "intransitive"])
+    p.add_argument("--relation", choices=RELATION_KINDS)
     p.add_argument("--methods")
     p.add_argument("--epsilons")
     p.add_argument("--repeats", type=int)
@@ -502,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     _add_common(p)
     p.add_argument("--pairs")
-    p.add_argument("--relation", choices=["transitive", "intransitive"])
+    p.add_argument("--relation", choices=RELATION_KINDS)
     p.add_argument("--mechanisms")
     p.add_argument("--out", dest="compare_out", help="comparison CSV path")
     _add_train_flags(p)

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     SingleClass,
 )
-from .pairgraph import PairwiseDatum
+from .pairgraph import PairwiseDatum, _parse_node_id
 
 logger = logging.getLogger(__name__)
 
@@ -308,9 +308,9 @@ def load_csv(
                         col=k + 1,
                     ) from None
             rows.append(feats)
-            labels.append(_parse_label(row[label_idx]))
+            labels.append(_parse_label(row[label_idx], rownum, label_idx + 1))
             if id_idx is not None:
-                ids.append(_parse_id(row[id_idx]))
+                ids.append(_parse_node_id(row[id_idx]))
             else:
                 ids.append(rownum - 2)
     if not rows:
@@ -318,20 +318,20 @@ def load_csv(
     return SampleSet(np.array(rows), np.array(labels), np.array(ids))
 
 
-def _parse_label(cell: str):
+def _parse_label(cell: str, rownum: int, col: int):
+    """Integer class label, or the stripped text of a non-numeric one."""
     cell = cell.strip()
     try:
-        return int(float(cell))
+        value = float(cell)
     except ValueError:
         return cell
-
-
-def _parse_id(cell: str):
-    cell = cell.strip()
-    try:
-        return int(cell)
-    except ValueError:
-        return cell
+    if not value.is_integer():
+        raise ParseError(
+            f"row {rownum}, col {col}: label {cell!r} is not an integer",
+            row=rownum,
+            col=col,
+        )
+    return int(value)
 
 
 def save_samples_csv(path, samples: SampleSet, delimiter: str = ",") -> None:

@@ -3,24 +3,33 @@
 The privacy distance counts, for the hardest target pair (s, t), how many
 edges an attacker must be missing before the pair's relationship and
 feature difference both become un-inferable: the maximum number of
-edge-disjoint s-t paths plus the cheaper of the two cycle-isolation costs,
-maximised over all node pairs.
+edge-disjoint s-t paths plus the cheaper of the two cycle-isolation costs
+left once those paths are removed, maximised over all node pairs. When
+labels do not compose (intransitive relations) only the pair's own edge
+counts as a path.
 
-Computing that exactly requires a subset search (cycle isolation is a
-multiway-cut-like problem), so the exact routine is guarded by a size
-limit and an edge-scan budget, and a cheap upper bound
-``max_s degree(s) - component_increase(s)`` is provided for large graphs,
-along with the intransitive-relation variant and the node-privacy
-baseline (maximum degree).
+Both relation kinds run one pair loop, which differs only in how a pair's
+path count and removed edges are found. Exact cycle isolation is a subset
+search (a multiway-cut-like problem), so it is guarded by a size limit and
+an edge-scan budget. Large graphs get a cheap bound instead:
+``max_s degree(s) - component_increase(s)`` when labels compose, otherwise
+the same loop with each isolation cost bounded by ``degree -
+component_increase - 1``. The node-privacy baseline (maximum degree) is
+also provided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import combinations
+from typing import Callable, Sequence
 
 from .errors import ConfigInvalid, GraphTooLarge, SameNode
 from .pairgraph import NodeId, PairGraph
+
+#: Names ``compute_kappa`` accepts for ``method``.
+KAPPA_METHODS = ("auto", "exact", "upper", "node-dp")
 
 #: Node-count guard for the exact computation.
 DEFAULT_EXACT_LIMIT = 64
@@ -160,13 +169,6 @@ def _decompose_paths(
     return paths
 
 
-def _path_edges(paths: Iterable[list[NodeId]]) -> list[tuple[NodeId, NodeId]]:
-    edges = []
-    for p in paths:
-        edges.extend(zip(p, p[1:]))
-    return edges
-
-
 # --- cycle isolation --------------------------------------------------------
 
 
@@ -229,42 +231,46 @@ def _shortest_cycle_through(
     return edges, work
 
 
-def _cycle_isolation(
-    adj: Sequence[Sequence[int]],
-    si: int,
-    base_removed: Iterable[tuple[int, int]],
-    label: NodeId,
-    counter: list[int] | None = None,
-) -> int:
-    spent = counter if counter is not None else [0]
-    budget = SEARCH_BUDGET
+def _exact_isolation(g: PairGraph) -> Callable[[int, frozenset], int]:
+    """Exact cycle-isolation cost of a node once the given edges are gone.
 
-    def solvable(removed: set[tuple[int, int]], depth: int) -> bool:
-        cycle, work = _shortest_cycle_through(adj, si, removed)
-        spent[0] += work
-        if spent[0] > budget:
-            raise GraphTooLarge(
-                f"cycle isolation for node {label!r} exceeded the search "
-                f"budget of {budget} edge scans; use the upper bound instead"
-            )
-        if cycle is None:
-            return True
-        if depth == 0:
-            return False
-        for e in cycle:
-            removed.add(e)
-            if solvable(removed, depth - 1):
-                removed.discard(e)
+    Every search made through one returned function spends from one
+    budget of ``SEARCH_BUDGET`` edge scans, read when each search starts.
+    """
+    adj = [g.neighbor_indices(v) for v in range(g.num_nodes)]
+    spent = [0]  # one budget for the whole computation, not per node
+
+    def isolation(si: int, base_removed: frozenset[tuple[int, int]]) -> int:
+        budget = SEARCH_BUDGET
+
+        def solvable(removed: set[tuple[int, int]], depth: int) -> bool:
+            cycle, work = _shortest_cycle_through(adj, si, removed)
+            spent[0] += work
+            if spent[0] > budget:
+                raise GraphTooLarge(
+                    f"cycle isolation for node {g.node_id(si)!r} exceeded the "
+                    f"search budget of {budget} edge scans; use the upper "
+                    "bound instead"
+                )
+            if cycle is None:
                 return True
-            removed.discard(e)
-        return False
+            if depth == 0:
+                return False
+            for e in cycle:
+                removed.add(e)
+                if solvable(removed, depth - 1):
+                    removed.discard(e)
+                    return True
+                removed.discard(e)
+            return False
 
-    base = set(base_removed)
-    max_depth = sum(1 for w in adj[si] if _edge_key(si, w) not in base)
-    for k in range(max_depth + 1):
-        if solvable(set(base), k):
-            return k
-    return max_depth  # pragma: no cover - loop always returns by max_depth
+        max_depth = sum(1 for w in adj[si] if _edge_key(si, w) not in base_removed)
+        for k in range(max_depth + 1):
+            if solvable(set(base_removed), k):
+                return k
+        return max_depth  # pragma: no cover - loop always returns by max_depth
+
+    return isolation
 
 
 def cycle_isolation_count(g: PairGraph, s: NodeId) -> int:
@@ -275,111 +281,146 @@ def cycle_isolation_count(g: PairGraph, s: NodeId) -> int:
     hit that cycle). Raises :class:`GraphTooLarge` once the search spends
     more than the module's ``SEARCH_BUDGET`` edge scans.
     """
-    si = g.node_index(s)
-    adj = [g.neighbor_indices(v) for v in range(g.num_nodes)]
-    return _cycle_isolation(adj, si, (), s)
+    return _exact_isolation(g)(g.node_index(s), frozenset())
 
 
 # --- privacy distance variants ---------------------------------------------
 
 
-def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaReport:
-    """Exact privacy distance by the full pair loop.
+def _pair_loop(
+    g: PairGraph,
+    method: str,
+    linked: Callable[[int, int], bool],
+    paths: Callable[[int, int], tuple[int, frozenset[tuple[int, int]]]],
+    isolation: Callable[[int, frozenset[tuple[int, int]]], int],
+    detail: str | None = None,
+) -> KappaReport:
+    """Largest pair term of a graph with edges, with its witness.
 
-    For every unordered node pair: the edge-disjoint path count, one
-    deterministic maximum path set removed, then both cycle-isolation
-    costs on the remainder. The maximum term wins; the witness is the
-    first pair achieving it in a deterministic processing order.
-    A node's whole-graph isolation cost is searched when first read: by a
-    pair across components, or by the pruning bound above the
-    term-recording size. Guarded by ``exact_limit`` nodes and, across all
-    searches together, by ``SEARCH_BUDGET`` edge scans
-    (:class:`GraphTooLarge` past either).
+    A linked pair's term is its path count plus the cheaper isolation cost
+    once ``paths``' edges are removed; any other pair's term is the cheaper
+    whole-graph cost, computed when first read. Up to the term-recording
+    size, pairs run in index order and every term is recorded. Above it, a
+    forest returns 1 at once; otherwise pairs run from the highest bound
+    down and the loop stops once no later pair can exceed the maximum. The
+    witness is the first maximising pair in the loop's order.
     """
-    if g.num_nodes > exact_limit:
-        raise GraphTooLarge(
-            f"graph has {g.num_nodes} nodes, exact computation is guarded "
-            f"at {exact_limit}; use kappa_upper"
-        )
-    if g.num_edges == 0:
-        return KappaReport(0, "exact")
-
-    record_terms = g.num_nodes <= _TERMS_NODE_LIMIT
     n = g.num_nodes
-    comp_of = {}
-    for ci, comp in enumerate(g.components()):
-        for v in comp:
-            comp_of[v] = ci
+    record_terms = n <= _TERMS_NODE_LIMIT
+    if not record_terms and g.num_edges == n - g.component_count():
+        # forest: no cycles, and every linked pair has exactly one path;
+        # nodes 0 and 1 are the first pair's endpoints, so linked and first
+        witness_pair = (g.node_id(0), g.node_id(1))
+        return KappaReport(1, method, witness_pair=witness_pair, detail=detail)
 
-    if not record_terms and g.num_edges == n - len(set(comp_of.values())):
-        # forest: every connected pair has exactly one path and no cycles
-        witness = next(
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if comp_of[a] == comp_of[b]
-        )
-        return KappaReport(
-            1, "exact",
-            witness_pair=(g.node_id(witness[0]), g.node_id(witness[1])),
-        )
-
-    adj = [g.neighbor_indices(v) for v in range(n)]
-    counter = [0]  # one budget for the whole computation, not per node
+    degree = [len(g.neighbor_indices(v)) for v in range(n)]
     c_full_known: dict[int, int] = {}
 
     def c_full(v: int) -> int:
         if v not in c_full_known:
-            c_full_known[v] = _cycle_isolation(adj, v, (), g.node_id(v), counter)
+            c_full_known[v] = isolation(v, frozenset())
         return c_full_known[v]
 
     def bound(a: int, b: int) -> int:
-        # paths <= min degree; removal never creates cycles
-        return min(len(adj[a]), len(adj[b])) + min(c_full(a), c_full(b))
+        # paths <= min degree; removal never raises an isolation cost
+        return min(degree[a], degree[b]) + min(c_full(a), c_full(b))
 
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    if not record_terms:
-        # high bounds first so pruning bites early; exactness is unaffected
-        pairs.sort(key=lambda p: (-bound(*p), p))
+    def high_bounds_first():
+        # descending bound, ties in index order, one bound level at a time:
+        # the loop stops within the top levels, and a large graph's pairs
+        # need not all be held in memory
+        top = [degree[v] + c_full(v) for v in range(n)]
+        for level in range(max(top), -1, -1):
+            live = [v for v in range(n) if top[v] >= level]
+            for a, b in combinations(live, 2):
+                if bound(a, b) == level:
+                    yield a, b
 
     best = -1
-    witness = None
+    witness: tuple[int, int] | None = None
     terms: dict[tuple[NodeId, NodeId], tuple[int, int, int]] = {}
     # a report holds a triple per pair but few distinct ones: share them
     triples: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    for a, b in pairs:
-        if not record_terms:
-            cap = bound(a, b)
-            if cap < best or (cap == best and witness is not None):
-                break  # nothing later can exceed the current maximum
-        sa, tb = g.node_id(a), g.node_id(b)
-        if comp_of[a] != comp_of[b]:
-            n_paths, cs, ct = 0, c_full(a), c_full(b)
-        else:
-            n_paths, paths = max_edge_disjoint_paths(g, sa, tb)
+    for a, b in combinations(range(n), 2) if record_terms else high_bounds_first():
+        if not record_terms and bound(a, b) <= best:
+            break  # nothing later can exceed the current maximum
+        if linked(a, b):
+            n_paths, removed = paths(a, b)
             if not record_terms and n_paths + min(c_full(a), c_full(b)) <= best:
                 continue  # removal only lowers isolation costs
-            removed = frozenset(
-                _edge_key(g.node_index(x), g.node_index(y))
-                for x, y in _path_edges(paths)
-            )
-            cs = _cycle_isolation(adj, a, removed, sa, counter)
+            cs = isolation(a, removed)
             if not record_terms and n_paths + cs <= best:
                 continue  # min(cs, ct) cannot exceed cs
-            ct = _cycle_isolation(adj, b, removed, tb, counter)
+            ct = isolation(b, removed)
+        else:
+            n_paths, cs, ct = 0, c_full(a), c_full(b)
         term = n_paths + min(cs, ct)
         if record_terms:
             triple = (n_paths, cs, ct)
-            terms[(sa, tb)] = triples.setdefault(triple, triple)
+            terms[(g.node_id(a), g.node_id(b))] = triples.setdefault(triple, triple)
         if term > best:
             best = term
             witness = (a, b)
     assert witness is not None
     return KappaReport(
         best,
-        "exact",
+        method,
         witness_pair=(g.node_id(witness[0]), g.node_id(witness[1])),
         per_pair_terms=terms if record_terms else None,
+        detail=detail,
+    )
+
+
+def _degree_bound(g: PairGraph, v: int, removed: frozenset[tuple[int, int]]) -> int:
+    """Isolation bound ``degree - component_increase - 1`` without the
+    removed edges; deleting a node's edges and then the node leaves the
+    same graph as deleting the node, so no reduced graph is built."""
+    node = g.node_id(v)
+    dropped = [
+        g.node_id(w) for w in g.neighbor_indices(v) if _edge_key(v, w) in removed
+    ]
+    increase = g.component_increase_on_removal(node, dropped)
+    return max(0, g.degree(node) - len(dropped) - increase - 1)
+
+
+def _check_exact_limit(g: PairGraph, exact_limit: int, instead: str) -> None:
+    if g.num_nodes > exact_limit:
+        raise GraphTooLarge(
+            f"graph has {g.num_nodes} nodes, exact computation is guarded "
+            f"at {exact_limit}; use {instead}"
+        )
+
+
+def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaReport:
+    """Exact privacy distance by the shared pair loop.
+
+    A pair in one component counts its edge-disjoint paths, removes one
+    deterministic maximum path set, and adds the cheaper cycle-isolation
+    cost on the remainder; a pair across components adds the cheaper
+    whole-graph cost, searched when first read. The witness is the first
+    maximising pair in the loop's order. Guarded by ``exact_limit`` nodes
+    and, across all searches together, by ``SEARCH_BUDGET`` edge scans
+    (:class:`GraphTooLarge` past either).
+    """
+    _check_exact_limit(g, exact_limit, "kappa_upper")
+    if g.num_edges == 0:
+        return KappaReport(0, "exact")
+    comp_of = {v: ci for ci, comp in enumerate(g.components()) for v in comp}
+
+    def flow_paths(a: int, b: int) -> tuple[int, frozenset[tuple[int, int]]]:
+        n_paths, paths = max_edge_disjoint_paths(g, g.node_id(a), g.node_id(b))
+        return n_paths, frozenset(
+            _edge_key(g.node_index(x), g.node_index(y))
+            for p in paths
+            for x, y in zip(p, p[1:])
+        )
+
+    return _pair_loop(
+        g,
+        "exact",
+        lambda a, b: comp_of[a] == comp_of[b],
+        flow_paths,
+        _exact_isolation(g),
     )
 
 
@@ -413,69 +454,26 @@ def kappa_intransitive(
 ) -> KappaReport:
     """Privacy distance when pairwise labels do not compose.
 
-    Only feature-difference inference matters: adjacent pairs cost one for
-    the shared edge plus the cheaper cycle isolation after deleting it;
-    non-adjacent pairs cost the cheaper cycle isolation on the whole graph.
-    ``exact=False`` replaces each cycle-isolation cost with the bound
-    ``degree - component_increase - 1``.
+    Runs the pair loop of :func:`kappa_exact` with only the pair's own edge
+    as a path: adjacent pairs cost one for that edge plus the cheaper cycle
+    isolation after deleting it; non-adjacent pairs cost the cheaper cycle
+    isolation on the whole graph. The witness is the first maximising pair
+    in the loop's order. ``exact=False`` replaces each cycle-isolation cost
+    with the bound ``degree - component_increase - 1`` and has no size
+    guard.
     """
+    detail = "exact" if exact else "bound"
     if g.num_edges == 0:
-        return KappaReport(0, "intransitive", detail="exact" if exact else "bound")
-    if exact and g.num_nodes > exact_limit:
-        raise GraphTooLarge(
-            f"graph has {g.num_nodes} nodes, exact computation is guarded "
-            f"at {exact_limit}; use exact=False"
-        )
-
-    counter = [0]  # one budget for the whole computation
-
-    def iso_cost(graph: PairGraph, node: NodeId) -> int:
-        if exact:
-            adjg = [graph.neighbor_indices(v) for v in range(graph.num_nodes)]
-            return _cycle_isolation(adjg, graph.node_index(node), (), node, counter)
-        return max(
-            0,
-            graph.degree(node) - graph.component_increase_on_removal(node) - 1,
-        )
-
-    full = [iso_cost(g, g.node_id(v)) for v in range(g.num_nodes)]
-    best = -1
-    witness: tuple[int, int] | None = None
-    record_terms = g.num_nodes <= _TERMS_NODE_LIMIT
-    terms: dict[tuple[NodeId, NodeId], tuple[int, int, int]] = {}
-
-    # adjacent pairs: one edge of prior plus isolation on the remainder
-    for a, b in g.iter_edge_indices():
-        sa, tb = g.node_id(a), g.node_id(b)
-        reduced = g.remove_edges([(sa, tb)])
-        cs = iso_cost(reduced, sa)
-        ct = iso_cost(reduced, tb)
-        term = 1 + min(cs, ct)
-        if record_terms:
-            terms[(sa, tb)] = (1, cs, ct)
-        if term > best or (term == best and (witness is None or (a, b) < witness)):
-            best = term
-            witness = (a, b)
-
-    # non-adjacent pairs: isolation costs on the full graph
-    for a in range(g.num_nodes):
-        for b in range(a + 1, g.num_nodes):
-            if g.has_edge(g.node_id(a), g.node_id(b)):
-                continue
-            term = min(full[a], full[b])
-            if record_terms:
-                terms[(g.node_id(a), g.node_id(b))] = (0, full[a], full[b])
-            if term > best or (term == best and (witness is None or (a, b) < witness)):
-                best = term
-                witness = (a, b)
-
-    assert witness is not None
-    return KappaReport(
-        max(best, 0),
+        return KappaReport(0, "intransitive", detail=detail)
+    if exact:
+        _check_exact_limit(g, exact_limit, "exact=False")
+    return _pair_loop(
+        g,
         "intransitive",
-        witness_pair=(g.node_id(witness[0]), g.node_id(witness[1])),
-        per_pair_terms=terms if record_terms else None,
-        detail="exact" if exact else "bound",
+        lambda a, b: b in g.neighbor_indices(a),
+        lambda a, b: (1, frozenset({(a, b)})),
+        _exact_isolation(g) if exact else partial(_degree_bound, g),
+        detail,
     )
 
 
@@ -489,32 +487,31 @@ def compute_kappa(
     ``auto`` uses the exact computation when the graph fits under
     ``exact_limit`` nodes and is sparse enough for the cycle search
     (falling back to the bound when the search spends more than the
-    module's ``SEARCH_BUDGET`` edge scans), and the upper bound otherwise.
-    ``exact`` raises :class:`GraphTooLarge` instead of falling back.
+    module's ``SEARCH_BUDGET`` edge scans), and the bound otherwise: the
+    upper bound for transitive relations, the intransitive variant's
+    ``exact=False`` mode for intransitive ones. ``exact`` raises
+    :class:`GraphTooLarge` instead of falling back.
     """
-    if method not in ("auto", "exact", "upper", "node-dp"):
+    if method not in KAPPA_METHODS:
         raise ConfigInvalid(f"unknown method {method!r}")
     if method == "node-dp":
         return kappa_node_dp(g)
+    if g.relation_kind == "intransitive":
+        exact = partial(kappa_intransitive, g, exact=True, exact_limit=exact_limit)
+        bound = partial(kappa_intransitive, g, exact=False)
+    else:
+        exact = partial(kappa_exact, g, exact_limit=exact_limit)
+        bound = partial(kappa_upper, g)
     attempt_exact = method == "exact" or (
         method == "auto"
         and g.num_nodes <= exact_limit
         and g.num_edges <= _AUTO_DENSITY_LIMIT * max(1, g.num_nodes)
     )
-    if g.relation_kind == "intransitive":
-        if method == "upper" or not attempt_exact:
-            return kappa_intransitive(g, exact=False)
-        try:
-            return kappa_intransitive(g, exact=True, exact_limit=exact_limit)
-        except GraphTooLarge:
-            if method == "exact":
-                raise
-            return kappa_intransitive(g, exact=False)
-    if method == "upper" or not attempt_exact:
-        return kappa_upper(g)
+    if not attempt_exact:
+        return bound()
     try:
-        return kappa_exact(g, exact_limit=exact_limit)
+        return exact()
     except GraphTooLarge:
         if method == "exact":
             raise
-        return kappa_upper(g)
+        return bound()

@@ -212,20 +212,24 @@ class PairGraph:
             comps.append(comp)
         return comps
 
-    def component_increase_on_removal(self, n: NodeId) -> int:
-        """How many extra components deleting ``n`` (with its edges) creates.
+    def component_increase_on_removal(
+        self, n: NodeId, dropped: Iterable[NodeId] = ()
+    ) -> int:
+        """How many extra components deleting ``n`` (with its edges) creates
+        in the graph without the edges from ``n`` to ``dropped``.
 
         Only ``n``'s own component can split: it becomes the pieces that
-        ``n``'s neighbours fall into, so the increase is that count minus
-        one. An isolated node only disappears, so the count is floored at
-        zero.
+        ``n``'s other neighbours fall into (deleting ``n`` removes the
+        dropped edges anyway), so the increase is that count minus one. An
+        isolated node only disappears, so the count is floored at zero.
         """
         idx = self.node_index(n)
+        skip = {self.node_index(m) for m in dropped}
         seen = [False] * self.num_nodes
         seen[idx] = True
         pieces = 0
         for start in self._adj[idx]:
-            if seen[start]:
+            if seen[start] or start in skip:
                 continue
             pieces += 1
             stack = [start]

@@ -141,6 +141,24 @@ class TestTrainEvaluate:
         via_pairs = json.loads(capsys.readouterr().out)
         assert via_pairs == result
 
+    def test_fractional_sample_label_exits_two_naming_row(
+        self, toy_files, tmp_path, capsys
+    ):
+        samples_path, pairs_path = toy_files
+        out = tmp_path / "run"
+        assert run(["train", "--pairs", pairs_path, "--out-dir", out,
+                    "--t-max", 1]) == 0
+        lines = samples_path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "1.5"
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad_samples.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["evaluate", "--model", out / "model.json",
+                    "--data", bad]) == 2
+        assert "row 4, col 2" in capsys.readouterr().err
+
     def test_invalid_config_exits_two(self, toy_files, tmp_path, capsys):
         _, pairs_path = toy_files
         assert run([

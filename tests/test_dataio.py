@@ -217,6 +217,22 @@ class TestCsv:
         assert err.value.row == 3
         assert err.value.col == 3
 
+    @pytest.mark.parametrize("label", ["1.5", "-0.5", "inf", "nan"])
+    def test_non_integral_label_rejected(self, tmp_path, label):
+        path = tmp_path / "samples.csv"
+        path.write_text(f"id,label,f1\n0,0,0.1\n1,{label},0.2\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert err.value.row == 3
+        assert err.value.col == 2
+
+    def test_integral_and_text_labels_accepted(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("id,label,f1\n0,1.0,0.1\n1, 0 ,0.2\n")
+        assert load_csv(path).labels.tolist() == [1, 0]
+        path.write_text("id,label,f1\n0,cat,0.1\n1,dog,0.2\n")
+        assert load_csv(path).labels.tolist() == ["cat", "dog"]
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("id,target,f1\n0,0,0.1\n")

@@ -38,6 +38,24 @@ def witness_paths_for(g):
     return out
 
 
+def midsize_graphs(rng, low, high, relation="transitive", max_extra=6):
+    """Eight graphs of ``low`` to ``high - 1`` nodes each: a random tree
+    missing up to two edges plus up to ``max_extra`` extra edges, and a
+    forest in every third trial."""
+    for trial in range(8):
+        n = int(rng.integers(low, high))
+        edges = {(int(rng.integers(k)), k) for k in range(1, n)}
+        for e in sorted(edges)[: int(rng.integers(0, 3))]:
+            edges.discard(e)
+        extra = int(rng.integers(0, max_extra + 1)) if trial % 3 else 0
+        target = len(edges) + extra
+        while len(edges) < target:
+            a, b = int(rng.integers(n)), int(rng.integers(n))
+            if a != b:
+                edges.add((min(a, b), max(a, b)))
+        yield graph_from_edges(sorted(edges), relation=relation, n_nodes=n)
+
+
 class TestEdgeDisjointPaths:
     def test_disconnected_pair_has_no_paths(self):
         g = graph_from_edges([("a", "b"), ("c", "d")])
@@ -214,40 +232,31 @@ class TestKappaExact:
     def test_pruned_pair_loop_matches_plain_loop_on_midsize_graphs(self, rng):
         """Above the term-recording size the pair loop prunes and may take
         the forest shortcut; the value must match an unpruned sweep."""
-        for trial in range(8):
-            n = int(rng.integers(30, 61))
-            edges = {(int(rng.integers(k)), k) for k in range(1, n)}
-            for e in sorted(edges)[: int(rng.integers(0, 3))]:
-                edges.discard(e)
-            extra = int(rng.integers(0, 7)) if trial % 3 else 0
-            target = len(edges) + extra
-            while len(edges) < target:
-                a, b = int(rng.integers(n)), int(rng.integers(n))
-                if a != b:
-                    edges.add((min(a, b), max(a, b)))
-            g = graph_from_edges(sorted(edges), n_nodes=n)
+        for g in midsize_graphs(rng, 30, 61):
+            n = g.num_nodes
             comp_of = {}
             for ci, comp in enumerate(g.components()):
                 for v in comp:
                     comp_of[g.node_id(v)] = ci  # components() yields indices
-            best = 0
+            terms = {}
             for a in range(n):
                 for b in range(a + 1, n):
                     if comp_of[a] != comp_of[b]:
                         cs = cycle_isolation_count(g, a)
                         ct = cycle_isolation_count(g, b)
-                        best = max(best, min(cs, ct))
+                        terms[frozenset((a, b))] = min(cs, ct)
                         continue
                     count, paths = max_edge_disjoint_paths(g, a, b)
                     sub = g.remove_edges(
                         [e for p in paths for e in zip(p, p[1:])]
                     )
-                    term = count + min(
+                    terms[frozenset((a, b))] = count + min(
                         cycle_isolation_count(sub, a),
                         cycle_isolation_count(sub, b),
                     )
-                    best = max(best, term)
-            assert kappa_exact(g).kappa == best
+            report = kappa_exact(g)
+            assert report.kappa == max(terms.values())
+            assert terms[frozenset(report.witness_pair)] == report.kappa
 
 
 class TestKappaUpper:
@@ -344,8 +353,58 @@ class TestKappaIntransitive:
                 continue
             g = graph_from_edges(edges, relation="intransitive", n_nodes=n)
             exact = kappa_intransitive(g, exact=True).kappa
-            bound = kappa_intransitive(g, exact=False).kappa
-            assert exact <= bound
+            report = kappa_intransitive(g, exact=False)
+            assert exact <= report.kappa
+            # each term bounds isolation by degree - increase - 1 on the
+            # graph without the pair's own edge
+            for (a, b), triple in report.per_pair_terms.items():
+                sub = g.remove_edges([(a, b)]) if g.has_edge(a, b) else g
+                assert triple == (int(sub is not g),) + tuple(
+                    max(0, sub.degree(v) - sub.component_increase_on_removal(v) - 1)
+                    for v in (a, b)
+                )
+            # up to the term-recording size the witness is the first
+            # maximising pair in index order
+            maximisers = [
+                k for k, (p, cs, ct) in report.per_pair_terms.items()
+                if p + min(cs, ct) == report.kappa
+            ]
+            assert report.witness_pair == min(
+                maximisers, key=lambda k: (g.node_index(k[0]), g.node_index(k[1]))
+            )
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_pruned_pair_loop_matches_plain_loop_on_midsize_graphs(
+        self, rng, exact
+    ):
+        """Above the term-recording size the shared pair loop prunes and
+        may take the forest shortcut; value and witness term must match an
+        unpruned sweep over reduced graphs."""
+
+        def cost(graph, v):
+            if exact:
+                return cycle_isolation_count(graph, v)
+            increase = graph.component_increase_on_removal(v)
+            return max(0, graph.degree(v) - increase - 1)
+
+        for g in midsize_graphs(rng, 25, 41, "intransitive", max_extra=30):
+            n = g.num_nodes
+            full = {v: cost(g, v) for v in range(n)}
+            terms = {}
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if g.has_edge(a, b):
+                        sub = g.remove_edges([(a, b)])
+                        term = 1 + min(cost(sub, a), cost(sub, b))
+                    else:
+                        term = min(full[a], full[b])
+                    terms[frozenset((a, b))] = term
+            report = kappa_intransitive(g, exact=exact)
+            assert report.kappa == max(terms.values())
+            assert terms[frozenset(report.witness_pair)] == report.kappa
+            if g.num_edges == n - g.component_count():
+                assert report.kappa == 1
+                assert g.has_edge(*report.witness_pair)
 
 
 class TestDominanceAndDispatch:

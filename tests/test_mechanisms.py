@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dppdml
 from dppdml.errors import DeltaZero, InvalidGamma, NonPositiveScale, OutOfRange
 from dppdml.mechanisms import (
     NoiseSpec,
@@ -152,11 +156,26 @@ class TestStaircase:
             staircase_sample(1.0, 1.0, 1.5, rng)
 
     def test_optimal_gamma_minimises_variance(self):
-        for epsilon in (0.5, 1.0, 3.0):
+        for epsilon in (0.01, 0.5, 1.0, 3.0, 20.0):
             star = staircase_optimal_gamma(epsilon)
             best = staircase_variance(epsilon, 1.0, star)
-            for gamma in np.linspace(0.05, 1.0, 20):
-                assert best <= staircase_variance(epsilon, 1.0, float(gamma)) + 1e-9
+            for gamma in np.geomspace(1e-9, 1.0, 2001):
+                other = staircase_variance(epsilon, 1.0, float(gamma))
+                assert best <= other * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("epsilon", [1e-8, 745.0, 800.0, 3000.0, math.inf])
+    def test_optimal_gamma_stays_in_unit_interval(self, epsilon, rng):
+        gamma = staircase_optimal_gamma(epsilon)
+        assert 0.0 < gamma <= 1.0
+        draws = staircase_sample(epsilon, 1.0, gamma, rng, size=100)
+        assert np.all(np.isfinite(draws))
+
+    def test_optimal_gamma_limits(self):
+        # gamma* -> 1/2 - eps/12 as eps -> 0 and cbrt(e^-eps / 2) as eps grows
+        assert staircase_optimal_gamma(1e-8) == pytest.approx(0.5, abs=1e-8)
+        assert staircase_optimal_gamma(800.0) == pytest.approx(
+            math.exp(-800.0 / 3.0) / 2.0 ** (1.0 / 3.0), rel=1e-12
+        )
 
     def test_tuned_width_beats_laplace_variance(self):
         # the step shape wastes less budget than the exponential tails,
@@ -165,6 +184,17 @@ class TestStaircase:
             tuned = staircase_variance(epsilon, 1.0, staircase_optimal_gamma(epsilon))
             laplace_var = 2.0 / epsilon**2
             assert tuned < laplace_var
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(dppdml.__file__))
+    code = "import sys, dppdml; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestDuchi:

@@ -143,7 +143,8 @@ class TestQueries:
 
     def test_removal_increase_matches_recount(self, rng):
         """Counting the pieces around a node equals recounting the
-        components of the graph without it, isolated nodes included."""
+        components of the graph without it, isolated nodes included, and
+        dropping an edge of the node equals removing it from the graph."""
         isolated = 0
         for _ in range(150):
             n, edges = oracles.random_graph(rng, max_nodes=10, max_edges=14)
@@ -154,6 +155,11 @@ class TestQueries:
                     g.without_node(v).component_count() - g.component_count()
                 )
                 assert g.component_increase_on_removal(v) == max(0, recount)
+                for w in g.neighbors(v):
+                    without = g.remove_edges([(v, w)])
+                    assert g.component_increase_on_removal(
+                        v, [w]
+                    ) == without.component_increase_on_removal(v)
         assert isolated > 0
 
 
