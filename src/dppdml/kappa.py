@@ -12,10 +12,10 @@ Both relation kinds run one pair loop, which differs only in how a pair's
 path count and removed edges are found. Exact cycle isolation is a subset
 search (a multiway-cut-like problem), so it is guarded by a size limit and
 an edge-scan budget. Large graphs get a cheap bound instead:
-``max_s degree(s) - component_increase(s)`` when labels compose, otherwise
-the same loop with each isolation cost bounded by ``degree -
-component_increase - 1``. The node-privacy baseline (maximum degree) is
-also provided.
+``max_s degree(s) - component_increase(s)`` when labels compose, in
+O(|V| + |E|) from one articulation-point DFS, otherwise the same loop with
+each isolation cost bounded by ``degree - component_increase - 1``. The
+node-privacy baseline (maximum degree) is also provided.
 """
 
 from __future__ import annotations
@@ -304,6 +304,12 @@ def _pair_loop(
     forest returns 1 at once; otherwise pairs run from the highest bound
     down and the loop stops once no later pair can exceed the maximum. The
     witness is the first maximising pair in the loop's order.
+
+    The bound is ``min(degree[a], degree[b])``. Each of a linked pair's
+    paths takes one edge from each endpoint, and an isolation cost is at
+    most the edges its node has left, so the term is at most ``paths +
+    min(degree) - paths``; any other pair scores ``min(c_full) <=
+    min(degree)``.
     """
     n = g.num_nodes
     record_terms = n <= _TERMS_NODE_LIMIT
@@ -322,16 +328,14 @@ def _pair_loop(
         return c_full_known[v]
 
     def bound(a: int, b: int) -> int:
-        # paths <= min degree; removal never raises an isolation cost
-        return min(degree[a], degree[b]) + min(c_full(a), c_full(b))
+        return min(degree[a], degree[b])
 
     def high_bounds_first():
         # descending bound, ties in index order, one bound level at a time:
         # the loop stops within the top levels, and a large graph's pairs
         # need not all be held in memory
-        top = [degree[v] + c_full(v) for v in range(n)]
-        for level in range(max(top), -1, -1):
-            live = [v for v in range(n) if top[v] >= level]
+        for level in range(max(degree), -1, -1):
+            live = [v for v in range(n) if degree[v] >= level]
             for a, b in combinations(live, 2):
                 if bound(a, b) == level:
                     yield a, b
@@ -426,15 +430,15 @@ def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaRe
 
 def kappa_upper(g: PairGraph) -> KappaReport:
     """Efficient upper bound: max over nodes of degree minus the component
-    increase caused by deleting the node. Runs in O(|V| (|V| + |E|))."""
+    increase caused by deleting the node. Runs in O(|V| + |E|): one
+    articulation-point DFS gives every node's increase."""
     best = 0
     witness_node = None
-    for v in range(g.num_nodes):
-        node = g.node_id(v)
-        term = g.degree(node) - g.component_increase_on_removal(node)
+    for v, increase in enumerate(g.component_increases()):
+        term = len(g.neighbor_indices(v)) - increase
         if term > best:
             best = term
-            witness_node = node
+            witness_node = g.node_id(v)
     detail = None if witness_node is None else f"witness_node={witness_node!r}"
     return KappaReport(best, "upper_bound", detail=detail)
 

@@ -242,6 +242,53 @@ class PairGraph:
                         stack.append(w)
         return max(0, pieces - 1)
 
+    def component_increases(self) -> list[int]:
+        """``component_increase_on_removal`` of every node, by node index,
+        from one depth-first search (Hopcroft & Tarjan, 1973) in
+        O(|V| + |E|).
+
+        A non-root node splits off one piece per DFS child ``c`` with
+        ``low[c] >= disc[v]``: nothing below ``c`` reaches above ``v``. A
+        root's children are its pieces, so it scores ``children - 1``; an
+        isolated node scores 0. The search keeps its own stack, so long
+        paths cannot exhaust Python's recursion limit.
+        """
+        n = self.num_nodes
+        adj = self._adj
+        disc = [0] * n  # discovery time from 1; 0 marks unvisited
+        low = [0] * n
+        parent = [-1] * n
+        increase = [0] * n
+        time = 0
+        for root in range(n):
+            if disc[root]:
+                continue
+            time += 1
+            disc[root] = low[root] = time
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                v, nbrs = stack[-1]
+                for w in nbrs:
+                    if not disc[w]:
+                        time += 1
+                        disc[w] = low[w] = time
+                        parent[w] = v
+                        stack.append((w, iter(adj[w])))
+                        break
+                    if w != parent[v] and disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    stack.pop()
+                    u = parent[v]
+                    if u >= 0:
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                        if low[v] >= disc[u]:
+                            increase[u] += 1
+            # every child of the root passes the test above: one piece each
+            increase[root] = max(0, increase[root] - 1)
+        return increase
+
     # --- derived graphs ---------------------------------------------------
 
     def remove_edges(self, edge_set: Iterable[tuple[NodeId, NodeId]]) -> "PairGraph":

@@ -275,6 +275,23 @@ class TestKappaUpper:
             g = graph_from_edges(edges, n_nodes=n)
             assert kappa_exact(g).kappa <= kappa_upper(g).kappa
 
+    def test_matches_per_node_reference(self, rng):
+        """Same report as degree minus the per-node component walk, with
+        the first maximising node as witness, on graphs of up to 60 nodes
+        with isolated nodes and several components."""
+        for _ in range(60):
+            n, edges = oracles.random_graph(rng, max_nodes=60, max_edges=80)
+            g = graph_from_edges(edges, n_nodes=n)
+            best, witness = 0, None
+            for v in g.nodes():
+                term = g.degree(v) - g.component_increase_on_removal(v)
+                if term > best:
+                    best, witness = term, v
+            expected = {"kappa": best, "method": "upper_bound"}
+            if witness is not None:
+                expected["detail"] = f"witness_node={witness!r}"
+            assert kappa_upper(g).to_dict() == expected
+
 
 class TestKappaNodeDp:
     def test_edgeless_is_zero(self):
@@ -405,6 +422,30 @@ class TestKappaIntransitive:
             if g.num_edges == n - g.component_count():
                 assert report.kappa == 1
                 assert g.has_edge(*report.witness_pair)
+
+
+class TestPairLoopBound:
+    @pytest.mark.parametrize("relation, exact", [
+        ("transitive", True), ("intransitive", True), ("intransitive", False),
+    ])
+    def test_every_term_within_smaller_degree(self, rng, relation, exact):
+        """The pair loop prunes by ``min(degree)``: no pair's term exceeds
+        it, and some pairs reach it, so no smaller bound holds."""
+        reached = 0
+        for _ in range(150):
+            n, edges = oracles.random_graph(rng, max_nodes=12, max_edges=20)
+            if not edges:
+                continue
+            g = graph_from_edges(edges, relation=relation, n_nodes=n)
+            if relation == "transitive":
+                report = kappa_exact(g)
+            else:
+                report = kappa_intransitive(g, exact=exact)
+            for (a, b), (p, cs, ct) in report.per_pair_terms.items():
+                smaller = min(g.degree(a), g.degree(b))
+                assert p + min(cs, ct) <= smaller
+                reached += p + min(cs, ct) == smaller
+        assert reached > 0
 
 
 class TestDominanceAndDispatch:

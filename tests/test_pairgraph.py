@@ -15,6 +15,7 @@ from dppdml.errors import (
     UnknownNode,
 )
 from dppdml.pairgraph import (
+    PairGraph,
     PairwiseDatum,
     build_graph,
     read_pairs_file,
@@ -144,11 +145,16 @@ class TestQueries:
     def test_removal_increase_matches_recount(self, rng):
         """Counting the pieces around a node equals recounting the
         components of the graph without it, isolated nodes included, and
-        dropping an edge of the node equals removing it from the graph."""
-        isolated = 0
+        dropping an edge of the node equals removing it from the graph.
+        The one-DFS query gives every node the same count."""
+        isolated = split = 0
         for _ in range(150):
             n, edges = oracles.random_graph(rng, max_nodes=10, max_edges=14)
             g = graph_from_edges(edges, n_nodes=n)
+            assert g.component_increases() == [
+                g.component_increase_on_removal(g.node_id(v)) for v in range(n)
+            ]
+            split += sum(len(c) > 1 for c in g.components()) > 1
             for v in g.nodes():
                 isolated += g.degree(v) == 0
                 recount = (
@@ -161,6 +167,40 @@ class TestQueries:
                         v, [w]
                     ) == without.component_increase_on_removal(v)
         assert isolated > 0
+        assert split > 0  # several components with edges
+
+    def test_component_increases_on_shapes(self):
+        star = graph_from_edges([("c", f"l{k}") for k in range(4)])
+        assert star.component_increases() == [3, 0, 0, 0, 0]
+        path = graph_from_edges([("a", "b"), ("b", "c"), ("c", "d")])
+        assert path.component_increases() == [0, 1, 1, 0]
+        # node 0 is the DFS root; its three children lead apart, and each
+        # child cuts off its own leaf
+        spider = graph_from_edges(
+            [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)]
+        )
+        assert spider.component_increases() == [2, 1, 1, 1, 0, 0, 0]
+        # a back edge from 2 to the root leaves one root child
+        triangle = graph_from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+        assert triangle.component_increases() == [0, 0, 1, 0]
+        isolated = build_graph([datum("a", "b")], extra_nodes=["z"])
+        assert isolated.component_increases() == [0, 0, 0]
+
+    def test_component_increases_on_long_path(self):
+        n = 20_000
+        g = graph_from_edges([(k, k + 1) for k in range(n - 1)])
+        assert g.component_increases() == [0] + [1] * (n - 2) + [0]
+
+    def test_kappa_upper_takes_one_dfs(self, monkeypatch):
+        from dppdml.kappa import kappa_upper
+
+        def per_node_walk(self, n, dropped=()):
+            raise AssertionError("kappa_upper walked one node's component")
+
+        g = graph_from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+        monkeypatch.setattr(PairGraph, "component_increase_on_removal",
+                            per_node_walk)
+        assert kappa_upper(g).kappa == 2
 
 
 class TestRemoveEdges:
