@@ -46,6 +46,13 @@ from .mechanisms import (
     staircase_variance,
     warner_flip,
 )
-from .pairgraph import PairGraph, PairwiseDatum, build_graph, read_pairs_file, write_pairs_file
+from .pairgraph import (
+    PairGraph,
+    PairSet,
+    PairwiseDatum,
+    build_graph,
+    read_pairs_file,
+    write_pairs_file,
+)
 
 __version__ = "0.1.0"

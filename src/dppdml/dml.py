@@ -32,7 +32,7 @@ from .mechanisms import (
     staircase_optimal_gamma,
     staircase_sample,
 )
-from .pairgraph import PairGraph, PairwiseDatum
+from .pairgraph import PairGraph, PairSet, PairwiseDatum
 
 TRAIN_MECHANISMS = ("none", "laplace", "gaussian", "staircase", "duchi")
 SENSITIVITY_MODES = ("basic", "reduced")
@@ -226,7 +226,7 @@ def gradient_row(
     if not 0 <= row < model.d_prime:
         raise IndexError(f"row {row} out of range for d_prime={model.d_prime}")
     amat, degenerate = _coefficients(
-        model.w, pair.delta_x[None, :], np.array([pair.y]), margin
+        model.w, pair.delta_x[None, :], np.array([pair.y == 1]), margin
     )
     if degenerate:
         raise DegenerateDistance(
@@ -272,10 +272,10 @@ def _counterpart_bound(w: np.ndarray, h: float, margin: float, norm_mode: str) -
     """Worst-case clipped gradient norm of any replacement pair, per row."""
     d_prime = w.shape[0]
     if norm_mode == "l1":
-        w_norms = np.abs(w).sum(axis=1)
+        w_norms = np.add.reduce(np.abs(w), axis=1)
         hinge_cap = 2.0 * margin * math.sqrt(d_prime)
     else:
-        w_norms = np.linalg.norm(w, axis=1)
+        w_norms = np.sqrt(np.add.reduce(w * w, axis=1))
         hinge_cap = 2.0 * margin
     return np.minimum(h, np.maximum(4.0 * w_norms, hinge_cap))
 
@@ -334,14 +334,26 @@ def sensitivity_reduced(
 # --- training ----------------------------------------------------------------
 
 
-def default_margin(pairs: Sequence[PairwiseDatum], ratio: float, norm_mode: str) -> float:
-    """Margin as ``ratio`` times the average dissimilar-pair distance."""
-    dissimilar = [p for p in pairs if p.y == 1]
-    if not dissimilar:
+def default_margin(
+    pairs: PairSet | Sequence[PairwiseDatum], ratio: float, norm_mode: str
+) -> float:
+    """Margin as ``ratio`` times the average dissimilar-pair distance.
+
+    The distances are summed left to right in pair order. An l2 distance is
+    one row's dot product with itself, the BLAS dot that ``np.linalg.norm``
+    takes on a single vector, so each term equals ``_vector_norm`` of its row.
+    """
+    pairs = PairSet.of(pairs)
+    dissimilar = pairs.dx[pairs.y == 1]
+    if not len(dissimilar):
         raise ConfigInvalid(
             "no dissimilar pairs to derive a margin from; set margin explicitly"
         )
-    total = sum(_vector_norm(p.delta_x, norm_mode) for p in dissimilar)
+    if norm_mode == "l1":
+        norms = np.add.reduce(np.abs(dissimilar), axis=1)
+    else:
+        norms = np.sqrt((dissimilar[:, None, :] @ dissimilar[:, :, None]).ravel())
+    total = sum(norms.tolist())
     m = ratio * total / len(dissimilar)
     if not m > 0:
         raise ConfigInvalid("derived margin is zero; set margin explicitly")
@@ -362,7 +374,7 @@ def _batch_slices(
 
 
 def _pair_order(
-    pairs: Sequence[PairwiseDatum],
+    pairs: PairSet,
     graph: PairGraph,
     batch_mode: str,
     rng: np.random.Generator,
@@ -374,45 +386,54 @@ def _pair_order(
             for v in comp:
                 comp_of[v] = ci
         comp_key = np.array(
-            [comp_of[graph.node_index(pairs[k].i)] for k in order]
+            [comp_of[graph.node_index(pairs.i[k])] for k in order]
         )
         order = order[np.argsort(comp_key, kind="stable")]
     return order
 
 
+def _distances(w: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projections ``W dx_j`` as columns and their l2 lengths ``D``.
+
+    ``sqrt(add.reduce(p * p))`` is what ``np.linalg.norm(p, axis=0)`` runs,
+    without its dispatch.
+    """
+    proj = w @ dx.T                                      # (d_prime, n)
+    return proj, np.sqrt(np.add.reduce(proj * proj, axis=0))
+
+
 def _coefficients(
-    w: np.ndarray, dx: np.ndarray, y: np.ndarray, margin: float
+    w: np.ndarray, dx: np.ndarray, dissimilar: np.ndarray, margin: float
 ) -> tuple[np.ndarray, int]:
     """Per-pair gradient coefficient matrix for one batch.
 
-    Returns (A, degenerate) where row r of A holds the scalar that
-    multiplies dx_j in the gradient of row r; the zero subgradient is used
-    for the ``degenerate`` dissimilar pairs at zero distance.
+    ``dissimilar`` marks the pairs with ``y == 1``. Returns (A, degenerate)
+    where row r of A holds the scalar that multiplies dx_j in the gradient
+    of row r; the zero subgradient is used for the ``degenerate``
+    dissimilar pairs at zero distance.
     """
-    proj = w @ dx.T                       # (d_prime, n)
-    d_w = np.linalg.norm(proj, axis=0)    # (n,)
-    coef = np.ones_like(d_w)
-    active = (y == 1) & (d_w > 0) & (d_w < margin)
+    proj, d_w = _distances(w, dx)
+    coef = np.ones(d_w.shape)
+    zero = dissimilar & (d_w == 0)
+    active = dissimilar & (d_w > 0) & (d_w < margin)
     coef[active] = (d_w[active] - margin) / d_w[active]
-    dead = (y == 1) & ((d_w >= margin) | (d_w == 0))
-    coef[dead] = 0.0
-    degenerate = int(np.count_nonzero((y == 1) & (d_w == 0)))
-    return proj * coef, degenerate
+    coef[zero | (dissimilar & (d_w >= margin))] = 0.0
+    return proj * coef, int(np.count_nonzero(zero))
 
 
 def dataset_objective(
     w: np.ndarray, dx: np.ndarray, y: np.ndarray, margin: float
 ) -> float:
     """Mean contrastive loss of the whole pair set under W."""
-    d_w = np.linalg.norm(w @ dx.T, axis=0)
+    d_w = _distances(w, dx)[1]
     losses = np.where(
         y == 0, 0.5 * d_w**2, 0.5 * np.maximum(0.0, margin - d_w) ** 2
     )
-    return float(losses.mean())
+    return float(np.add.reduce(losses) / len(losses))
 
 
 def train(
-    pairs: Sequence[PairwiseDatum],
+    pairs: PairSet | Sequence[PairwiseDatum],
     graph: PairGraph,
     config: TrainConfig,
     kappa_report: KappaReport | None = None,
@@ -423,12 +444,15 @@ def train(
     runs on one dataset can share it), otherwise it is computed from the
     graph. All randomness derives from ``config.seed``: one stream for the
     initial W, one for the batch order and one per row of W for noise, so
-    identical inputs give a bit-identical trajectory.
+    identical inputs give a bit-identical trajectory. The batches are fixed
+    for the whole run, so their slices, labels, feature norms and fixed
+    bounds are taken once, before the first step.
     """
     config.validate()
+    pairs = PairSet.of(pairs)
     if not pairs:
         raise ConfigInvalid("cannot train on an empty pair list")
-    d = pairs[0].dim
+    d = pairs.dim
     if config.d_prime > d:
         raise ConfigInvalid(
             f"d_prime={config.d_prime} exceeds feature dimension {d}"
@@ -443,12 +467,11 @@ def train(
         else default_margin(pairs, config.margin_ratio, config.norm_mode)
     )
 
-    dx_all = np.stack([p.delta_x for p in pairs])
-    y_all = np.array([p.y for p in pairs], dtype=int)
+    dx_all, y_all = pairs.dx, pairs.y
     dx_norms = (
-        np.abs(dx_all).sum(axis=1)
+        np.add.reduce(np.abs(dx_all), axis=1)
         if config.norm_mode == "l1"
-        else np.linalg.norm(dx_all, axis=1)
+        else np.sqrt(np.add.reduce(dx_all * dx_all, axis=1))
     )
 
     seeds = np.random.SeedSequence(config.seed).spawn(2 + config.d_prime)
@@ -458,11 +481,19 @@ def train(
 
     w = init_rng.uniform(-config.init_scale, config.init_scale, (config.d_prime, d))
     order = _pair_order(pairs, graph, config.batch_mode, order_rng)
-    batches = _batch_slices(len(pairs), config.batch_size, order)
+    slices = _batch_slices(len(pairs), config.batch_size, order)
+    h = config.lipschitz
+    basic_of = {
+        n_b: sensitivity_basic(kappa, h, n_b, config.d_prime).per_row
+        for n_b in {len(b) for b in slices}
+    }
+    batches = [
+        (dx_all[b], y_all[b] == 1, dx_norms[b], len(b), basic_of[len(b)])
+        for b in slices
+    ]
 
     budget = config.budget(kappa)
     eps_epoch = budget.per_epoch_epsilon
-    h = config.lipschitz
     gamma = config.staircase_gamma
     if config.mechanism == "staircase" and gamma is None:
         gamma = staircase_optimal_gamma(eps_epoch)
@@ -476,23 +507,18 @@ def train(
 
     tau = 0
     for epoch in range(1, config.t_max + 1):
-        for batch in batches:
+        for dx, dissimilar, norms, n_b, basic in batches:
             tau += 1
             eta = step_size(tau)
-            dx = dx_all[batch]
-            yv = y_all[batch]
-            n_b = len(batch)
 
-            amat, degenerate = _coefficients(w, dx, yv, margin)
+            amat, degenerate = _coefficients(w, dx, dissimilar, margin)
             trace.degenerate_events += degenerate
-            raw_norms = np.abs(amat) * dx_norms[batch]      # (d_prime, n)
+            raw_norms = np.abs(amat) * norms                # (d_prime, n)
             clip = np.maximum(1.0, raw_norms / h)
             cmat = amat / clip
-            clipped_norms = raw_norms / clip
-            g_peaks = clipped_norms.max(axis=1)
+            g_peaks = np.maximum.reduce(raw_norms / clip, axis=1)
             mean_grad = (cmat @ dx) / n_b
 
-            basic = sensitivity_basic(kappa, h, n_b, config.d_prime).per_row
             reduced = _reduced_bound(
                 g_peaks, w, h, margin, kappa, n_b, config.norm_mode
             )

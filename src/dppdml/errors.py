@@ -73,6 +73,10 @@ class EmptyTrainSet(DppError, ValueError):
     """kNN classifier has no training points."""
 
 
+class EmptyTestSet(DppError, ValueError):
+    """kNN accuracy requested on no test points."""
+
+
 # --- data generation / ingestion ---
 
 class InfeasibleDensity(DppError, ValueError):

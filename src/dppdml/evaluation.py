@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dml import MetricModel, TrainConfig, train
-from .errors import ConfigInvalid, DimensionMismatch, EmptyTrainSet
+from .errors import ConfigInvalid, DimensionMismatch, EmptyTestSet, EmptyTrainSet
 from .kappa import KappaReport, compute_kappa, kappa_node_dp
 from .dataio import SampleSet
 from .mechanisms import input_perturb
-from .pairgraph import PairGraph, PairwiseDatum
+from .pairgraph import PairGraph, PairSet, PairwiseDatum
 
 METHODS = ("nonpriv", "dpp", "dpp_s", "node_dp", "input_per")
 
@@ -98,6 +98,14 @@ def knn_accuracy(
     test_x = np.asarray(test_x, dtype=float)
     if len(train_x) == 0:
         raise EmptyTrainSet("kNN needs at least one training point")
+    if len(test_x) == 0:
+        raise EmptyTestSet("kNN accuracy needs at least one test point")
+    for name, x, labels in (("train", train_x, train_labels),
+                            ("test", test_x, test_labels)):
+        if len(labels) != len(x):
+            raise DimensionMismatch(
+                f"{len(labels)} {name} labels for {len(x)} {name} points"
+            )
     if not 1 <= k <= len(train_x):
         raise ConfigInvalid(f"k must lie in [1, {len(train_x)}], got {k}")
     y_train, y_test = _encode_labels(train_labels, test_labels)
@@ -159,7 +167,7 @@ def _method_config(
 
 def run_experiment(
     samples: SampleSet,
-    pairs: list[PairwiseDatum],
+    pairs: PairSet | list[PairwiseDatum],
     graph: PairGraph,
     methods,
     epsilons,
@@ -174,7 +182,7 @@ def run_experiment(
 
     Seeds run ``seed + 0 .. seed + repeats - 1`` so cells are directly
     comparable; the privacy distance is computed once per distance notion
-    and reused across runs.
+    and the pairs are stacked into one ``PairSet``, both reused across runs.
     """
     if repeats < 1:
         raise ConfigInvalid(f"repeats must be >= 1, got {repeats}")
@@ -182,6 +190,7 @@ def run_experiment(
         if m not in METHODS:
             raise ConfigInvalid(f"unknown method {m!r}; expected one of {METHODS}")
     train_idx, test_idx = split_by_participation(samples, pairs)
+    pairs = PairSet.of(pairs)
     if len(test_idx) == 0:
         test_idx = train_idx  # every individual participates; score in-sample
     if kappa_default is None:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DeltaZero, InvalidGamma, NonPositiveScale, OutOfRange
-from .pairgraph import PairwiseDatum
+from .pairgraph import PairSet, PairwiseDatum
 
 MECHANISMS = ("laplace", "gaussian", "staircase", "duchi")
 
@@ -206,40 +207,47 @@ def duchi_randomize_vector(
     return c * signs
 
 
+def _keep_probability(epsilon: float) -> float:
+    """Randomized response's chance of keeping a label: e^eps / (1 + e^eps)."""
+    return 1.0 / (1.0 + math.exp(-epsilon)) if not math.isinf(epsilon) else 1.0
+
+
 def warner_flip(label: int, epsilon: float, rng: np.random.Generator) -> int:
     """Randomized response: keep the label with probability e^eps/(1+e^eps)."""
     if label not in (0, 1):
         raise OutOfRange(f"label must be 0 or 1, got {label!r}")
-    keep = 1.0 / (1.0 + math.exp(-epsilon)) if not math.isinf(epsilon) else 1.0
-    return label if rng.random() < keep else 1 - label
+    return label if rng.random() < _keep_probability(epsilon) else 1 - label
 
 
 def input_perturb(
-    pairs: list[PairwiseDatum],
+    pairs: PairSet | Sequence[PairwiseDatum],
     epsilon: float,
     rng: np.random.Generator,
     feature_share: float = 0.5,
-) -> list[PairwiseDatum]:
+) -> PairSet:
     """Input-perturbation baseline: noise the data itself, then train cleanly.
 
     ``feature_share`` of the budget goes to the feature differences (split
     evenly across dimensions, Laplace at per-coordinate sensitivity 2 under
     the l1 normalisation); the rest drives randomized response on labels.
+    Each pair draws its ``d`` Laplace values (none at an infinite budget),
+    then one uniform for its label, in pair order.
     """
     if not epsilon > 0:
         raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
     if not (0 < feature_share < 1):
         raise ValueError(f"feature_share must lie in (0, 1), got {feature_share}")
-    if not pairs:
-        return []
-    d = pairs[0].dim
+    pairs = PairSet.of(pairs)
+    n, d = pairs.dx.shape
     eps_feat = feature_share * epsilon
     eps_label = (1.0 - feature_share) * epsilon
     scale = 0.0 if math.isinf(eps_feat) else 2.0 * d / eps_feat
-    out = []
-    for p in pairs:
-        noise = rng.laplace(0.0, scale, size=d) if scale > 0 else np.zeros(d)
-        out.append(
-            PairwiseDatum(p.i, p.j, p.delta_x + noise, warner_flip(p.y, eps_label, rng))
-        )
-    return out
+    noise = np.zeros((n, d))
+    label_draw = np.empty(n)
+    for k in range(n):
+        if scale > 0:
+            noise[k] = rng.laplace(0.0, scale, size=d)
+        label_draw[k] = rng.random()
+    flipped = label_draw >= _keep_probability(eps_label)
+    y = np.where(flipped, 1 - pairs.y, pairs.y)
+    return PairSet(pairs.i, pairs.j, pairs.dx + noise, y)

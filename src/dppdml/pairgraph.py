@@ -10,6 +10,7 @@ queries are safe to run concurrently.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -51,7 +52,9 @@ class PairwiseDatum:
             raise DimensionMismatch(f"delta_x must be 1-D, got shape {dx.shape}")
         if not np.all(np.isfinite(dx)):
             raise ValueError(f"pair ({self.i}, {self.j}) has non-finite features")
-        dx.setflags(write=False)
+        if dx.flags.writeable:  # freeze a copy, never the caller's array
+            dx = dx.copy()
+            dx.setflags(write=False)
         object.__setattr__(self, "delta_x", dx)
 
     @property
@@ -62,6 +65,82 @@ class PairwiseDatum:
         """Unordered endpoint pair in a canonical order."""
         a, b = self.i, self.j
         return (a, b) if _node_sort_key(a) <= _node_sort_key(b) else (b, a)
+
+
+@dataclass(frozen=True, eq=False)
+class PairSet:
+    """Labelled pairs as columns: endpoint ids ``i`` and ``j``, the read-only
+    ``(n, d)`` feature-difference matrix ``dx`` and the labels ``y``.
+
+    The whole matrix is validated once, with the errors ``PairwiseDatum``
+    raises for the first faulty pair. Length, indexing and iteration follow
+    the pair sequence and yield ``PairwiseDatum`` rows.
+    """
+
+    i: tuple[NodeId, ...]
+    j: tuple[NodeId, ...]
+    dx: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        i, j = tuple(self.i), tuple(self.j)
+        if not isinstance(self.dx, np.ndarray):
+            shapes = [np.shape(row) for row in self.dx]
+            for k, shape in enumerate(shapes):
+                if shape != shapes[0]:
+                    raise DimensionMismatch(
+                        f"pair ({i[k]}, {j[k]}) has feature shape {shape}, "
+                        f"expected {shapes[0]}"
+                    )
+        dx = np.array(self.dx, dtype=float, order="C")  # the set's own copy
+        if dx.ndim != 2:
+            raise DimensionMismatch(f"dx must be 2-D, got shape {dx.shape}")
+        y = np.array(self.y)
+        if not len(i) == len(j) == len(y) == len(dx):
+            raise DimensionMismatch(
+                f"columns disagree in length: {len(i)} i, {len(j)} j, "
+                f"{len(y)} y, {len(dx)} dx rows"
+            )
+        faulty = np.fromiter(map(operator.eq, i, j), bool, len(i))
+        faulty |= ~((y == 0) | (y == 1))
+        faulty |= ~np.isfinite(dx).all(axis=1)
+        if faulty.any():
+            k = int(np.argmax(faulty))
+            PairwiseDatum(i[k], j[k], dx[k], y[k].item())  # raises its error
+        y = y.astype(int)
+        dx.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "y", y)
+
+    @classmethod
+    def of(cls, pairs: "Sequence[PairwiseDatum] | PairSet") -> "PairSet":
+        """``pairs`` itself if it is a ``PairSet``, else its datums stacked."""
+        if isinstance(pairs, PairSet):
+            return pairs
+        pairs = list(pairs)
+        return cls(
+            [p.i for p in pairs],
+            [p.j for p in pairs],
+            [p.delta_x for p in pairs] if pairs else np.empty((0, 0)),
+            [p.y for p in pairs],
+        )
+
+    @property
+    def dim(self) -> int:
+        return self.dx.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def __getitem__(self, k: int) -> PairwiseDatum:
+        k = operator.index(k)
+        return PairwiseDatum(self.i[k], self.j[k], self.dx[k], int(self.y[k]))
+
+    def __iter__(self) -> Iterator[PairwiseDatum]:
+        return (self[k] for k in range(len(self)))
 
 
 def _node_sort_key(n: NodeId):

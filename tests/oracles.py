@@ -4,12 +4,29 @@ Everything here works on plain edge-index lists with bitmask subsets and
 deliberately re-derives results from first principles (union-find
 components, min-cut enumeration for path counts, degree-2 subgraph
 enumeration for cycles, subset search for cycle breaking), so agreement
-with the library is meaningful.
+with the library is meaningful. The training references at the end replay,
+pair by pair and step by step, the loops that the columnar training code
+replaced, so that code can be held to them bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+
+import numpy as np
+
+from dppdml.dml import (
+    MetricModel,
+    TrainTrace,
+    _batch_slices,
+    _row_noise,
+    sensitivity_basic,
+    step_size,
+)
+from dppdml.kappa import compute_kappa
+from dppdml.mechanisms import staircase_optimal_gamma, warner_flip
+from dppdml.pairgraph import PairwiseDatum
 
 Edge = tuple[int, int]
 
@@ -294,8 +311,6 @@ def kappa_intransitive_oracle(n: int, edges: list[Edge]) -> int:
 
 def finite_difference_gradient(loss_fn, w, row: int, step: float = 1e-6):
     """Central finite differences of ``loss_fn(w)`` w.r.t. one row of w."""
-    import numpy as np
-
     out = np.zeros(w.shape[1])
     for col in range(w.shape[1]):
         wp = w.copy()
@@ -314,3 +329,163 @@ def random_graph(rng, max_nodes: int = 8, max_edges: int = 12) -> tuple[int, lis
     m = int(rng.integers(0, cap + 1))
     picks = rng.choice(len(all_pairs), size=m, replace=False) if m else []
     return n, sorted(all_pairs[int(k)] for k in picks)
+
+
+# --- training reference -------------------------------------------------------
+#
+# The per-pair, per-step training loop as it ran before pairs were stored as
+# columns: margin summed pair by pair, every batch sliced, masked and bounded
+# again on every step, norms through ``np.linalg.norm``. ``train`` must match
+# it bit for bit. It shares with ``dml`` only the config and trace types, the
+# step size, the fixed bound, the batch split and the noise samplers.
+
+
+def reference_default_margin(pairs, ratio: float, norm_mode: str) -> float:
+    dissimilar = [p for p in pairs if p.y == 1]
+    total = sum(
+        float(np.abs(p.delta_x).sum()) if norm_mode == "l1"
+        else float(np.linalg.norm(p.delta_x))
+        for p in dissimilar
+    )
+    return ratio * total / len(dissimilar)
+
+
+def reference_objective(w, dx, y, margin: float) -> float:
+    d_w = np.linalg.norm(w @ dx.T, axis=0)
+    losses = np.where(
+        y == 0, 0.5 * d_w**2, 0.5 * np.maximum(0.0, margin - d_w) ** 2
+    )
+    return float(losses.mean())
+
+
+def _reference_coefficients(w, dx, y, margin: float):
+    proj = w @ dx.T
+    d_w = np.linalg.norm(proj, axis=0)
+    coef = np.ones_like(d_w)
+    active = (y == 1) & (d_w > 0) & (d_w < margin)
+    coef[active] = (d_w[active] - margin) / d_w[active]
+    dead = (y == 1) & ((d_w >= margin) | (d_w == 0))
+    coef[dead] = 0.0
+    degenerate = int(np.count_nonzero((y == 1) & (d_w == 0)))
+    return proj * coef, degenerate
+
+
+def _reference_reduced_bound(g_peaks, w, h, margin, kappa, batch_size, norm_mode):
+    if norm_mode == "l1":
+        w_norms = np.abs(w).sum(axis=1)
+        hinge_cap = 2.0 * margin * math.sqrt(w.shape[0])
+    else:
+        w_norms = np.linalg.norm(w, axis=1)
+        hinge_cap = 2.0 * margin
+    counterpart = np.minimum(h, np.maximum(4.0 * w_norms, hinge_cap))
+    return kappa * (g_peaks + counterpart) / batch_size
+
+
+def reference_train(pairs, graph, config, kappa_report=None):
+    """``dml.train`` on a list of ``PairwiseDatum``, one pair at a time where
+    the data is gathered and every per-batch value recomputed each step."""
+    config.validate()
+    d = pairs[0].dim
+    if kappa_report is None:
+        kappa_report = compute_kappa(graph)
+    kappa = kappa_report.kappa
+    margin = (
+        config.margin
+        if config.margin is not None
+        else reference_default_margin(pairs, config.margin_ratio, config.norm_mode)
+    )
+    dx_all = np.stack([p.delta_x for p in pairs])
+    y_all = np.array([p.y for p in pairs], dtype=int)
+    dx_norms = (
+        np.abs(dx_all).sum(axis=1)
+        if config.norm_mode == "l1"
+        else np.linalg.norm(dx_all, axis=1)
+    )
+
+    seeds = np.random.SeedSequence(config.seed).spawn(2 + config.d_prime)
+    init_rng = np.random.default_rng(seeds[0])
+    order_rng = np.random.default_rng(seeds[1])
+    row_rngs = [np.random.default_rng(s) for s in seeds[2:]]
+
+    w = init_rng.uniform(-config.init_scale, config.init_scale, (config.d_prime, d))
+    order = order_rng.permutation(len(pairs))
+    if config.batch_mode == "component":
+        comp_of = {}
+        for ci, comp in enumerate(graph.components()):
+            for v in comp:
+                comp_of[v] = ci
+        comp_key = np.array(
+            [comp_of[graph.node_index(pairs[k].i)] for k in order]
+        )
+        order = order[np.argsort(comp_key, kind="stable")]
+    batches = _batch_slices(len(pairs), config.batch_size, order)
+
+    eps_epoch = config.budget(kappa).per_epoch_epsilon
+    h = config.lipschitz
+    gamma = config.staircase_gamma
+    if config.mechanism == "staircase" and gamma is None:
+        gamma = staircase_optimal_gamma(eps_epoch)
+
+    trace = TrainTrace(
+        kappa=kappa,
+        kappa_method=kappa_report.method,
+        margin=margin,
+        initial_objective=reference_objective(w, dx_all, y_all, margin),
+    )
+    tau = 0
+    for epoch in range(1, config.t_max + 1):
+        for batch in batches:
+            tau += 1
+            eta = step_size(tau)
+            dx = dx_all[batch]
+            yv = y_all[batch]
+            n_b = len(batch)
+
+            amat, degenerate = _reference_coefficients(w, dx, yv, margin)
+            trace.degenerate_events += degenerate
+            raw_norms = np.abs(amat) * dx_norms[batch]
+            clip = np.maximum(1.0, raw_norms / h)
+            cmat = amat / clip
+            clipped_norms = raw_norms / clip
+            g_peaks = clipped_norms.max(axis=1)
+            mean_grad = (cmat @ dx) / n_b
+
+            basic = sensitivity_basic(kappa, h, n_b, config.d_prime).per_row
+            reduced = _reference_reduced_bound(
+                g_peaks, w, h, margin, kappa, n_b, config.norm_mode
+            )
+            sens = reduced if config.sensitivity_mode == "reduced" else basic
+
+            update = mean_grad
+            if config.mechanism != "none":
+                update = mean_grad.copy()
+                for r in range(config.d_prime):
+                    update[r] += _row_noise(
+                        mean_grad[r], sens[r], eps_epoch, config, gamma,
+                        h, row_rngs[r],
+                    )
+            w = w - eta * update
+
+            trace.iterations.append(tau)
+            trace.epochs.append(epoch)
+            trace.objectives.append(reference_objective(w, dx_all, y_all, margin))
+            trace.etas.append(eta)
+            trace.sens_basic.append(float(basic[0]))
+            trace.sens_reduced.append(reduced)
+    return MetricModel(w), trace
+
+
+def reference_input_perturb(pairs, epsilon, rng, feature_share: float = 0.5):
+    """Input perturbation one ``PairwiseDatum`` at a time: each pair's ``d``
+    Laplace draws, then its randomized-response draw."""
+    d = pairs[0].dim
+    eps_feat = feature_share * epsilon
+    eps_label = (1.0 - feature_share) * epsilon
+    scale = 0.0 if math.isinf(eps_feat) else 2.0 * d / eps_feat
+    out = []
+    for p in pairs:
+        noise = rng.laplace(0.0, scale, size=d) if scale > 0 else np.zeros(d)
+        out.append(
+            PairwiseDatum(p.i, p.j, p.delta_x + noise, warner_flip(p.y, eps_label, rng))
+        )
+    return out

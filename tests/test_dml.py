@@ -7,6 +7,7 @@ import pytest
 
 from dppdml import dataio
 from dppdml.dml import (
+    NORM_MODES,
     MetricModel,
     TrainConfig,
     clip_gradient,
@@ -26,7 +27,8 @@ from dppdml.errors import (
     EmptyBatch,
 )
 from dppdml.kappa import compute_kappa
-from dppdml.pairgraph import PairwiseDatum, build_graph
+from dppdml.mechanisms import input_perturb
+from dppdml.pairgraph import PairSet, PairwiseDatum, build_graph
 
 from . import oracles
 
@@ -503,3 +505,102 @@ class TestTrainMatchesReference:
         np.testing.assert_allclose(
             trace.sens_reduced[0], reduced.per_row, rtol=1e-12, atol=0
         )
+
+
+def _bits(model, trace):
+    """Everything ``train`` returns, in a form equal only when bit-equal."""
+    return (
+        model.w.tobytes(),
+        repr(trace.rows()),
+        trace.initial_objective.hex(),
+        trace.margin.hex(),
+        trace.degenerate_events,
+        trace.kappa,
+    )
+
+
+class TestTrainMatchesLoopReference:
+    """``train`` reproduces the per-pair, per-step loop of
+    ``oracles.reference_train`` bit for bit, whatever form its pairs take."""
+
+    MECHANISMS = {
+        "none": dict(mechanism="none"),
+        "laplace-basic": dict(mechanism="laplace", sensitivity_mode="basic"),
+        "laplace-reduced": dict(mechanism="laplace", sensitivity_mode="reduced"),
+        "gaussian": dict(mechanism="gaussian", delta=1e-5),
+        "staircase": dict(mechanism="staircase", sensitivity_mode="basic"),
+        "duchi": dict(mechanism="duchi", sensitivity_mode="basic"),
+    }
+
+    @staticmethod
+    def data():
+        _, pairs, _ = toy_setup(seed=2)
+        extra = [
+            PairwiseDatum("z0", "z1", np.zeros(2), 1),        # degenerate
+            PairwiseDatum("z1", "z2", np.array([9.0, -7.0]), 1),  # far out
+            PairwiseDatum("z2", "z3", np.array([4.0, 3.0]), 0),   # clipped
+        ]
+        pairs = extra + pairs
+        return pairs, build_graph(pairs)
+
+    @staticmethod
+    def config(mechanism, norm_mode, batch_mode, **overrides):
+        # 153 pairs in batches of 40, 40, 40 and 33: two fixed bounds
+        base = dict(
+            d_prime=2, lipschitz=0.1, batch_size=40, t_max=3, epsilon=3.0,
+            norm_mode=norm_mode, batch_mode=batch_mode, seed=9,
+        )
+        base.update(TestTrainMatchesLoopReference.MECHANISMS[mechanism])
+        base.update(overrides)
+        return TrainConfig(**base)
+
+    @pytest.mark.parametrize("batch_mode", ["shuffle", "component"])
+    @pytest.mark.parametrize(
+        "mechanism, norm_mode",
+        [(m, n) for m in MECHANISMS for n in NORM_MODES
+         if m != "gaussian" or n == "l2"],
+    )
+    def test_list_and_pairset_inputs(self, mechanism, norm_mode, batch_mode):
+        pairs, graph = self.data()
+        config = self.config(mechanism, norm_mode, batch_mode)
+        report = compute_kappa(graph)
+        expected = _bits(*oracles.reference_train(pairs, graph, config, report))
+        for given in (pairs, PairSet.of(pairs)):
+            model, trace = train(given, graph, config, kappa_report=report)
+            assert _bits(model, trace) == expected
+        assert trace.degenerate_events > 0
+
+    @pytest.mark.parametrize("mechanism", ["none", "laplace-reduced"])
+    def test_fixed_margin_and_computed_kappa(self, mechanism):
+        pairs, graph = self.data()
+        config = self.config(mechanism, "l1", "shuffle", margin=0.3)
+        assert _bits(*train(pairs, graph, config)) == _bits(
+            *oracles.reference_train(pairs, graph, config)
+        )
+
+    @pytest.mark.parametrize("epsilon", [0.5, 4.0, math.inf])
+    def test_input_perturb_outputs(self, epsilon):
+        pairs, graph = self.data()
+        noisy = input_perturb(pairs, epsilon, np.random.default_rng([1347, 5]))
+        noisy_ref = oracles.reference_input_perturb(
+            pairs, epsilon, np.random.default_rng([1347, 5])
+        )
+        config = self.config("none", "l1", "shuffle")
+        report = compute_kappa(graph)
+        assert _bits(*train(noisy, graph, config, kappa_report=report)) == _bits(
+            *oracles.reference_train(noisy_ref, graph, config, report)
+        )
+
+
+class TestDefaultMarginMatchesPairSum:
+    @pytest.mark.parametrize("norm_mode", ["l1", "l2"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 17, 40])
+    def test_bit_equal_to_left_to_right_sum(self, rng, norm_mode, d):
+        pairs = [
+            pair(rng.normal(0, 1, d) * rng.uniform(0.01, 50.0),
+                 int(k % 3 != 0), i=2 * k, j=2 * k + 1)
+            for k in range(300)
+        ]
+        expected = oracles.reference_default_margin(pairs, 0.7, norm_mode)
+        for given in (pairs, PairSet.of(pairs)):
+            assert default_margin(given, 0.7, norm_mode).hex() == expected.hex()

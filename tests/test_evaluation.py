@@ -7,7 +7,7 @@ import pytest
 
 from dppdml import dataio
 from dppdml.dml import MetricModel, TrainConfig
-from dppdml.errors import DimensionMismatch, EmptyTrainSet
+from dppdml.errors import DimensionMismatch, DppError, EmptyTestSet, EmptyTrainSet
 from dppdml.evaluation import (
     ExperimentReport,
     knn_accuracy,
@@ -86,6 +86,25 @@ class TestKnn:
         with pytest.raises(EmptyTrainSet):
             knn_accuracy(model, np.zeros((0, 2)), [], rng.normal(0, 1, (3, 2)),
                          [0, 1, 0], 1)
+
+    def test_empty_test_set_rejected(self, rng):
+        model = MetricModel(np.eye(2))
+        x = rng.normal(0, 1, (3, 2))
+        with pytest.raises(EmptyTestSet) as info:
+            knn_accuracy(model, x, [0, 1, 0], np.zeros((0, 2)), [], 1)
+        assert isinstance(info.value, DppError)
+
+    @pytest.mark.parametrize("train_labels, test_labels", [
+        ([0, 1], [0, 1]),         # 2 train labels for 3 train points
+        ([0, 1, 0, 1], [0, 1]),
+        ([0, 1, 0], [1]),         # 1 test label for 2 test points
+    ])
+    def test_label_count_must_match_points(self, rng, train_labels, test_labels):
+        model = MetricModel(np.eye(2))
+        with pytest.raises(DimensionMismatch) as info:
+            knn_accuracy(model, rng.normal(0, 1, (3, 2)), train_labels,
+                         rng.normal(0, 1, (2, 2)), test_labels, 1)
+        assert isinstance(info.value, DppError)
 
     def test_k_validated(self, rng):
         model = MetricModel(np.eye(2))

@@ -23,7 +23,9 @@ from dppdml.mechanisms import (
     staircase_variance,
     warner_flip,
 )
-from dppdml.pairgraph import PairwiseDatum
+from dppdml.pairgraph import PairSet, PairwiseDatum
+
+from . import oracles
 
 N_BIG = 1_000_000
 
@@ -309,6 +311,34 @@ class TestInputPerturb:
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.delta_x, pb.delta_x)
             assert pa.y == pb.y
+
+
+    @pytest.mark.parametrize("epsilon", [0.3, 2.0, math.inf])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_matches_per_pair_reference_stream(self, epsilon, dim):
+        pairs = self._pairs(400, dim=dim, seed=dim)
+        gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
+        out = input_perturb(pairs, epsilon, gen)
+        ref = oracles.reference_input_perturb(pairs, epsilon, ref_gen)
+        assert isinstance(out, PairSet)
+        assert out.dx.tobytes() == np.stack([p.delta_x for p in ref]).tobytes()
+        assert out.y.tolist() == [p.y for p in ref]
+        assert out.i == tuple(p.i for p in ref)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_infinite_budget_draws_only_the_label_uniforms(self):
+        gen, ref_gen = np.random.default_rng(4), np.random.default_rng(4)
+        input_perturb(self._pairs(30), math.inf, gen)
+        ref_gen.random(30)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_pairset_input_and_empty_input(self, rng):
+        pairs = self._pairs(20)
+        a = input_perturb(pairs, 1.0, np.random.default_rng(3))
+        b = input_perturb(PairSet.of(pairs), 1.0, np.random.default_rng(3))
+        assert a.dx.tobytes() == b.dx.tobytes()
+        assert a.y.tolist() == b.y.tolist()
+        assert len(input_perturb([], 1.0, rng)) == 0
 
 
 class TestSamplerDeterminism:

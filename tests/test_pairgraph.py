@@ -16,6 +16,7 @@ from dppdml.errors import (
 )
 from dppdml.pairgraph import (
     PairGraph,
+    PairSet,
     PairwiseDatum,
     build_graph,
     read_pairs_file,
@@ -72,6 +73,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PairwiseDatum("a", "b", np.array([np.nan]), 0)
 
+    def test_caller_array_stays_writeable(self):
+        a = np.array([1.0, 2.0])
+        p = PairwiseDatum(0, 1, a, 0)
+        assert a.flags.writeable
+        assert not p.delta_x.flags.writeable
+        a[0] = 5.0
+        assert p.delta_x.tolist() == [1.0, 2.0]
+
     def test_isolated_nodes_retained(self):
         g = build_graph([datum("a", "b")], extra_nodes=["z"])
         assert g.has_node("z")
@@ -85,6 +94,105 @@ class TestConstruction:
         assert kappa_exact(g).kappa == 2
         keys = {p.key() for p in g.pairs()}
         assert (0, "alice") in keys  # ints order before strings
+
+
+def _error(make):
+    """(type, message) of the exception ``make()`` raises."""
+    with pytest.raises(Exception) as info:
+        make()
+    return type(info.value), str(info.value)
+
+
+class TestPairSet:
+    IDS = ([0, "a", 4, 6], [1, "b", 5, 7])
+
+    def rows(self, bad_row=None, bad_value=None):
+        dx = np.arange(8.0).reshape(4, 2)
+        if bad_row is not None:
+            dx[bad_row, 1] = bad_value
+        return dx
+
+    def test_self_loop_error_matches_datum(self):
+        i, j = [0, "a", 4, 6], [1, "a", 5, 7]
+        got = _error(lambda: PairSet(i, j, self.rows(), [0, 1, 0, 1]))
+        assert got[0] is SelfLoop
+        assert got == _error(
+            lambda: PairwiseDatum("a", "a", np.array([2.0, 3.0]), 1)
+        )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_error_matches_datum(self, value):
+        dx = self.rows(2, value)
+        got = _error(lambda: PairSet(*self.IDS, dx, [0, 1, 0, 1]))
+        assert got[0] is ValueError
+        assert got == _error(lambda: PairwiseDatum(4, 5, dx[2].copy(), 0))
+
+    @pytest.mark.parametrize("label", [2, -1, 0.5])
+    def test_label_error_matches_datum(self, label):
+        got = _error(lambda: PairSet(*self.IDS, self.rows(), [0, 1, label, 1]))
+        assert got[0] is ValueError
+        assert got == _error(
+            lambda: PairwiseDatum(4, 5, np.array([4.0, 5.0]), label)
+        )
+
+    def test_first_faulty_pair_is_reported(self):
+        i, j = [0, "a", 4, 6], [1, "b", 5, 6]  # pair 3 is a self-loop
+        dx = self.rows(1, np.nan)                # pair 1 is not finite
+        got = _error(lambda: PairSet(i, j, dx, [0, 1, 0, 1]))
+        assert got == (ValueError, "pair (a, b) has non-finite features")
+
+    @pytest.mark.parametrize("dx", [np.ones(4), np.ones((4, 2, 1)), np.ones((4, 0, 2))])
+    def test_dx_must_be_2d(self, dx):
+        with pytest.raises(DimensionMismatch):
+            PairSet(*self.IDS, dx, [0, 1, 0, 1])
+
+    def test_rows_of_different_widths(self):
+        rows = [[1.0, 2.0], [3.0, 4.0], [5.0], [6.0, 7.0]]
+        with pytest.raises(DimensionMismatch, match=r"pair \(4, 5\)"):
+            PairSet(*self.IDS, rows, [0, 1, 0, 1])
+        with pytest.raises(DimensionMismatch):
+            PairSet.of([datum(0, 1, dx=(1.0, 2.0)), datum(2, 3, dx=(1.0,))])
+
+    def test_column_lengths_must_agree(self):
+        with pytest.raises(DimensionMismatch):
+            PairSet(*self.IDS, self.rows(), [0, 1, 0])
+
+    def test_of_round_trips_a_list(self):
+        pairs = [datum(0, 1, 1, (0.5, -2.0)), datum("x", 0, 0, (3.0, 4.0)),
+                 datum(2, "x", 1, (-0.0, 1e-300))]
+        ps = PairSet.of(pairs)
+        assert PairSet.of(ps) is ps
+        assert len(ps) == 3 and ps.dim == 2
+        assert ps.i == (0, "x", 2) and ps.j == (1, 0, "x")
+        assert ps.y.tolist() == [1, 0, 1]
+        assert ps[-1].i == 2
+        back = list(ps)
+        assert all(isinstance(p, PairwiseDatum) for p in back)
+        for a, b in zip(pairs, back):
+            assert (a.i, a.j, a.y) == (b.i, b.j, b.y)
+            assert a.delta_x.tobytes() == b.delta_x.tobytes()
+        with pytest.raises(IndexError):
+            ps[3]
+
+    def test_empty(self):
+        ps = PairSet.of([])
+        assert len(ps) == 0 and not ps and list(ps) == []
+
+    def test_columns_read_only_and_own_copy(self):
+        dx = self.rows()
+        y = np.array([0, 1, 0, 1])
+        ps = PairSet(*self.IDS, dx, y)
+        assert dx.flags.writeable and y.flags.writeable
+        assert not ps.dx.flags.writeable and not ps.y.flags.writeable
+        dx[0, 0] = 99.0
+        assert ps.dx[0, 0] == 0.0
+        # datum rows are read-only views of the matrix, not copies
+        assert np.shares_memory(ps[2].delta_x, ps.dx)
+
+    def test_graph_built_from_a_pairset(self):
+        pairs = [datum("a", "b"), datum("b", "c", 1)]
+        g = build_graph(PairSet.of(pairs))
+        assert g.edge_keys() == build_graph(pairs).edge_keys()
 
 
 class TestQueries:
