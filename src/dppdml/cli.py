@@ -21,8 +21,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio, evaluation, kappa as kappa_mod
 from .dml import (
     BATCH_MODES,
@@ -67,16 +65,22 @@ def _write_csv(path: Path, fieldnames, rows) -> None:
             )
 
 
-def _float_list(value) -> list[float]:
+def _str_list(cfg: dict, key: str) -> list:
+    """Items of a comma-separated option (or a config-file list); never empty."""
+    value = cfg[key]
     if isinstance(value, str):
-        return [float(v) for v in value.split(",") if v.strip()]
-    return [float(v) for v in value]
+        value = [v.strip() for v in value.split(",") if v.strip()]
+    if not isinstance(value, list) or not value:
+        raise ConfigInvalid(f"--{key} needs a non-empty list, got {cfg[key]!r}")
+    return value
 
 
-def _str_list(value) -> list[str]:
-    if isinstance(value, str):
-        return [v.strip() for v in value.split(",") if v.strip()]
-    return list(value)
+def _float_list(cfg: dict, key: str) -> list[float]:
+    items = _str_list(cfg, key)
+    try:
+        return [float(v) for v in items]
+    except (TypeError, ValueError):
+        raise ConfigInvalid(f"--{key} must list numbers, got {cfg[key]!r}") from None
 
 
 def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
@@ -277,11 +281,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise DppError(
                 "model file carries no train_ids; pass --pairs to define the split"
             )
-        index = samples.index_of()
-        train_idx = np.array(sorted(index[i] for i in train_ids))
-        mask = np.ones(len(samples), dtype=bool)
-        mask[train_idx] = False
-        test_idx = np.flatnonzero(mask)
+        train_idx, test_idx = evaluation.split_by_ids(samples, train_ids)
     if len(test_idx) == 0:
         test_idx = train_idx
     acc = evaluation.knn_accuracy(
@@ -323,8 +323,8 @@ SWEEP_DEFAULTS = {
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(SWEEP_DEFAULTS, args)
     samples, pairs, graph = _load_dataset(cfg)
-    methods = _str_list(cfg["methods"])
-    epsilons = _float_list(cfg["epsilons"])
+    methods = _str_list(cfg, "methods")
+    epsilons = _float_list(cfg, "epsilons")
     base = _train_config(cfg, cfg["seed"])
     kappa_default = kappa_mod.compute_kappa(graph)
     kappa_node = kappa_mod.kappa_node_dp(graph)
@@ -369,7 +369,7 @@ def cmd_compare_mechanisms(args: argparse.Namespace) -> int:
     graph = build_graph(pairs, cfg["relation"])
     report = kappa_mod.compute_kappa(graph)
     print(f"privacy distance kappa={report.kappa} ({report.method})")
-    names = _str_list(cfg["mechanisms"])
+    names = _str_list(cfg, "mechanisms")
     for name in names:
         if name not in MECHANISM_VARIANTS:
             raise DppError(

@@ -20,15 +20,13 @@ class DimensionMismatch(DppError, ValueError):
 
 
 class UnknownNode(DppError, KeyError):
-    """Node id not present in the graph."""
+    """Node id not present in the graph or the samples."""
+
+    __str__ = Exception.__str__  # the message as given, not KeyError's repr
 
 
 class SameNode(DppError, ValueError):
     """An operation on a node pair received the same node twice."""
-
-
-class MissingEdge(DppError, KeyError):
-    """Edge scheduled for removal does not exist."""
 
 
 class GraphTooLarge(DppError, ValueError):

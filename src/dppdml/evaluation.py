@@ -13,7 +13,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dml import MetricModel, TrainConfig, train
-from .errors import ConfigInvalid, DimensionMismatch, EmptyTestSet, EmptyTrainSet
+from .errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    EmptyTestSet,
+    EmptyTrainSet,
+    UnknownNode,
+)
 from .kappa import KappaReport, compute_kappa, kappa_node_dp
 from .dataio import SampleSet
 from .mechanisms import input_perturb
@@ -133,12 +139,18 @@ def split_by_participation(
     samples: SampleSet, pairs: list[PairwiseDatum]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of pair participants (train) and everyone else (test)."""
+    return split_by_ids(samples, {p.i for p in pairs} | {p.j for p in pairs})
+
+
+def split_by_ids(samples: SampleSet, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the samples with the given ids (train) and of everyone
+    else (test). Raises :class:`UnknownNode` for an id no sample has."""
     index = samples.index_of()
-    participants = sorted(
-        {index[p.i] for p in pairs} | {index[p.j] for p in pairs}
-    )
     mask = np.zeros(len(samples), dtype=bool)
-    mask[participants] = True
+    for i in ids:
+        if i not in index:
+            raise UnknownNode(f"id {i!r} is not among the samples")
+        mask[index[i]] = True
     return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 

@@ -11,11 +11,12 @@ counts as a path.
 Both relation kinds run one pair loop, which differs only in how a pair's
 path count and removed edges are found. Exact cycle isolation is a subset
 search (a multiway-cut-like problem), so it is guarded by a size limit and
-an edge-scan budget. Large graphs get a cheap bound instead:
-``max_s degree(s) - component_increase(s)`` when labels compose, in
-O(|V| + |E|) from one articulation-point DFS, otherwise the same loop with
-each isolation cost bounded by ``degree - component_increase - 1``. The
-node-privacy baseline (maximum degree) is also provided.
+an edge-scan budget. Large graphs get a cheap bound instead, read from one
+articulation-point and bridge DFS in O(|V| + |E|): ``max_s degree(s) -
+component_increase(s)`` when labels compose, otherwise the same loop with
+each isolation cost bounded by ``degree - component_increase - 1``, O(1)
+per cost once the DFS has run. The node-privacy baseline (maximum degree)
+is also provided.
 """
 
 from __future__ import annotations
@@ -375,16 +376,23 @@ def _pair_loop(
     )
 
 
-def _degree_bound(g: PairGraph, v: int, removed: frozenset[tuple[int, int]]) -> int:
-    """Isolation bound ``degree - component_increase - 1`` without the
-    removed edges; deleting a node's edges and then the node leaves the
-    same graph as deleting the node, so no reduced graph is built."""
-    node = g.node_id(v)
-    dropped = [
-        g.node_id(w) for w in g.neighbor_indices(v) if _edge_key(v, w) in removed
-    ]
-    increase = g.component_increase_on_removal(node, dropped)
-    return max(0, g.degree(node) - len(dropped) - increase - 1)
+def _degree_bound(g: PairGraph) -> Callable[[int, frozenset], int]:
+    """Isolation bound ``degree - component_increase - 1`` of a node once the
+    given edges are gone, in O(1) per call after one DFS.
+
+    The pair loop removes at most the pair's own edge. Deleting a node's
+    edge to ``w`` takes ``w``'s piece away from the node only when the edge
+    is a bridge; otherwise ``w`` stays joined to another neighbour. So a
+    dropped bridge lowers degree and increase alike, and leaves the bound
+    as it was; any other dropped edge lowers it by one.
+    """
+    increase, bridges = g.removal_effects()
+
+    def isolation(v: int, removed: frozenset[tuple[int, int]]) -> int:
+        lost = sum(v in e and e not in bridges for e in removed)
+        return max(0, len(g.neighbor_indices(v)) - increase[v] - 1 - lost)
+
+    return isolation
 
 
 def _check_exact_limit(g: PairGraph, exact_limit: int, instead: str) -> None:
@@ -434,7 +442,8 @@ def kappa_upper(g: PairGraph) -> KappaReport:
     articulation-point DFS gives every node's increase."""
     best = 0
     witness_node = None
-    for v, increase in enumerate(g.component_increases()):
+    increases, _ = g.removal_effects()
+    for v, increase in enumerate(increases):
         term = len(g.neighbor_indices(v)) - increase
         if term > best:
             best = term
@@ -463,7 +472,8 @@ def kappa_intransitive(
     isolation after deleting it; non-adjacent pairs cost the cheaper cycle
     isolation on the whole graph. The witness is the first maximising pair
     in the loop's order. ``exact=False`` replaces each cycle-isolation cost
-    with the bound ``degree - component_increase - 1`` and has no size
+    with the bound ``degree - component_increase - 1``, measured without the
+    removed edge: one O(|V| + |E|) DFS, then O(1) per cost. It has no size
     guard.
     """
     detail = "exact" if exact else "bound"
@@ -476,7 +486,7 @@ def kappa_intransitive(
         "intransitive",
         lambda a, b: b in g.neighbor_indices(a),
         lambda a, b: (1, frozenset({(a, b)})),
-        _exact_isolation(g) if exact else partial(_degree_bound, g),
+        _exact_isolation(g) if exact else _degree_bound(g),
         detail,
     )
 

@@ -3,8 +3,7 @@
 Every labelled pair (feature difference + same/different flag) becomes an
 edge between its two participants; the structural queries needed by the
 privacy-distance computation (degrees, components, removal effects) live
-here. Graphs are immutable: mutating operations return new graphs, so all
-queries are safe to run concurrently.
+here. Graphs are immutable, so all queries are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DuplicateEdge,
-    MissingEdge,
     ParseError,
     SelfLoop,
     UnknownNode,
@@ -56,6 +54,7 @@ class PairwiseDatum:
             dx = dx.copy()
             dx.setflags(write=False)
         object.__setattr__(self, "delta_x", dx)
+        object.__setattr__(self, "y", int(self.y))
 
     @property
     def dim(self) -> int:
@@ -291,46 +290,21 @@ class PairGraph:
             comps.append(comp)
         return comps
 
-    def component_increase_on_removal(
-        self, n: NodeId, dropped: Iterable[NodeId] = ()
-    ) -> int:
-        """How many extra components deleting ``n`` (with its edges) creates
-        in the graph without the edges from ``n`` to ``dropped``.
+    def removal_effects(self) -> tuple[list[int], set[tuple[int, int]]]:
+        """What deleting a node or an edge does, from one depth-first search
+        (Hopcroft & Tarjan, 1973; Tarjan, 1974) in O(|V| + |E|).
 
-        Only ``n``'s own component can split: it becomes the pieces that
-        ``n``'s other neighbours fall into (deleting ``n`` removes the
-        dropped edges anyway), so the increase is that count minus one. An
-        isolated node only disappears, so the count is floored at zero.
-        """
-        idx = self.node_index(n)
-        skip = {self.node_index(m) for m in dropped}
-        seen = [False] * self.num_nodes
-        seen[idx] = True
-        pieces = 0
-        for start in self._adj[idx]:
-            if seen[start] or start in skip:
-                continue
-            pieces += 1
-            stack = [start]
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-        return max(0, pieces - 1)
-
-    def component_increases(self) -> list[int]:
-        """``component_increase_on_removal`` of every node, by node index,
-        from one depth-first search (Hopcroft & Tarjan, 1973) in
-        O(|V| + |E|).
+        Returns, by node index, how many components deleting each node (with
+        its edges) adds, and the bridges: the edges, as index keys ``(a, b)``
+        with ``a < b``, whose deletion splits their component.
 
         A non-root node splits off one piece per DFS child ``c`` with
         ``low[c] >= disc[v]``: nothing below ``c`` reaches above ``v``. A
         root's children are its pieces, so it scores ``children - 1``; an
-        isolated node scores 0. The search keeps its own stack, so long
-        paths cannot exhaust Python's recursion limit.
+        isolated node scores 0. The tree edge to ``c`` is a bridge when
+        ``low[c] > disc[v]``: nothing below ``c`` reaches ``v`` either. The
+        search keeps its own stack, so long paths cannot exhaust Python's
+        recursion limit.
         """
         n = self.num_nodes
         adj = self._adj
@@ -338,6 +312,7 @@ class PairGraph:
         low = [0] * n
         parent = [-1] * n
         increase = [0] * n
+        bridges: set[tuple[int, int]] = set()
         time = 0
         for root in range(n):
             if disc[root]:
@@ -364,32 +339,11 @@ class PairGraph:
                             low[u] = low[v]
                         if low[v] >= disc[u]:
                             increase[u] += 1
+                            if low[v] > disc[u]:
+                                bridges.add((u, v) if u < v else (v, u))
             # every child of the root passes the test above: one piece each
             increase[root] = max(0, increase[root] - 1)
-        return increase
-
-    # --- derived graphs ---------------------------------------------------
-
-    def remove_edges(self, edge_set: Iterable[tuple[NodeId, NodeId]]) -> "PairGraph":
-        """New graph with the given edges absent; the node set is unchanged."""
-        drop: set[tuple[int, int]] = set()
-        for u, v in edge_set:
-            a, b = self.node_index(u), self.node_index(v)
-            key = (a, b) if a < b else (b, a)
-            if key not in self._edges:
-                raise MissingEdge(f"edge ({u!r}, {v!r}) not in graph")
-            drop.add(key)
-        kept = [self._edges[k] for k in sorted(self._edges) if k not in drop]
-        return PairGraph(kept, self.relation_kind, extra_nodes=self._order)
-
-    def without_node(self, n: NodeId) -> "PairGraph":
-        """New graph with ``n`` and its incident edges removed."""
-        idx = self.node_index(n)
-        kept = [
-            self._edges[k] for k in sorted(self._edges) if idx not in k
-        ]
-        others = [m for m in self._order if m != n]
-        return PairGraph(kept, self.relation_kind, extra_nodes=others)
+        return increase, bridges
 
 
 def build_graph(

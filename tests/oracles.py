@@ -4,7 +4,9 @@ Everything here works on plain edge-index lists with bitmask subsets and
 deliberately re-derives results from first principles (union-find
 components, min-cut enumeration for path counts, degree-2 subgraph
 enumeration for cycles, subset search for cycle breaking), so agreement
-with the library is meaningful. The training references at the end replay,
+with the library is meaningful. The derived-graph helpers rebuild a
+``PairGraph`` without some edges or a node, so that what a removal does can
+be recounted from scratch. The training references at the end replay,
 pair by pair and step by step, the loops that the columnar training code
 replaced, so that code can be held to them bit for bit.
 """
@@ -26,7 +28,7 @@ from dppdml.dml import (
 )
 from dppdml.kappa import compute_kappa
 from dppdml.mechanisms import staircase_optimal_gamma, warner_flip
-from dppdml.pairgraph import PairwiseDatum
+from dppdml.pairgraph import PairGraph, PairwiseDatum
 
 Edge = tuple[int, int]
 
@@ -74,6 +76,36 @@ def connected(n: int, edges: list[Edge], emask: int, a: int, b: int) -> bool:
         if seen >> b & 1:
             return True
     return False
+
+
+# --- derived graphs -------------------------------------------------------------
+
+
+def remove_edges(g: PairGraph, edge_set) -> PairGraph:
+    """``g`` without the given edges; the node set and order are unchanged."""
+    drop = set()
+    for u, v in edge_set:
+        if not g.has_edge(u, v):
+            raise KeyError(f"edge ({u!r}, {v!r}) not in graph")
+        drop.add(frozenset((u, v)))
+    kept = [p for p in g.pairs() if frozenset((p.i, p.j)) not in drop]
+    return PairGraph(kept, g.relation_kind, extra_nodes=g.nodes())
+
+
+def without_node(g: PairGraph, n) -> PairGraph:
+    """``g`` without ``n`` and its edges."""
+    g.node_index(n)  # an unknown node raises
+    kept = [p for p in g.pairs() if n not in (p.i, p.j)]
+    others = [m for m in g.nodes() if m != n]
+    return PairGraph(kept, g.relation_kind, extra_nodes=others)
+
+
+def component_increase(g: PairGraph, v, dropped=()) -> int:
+    """Components that deleting ``v`` adds, recounted on ``g`` without the
+    edges from ``v`` to ``dropped``; deleting an isolated node adds none."""
+    base = remove_edges(g, [(v, w) for w in dropped])
+    recount = without_node(base, v).component_count() - base.component_count()
+    return max(0, recount)
 
 
 # --- edge-disjoint paths via min-cut enumeration -------------------------------

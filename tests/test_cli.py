@@ -159,6 +159,38 @@ class TestTrainEvaluate:
                     "--data", bad]) == 2
         assert "row 4, col 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", ["evaluate-pairs", "sweep", "evaluate-model"]
+    )
+    def test_id_missing_from_samples_exits_two(
+        self, command, toy_files, tmp_path, capsys
+    ):
+        samples_path, pairs_path = toy_files
+        out = tmp_path / "run"
+        assert run(["train", "--pairs", pairs_path, "--out-dir", out,
+                    "--t-max", 1, "--mechanism", "none"]) == 0
+        stray = tmp_path / "stray_pairs.csv"
+        pairs = read_pairs_file(pairs_path)
+        write_pairs_file(stray, pairs + [
+            PairwiseDatum(pairs[0].i, 9999, pairs[0].delta_x, 1)
+        ])
+        model = json.loads((out / "model.json").read_text())
+        model["train_ids"].append(9999)
+        (out / "model.json").write_text(json.dumps(model))
+        argv = {
+            "evaluate-pairs": ["evaluate", "--model", out / "model.json",
+                               "--data", samples_path, "--pairs", stray],
+            "sweep": ["sweep", "--data", samples_path, "--pairs", stray,
+                      "--out-dir", tmp_path / "sweep", "--repeats", 1],
+            "evaluate-model": ["evaluate", "--model", out / "model.json",
+                               "--data", samples_path],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: id 9999 is not among the samples\n"
+        )
+
     def test_invalid_config_exits_two(self, toy_files, tmp_path, capsys):
         _, pairs_path = toy_files
         assert run([
@@ -283,6 +315,15 @@ BAD_OPTION_VALUES = {
                                        "l2", "--delta", 1.5], None),
     "analyze-config-method": (["analyze-kappa", "--pairs", "{pairs}"],
                               {"method": "bogus"}),
+    "sweep-non-numeric-epsilon": (["sweep", "--data", "{samples}",
+                                   "--pairs", "{pairs}", "--epsilons", "1,x"],
+                                  None),
+    "sweep-empty-epsilons": (["sweep", "--data", "{samples}", "--pairs",
+                              "{pairs}", "--epsilons="], None),
+    "sweep-empty-methods": (["sweep", "--data", "{samples}", "--pairs",
+                             "{pairs}", "--methods="], None),
+    "compare-empty-mechanisms": (["compare-mechanisms", "--pairs", "{pairs}",
+                                  "--mechanisms="], None),
 }
 
 

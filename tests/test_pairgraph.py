@@ -9,7 +9,6 @@ from dppdml import dataio
 from dppdml.errors import (
     DimensionMismatch,
     DuplicateEdge,
-    MissingEdge,
     ParseError,
     SelfLoop,
     UnknownNode,
@@ -29,6 +28,11 @@ from . import oracles
 
 def datum(i, j, y=0, dx=(1.0,)):
     return PairwiseDatum(i, j, np.array(dx), y)
+
+
+def increase_of(g, v):
+    """Components that deleting node ``v`` adds, from the graph's one DFS."""
+    return g.removal_effects()[0][g.node_index(v)]
 
 
 class TestConstruction:
@@ -231,111 +235,117 @@ class TestQueries:
 
     def test_removal_increase_leaf_of_path(self):
         g = graph_from_edges([("a", "s"), ("s", "b"), ("b", "c")])
-        assert g.component_increase_on_removal("a") == 0
+        assert increase_of(g, "a") == 0
 
     def test_removal_increase_path_center(self):
         g = graph_from_edges([("a", "s"), ("s", "b")])
-        assert g.component_increase_on_removal("s") == 1
+        assert increase_of(g, "s") == 1
 
     def test_removal_increase_three_branch_cut_vertex(self):
         g = graph_from_edges(
             [("s", "a"), ("a", "a2"), ("s", "b"), ("b", "b2"), ("s", "c")]
         )
         before = g.component_count()
-        after = g.without_node("s").component_count()
+        after = oracles.without_node(g, "s").component_count()
         assert after - before == 2
-        assert g.component_increase_on_removal("s") == 2
+        assert increase_of(g, "s") == 2
 
     def test_removal_increase_isolated_node(self):
         g = build_graph([datum("a", "b")], extra_nodes=["z"])
-        assert g.component_increase_on_removal("z") == 0
+        assert increase_of(g, "z") == 0
 
     def test_removal_increase_matches_recount(self, rng):
-        """Counting the pieces around a node equals recounting the
-        components of the graph without it, isolated nodes included, and
-        dropping an edge of the node equals removing it from the graph.
-        The one-DFS query gives every node the same count."""
-        isolated = split = 0
+        """The DFS's increases equal recounting the components of the graph
+        without each node, isolated nodes included. Its bridges are the edges
+        whose deletion adds a component, and without its edge to a
+        neighbour a node's increase drops by one exactly when that edge is
+        a bridge."""
+        isolated = split = bridged = kept = 0
         for _ in range(150):
             n, edges = oracles.random_graph(rng, max_nodes=10, max_edges=14)
             g = graph_from_edges(edges, n_nodes=n)
-            assert g.component_increases() == [
-                g.component_increase_on_removal(g.node_id(v)) for v in range(n)
+            increase, bridges = g.removal_effects()
+            assert increase == [
+                oracles.component_increase(g, g.node_id(v)) for v in range(n)
             ]
+            assert bridges == {
+                (a, b) for a, b in g.iter_edge_indices()
+                if oracles.remove_edges(
+                    g, [(g.node_id(a), g.node_id(b))]
+                ).component_count() > g.component_count()
+            }
             split += sum(len(c) > 1 for c in g.components()) > 1
-            for v in g.nodes():
+            for v in range(n):
                 isolated += g.degree(v) == 0
-                recount = (
-                    g.without_node(v).component_count() - g.component_count()
-                )
-                assert g.component_increase_on_removal(v) == max(0, recount)
-                for w in g.neighbors(v):
-                    without = g.remove_edges([(v, w)])
-                    assert g.component_increase_on_removal(
-                        v, [w]
-                    ) == without.component_increase_on_removal(v)
+                for w in g.neighbor_indices(v):
+                    bridge = (min(v, w), max(v, w)) in bridges
+                    bridged += bridge and increase[v] > 0
+                    kept += not bridge and increase[v] > 0
+                    assert max(0, increase[v] - bridge) == (
+                        oracles.component_increase(
+                            g, g.node_id(v), [g.node_id(w)]
+                        )
+                    )
         assert isolated > 0
         assert split > 0  # several components with edges
+        assert bridged > 0 and kept > 0  # both sides of the bridge rule
 
     def test_component_increases_on_shapes(self):
         star = graph_from_edges([("c", f"l{k}") for k in range(4)])
-        assert star.component_increases() == [3, 0, 0, 0, 0]
+        assert star.removal_effects() == (
+            [3, 0, 0, 0, 0], {(0, 1), (0, 2), (0, 3), (0, 4)}
+        )
         path = graph_from_edges([("a", "b"), ("b", "c"), ("c", "d")])
-        assert path.component_increases() == [0, 1, 1, 0]
+        assert path.removal_effects() == ([0, 1, 1, 0], {(0, 1), (1, 2), (2, 3)})
         # node 0 is the DFS root; its three children lead apart, and each
         # child cuts off its own leaf
         spider = graph_from_edges(
             [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)]
         )
-        assert spider.component_increases() == [2, 1, 1, 1, 0, 0, 0]
-        # a back edge from 2 to the root leaves one root child
+        assert spider.removal_effects()[0] == [2, 1, 1, 1, 0, 0, 0]
+        # a back edge from 2 to the root leaves one root child, and only
+        # the pendant edge is a bridge
         triangle = graph_from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
-        assert triangle.component_increases() == [0, 0, 1, 0]
+        assert triangle.removal_effects() == ([0, 0, 1, 0], {(2, 3)})
         isolated = build_graph([datum("a", "b")], extra_nodes=["z"])
-        assert isolated.component_increases() == [0, 0, 0]
+        assert isolated.removal_effects() == ([0, 0, 0], {(0, 1)})
 
     def test_component_increases_on_long_path(self):
         n = 20_000
         g = graph_from_edges([(k, k + 1) for k in range(n - 1)])
-        assert g.component_increases() == [0] + [1] * (n - 2) + [0]
-
-    def test_kappa_upper_takes_one_dfs(self, monkeypatch):
-        from dppdml.kappa import kappa_upper
-
-        def per_node_walk(self, n, dropped=()):
-            raise AssertionError("kappa_upper walked one node's component")
-
-        g = graph_from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
-        monkeypatch.setattr(PairGraph, "component_increase_on_removal",
-                            per_node_walk)
-        assert kappa_upper(g).kappa == 2
+        increase, bridges = g.removal_effects()
+        assert increase == [0] + [1] * (n - 2) + [0]
+        assert len(bridges) == n - 1
 
 
 class TestRemoveEdges:
+    """The oracle that rebuilds a graph without some edges, which the
+    removal-effect tests recount against."""
+
     def test_remove_all_edges_keeps_nodes(self):
         g = graph_from_edges([("a", "b"), ("b", "c")])
-        stripped = g.remove_edges(g.edge_keys())
+        stripped = oracles.remove_edges(g, g.edge_keys())
         assert stripped.num_edges == 0
         assert sorted(stripped.nodes()) == sorted(g.nodes())
 
     def test_triangle_minus_edge_is_path(self):
         g = graph_from_edges([("a", "b"), ("b", "c"), ("c", "a")])
-        path = g.remove_edges([("a", "b")])
+        path = oracles.remove_edges(g, [("a", "b")])
         assert path.num_edges == 2
         assert path.degree("a") == 1
         assert path.degree("c") == 2
 
     def test_missing_edge_raises(self):
         g = graph_from_edges([("a", "b"), ("b", "c")])
-        with pytest.raises(MissingEdge):
-            g.remove_edges([("a", "c")])
+        with pytest.raises(KeyError):
+            oracles.remove_edges(g, [("a", "c")])
 
     def test_fig5_minus_flow_paths(self, fig5_graph):
         from dppdml.kappa import max_edge_disjoint_paths
 
         _, paths = max_edge_disjoint_paths(fig5_graph, "s", "t")
         used = [e for p in paths for e in zip(p, p[1:])]
-        sub = fig5_graph.remove_edges(used)
+        sub = oracles.remove_edges(fig5_graph, used)
         assert sub.num_nodes == fig5_graph.num_nodes
         assert sub.num_edges == fig5_graph.num_edges - len(used)
         # wiped routes no longer connect s and t
@@ -378,8 +388,9 @@ class TestInvariants:
     def test_component_increase_at_most_degree(self, case):
         n, edges = case
         g = graph_from_edges(edges, n_nodes=n)
+        increase, _ = g.removal_effects()
         for v in g.nodes():
-            assert g.component_increase_on_removal(v) <= g.degree(v)
+            assert increase[g.node_index(v)] <= g.degree(v)
 
     @settings(max_examples=40, deadline=None)
     @given(edge_lists())
@@ -388,7 +399,7 @@ class TestInvariants:
         g = graph_from_edges(edges, n_nodes=n)
         keys = g.edge_keys()
         half = keys[: len(keys) // 2]
-        assert g.remove_edges(half).num_nodes == g.num_nodes
+        assert oracles.remove_edges(g, half).num_nodes == g.num_nodes
 
 
 class TestPairsFile:
@@ -404,6 +415,17 @@ class TestPairsFile:
         for a, b in zip(pairs, back):
             assert (a.i, a.j, a.y) == (b.i, b.j, b.y)
             assert np.array_equal(a.delta_x, b.delta_x)
+
+    def test_bool_and_float_labels_round_trip_as_int(self, tmp_path):
+        pairs = [
+            PairwiseDatum(0, 1, np.array([0.5]), True),
+            PairwiseDatum(1, 2, np.array([0.25]), 1.0),
+            PairwiseDatum(2, 3, np.array([0.75]), np.int64(0)),
+        ]
+        assert [type(p.y) for p in pairs] == [int, int, int]
+        path = tmp_path / "pairs.csv"
+        write_pairs_file(path, pairs)
+        assert [p.y for p in read_pairs_file(path)] == [1, 1, 0]
 
     def test_headerless_and_custom_delimiter(self, tmp_path):
         path = tmp_path / "pairs.txt"
