@@ -9,22 +9,23 @@ labels do not compose (intransitive relations) only the pair's own edge
 counts as a path.
 
 Both relation kinds run one pair loop, which differs only in how a pair's
-path count and removed edges are found. Exact cycle isolation is a subset
-search (a multiway-cut-like problem), so it is guarded by a size limit and
-an edge-scan budget. Large graphs get a cheap bound instead, read from one
-articulation-point and bridge DFS in O(|V| + |E|): ``max_s degree(s) -
-component_increase(s)`` when labels compose, otherwise the same loop with
-each isolation cost bounded by ``degree - component_increase - 1``, O(1)
-per cost once the DFS has run. The node-privacy baseline (maximum degree)
-is also provided.
+path count and removed edges are found. A node's cycle-isolation cost is a
+closed form, ``k - pieces``: its ``k`` surviving edges minus the pieces of
+the remaining graph without the node that they reach, one O(|V| + |E|)
+traversal with no search. The exact value still runs one max flow per
+pair, so it is guarded by a node-count limit. Larger graphs get ``max_s
+degree(s) - component_increase(s)``, an upper bound read from one
+articulation-point DFS in O(|V| + |E|), when labels compose; otherwise the
+same loop reads each isolation cost as ``degree - component_increase - 1``
+from that DFS, O(1) per cost and exact, because the loop removes at most
+one edge. The node-privacy baseline (maximum degree) is also provided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Mapping
 
 from .errors import ConfigInvalid, GraphTooLarge, SameNode
 from .pairgraph import NodeId, PairGraph
@@ -34,14 +35,6 @@ KAPPA_METHODS = ("auto", "exact", "upper", "node-dp")
 
 #: Node-count guard for the exact computation.
 DEFAULT_EXACT_LIMIT = 64
-
-#: Cap on edge scans one exact computation may spend searching for cycles;
-#: read when each search starts.
-SEARCH_BUDGET = 200_000_000
-
-#: ``auto`` only attempts the exact computation below this edge density;
-#: dense graphs make the cycle-isolation search explode.
-_AUTO_DENSITY_LIMIT = 3.0
 
 #: Record per-pair terms only while the pair loop stays this small.
 _TERMS_NODE_LIMIT = 24
@@ -54,13 +47,13 @@ class KappaReport:
     ``method`` records which variant produced the value; ``witness_pair``
     is a pair achieving the maximum (exact methods only) and
     ``per_pair_terms`` maps pairs to their (path count, c_s, c_t) triples
-    on small graphs.
+    on small graphs, as a :class:`PairTerms`.
     """
 
     kappa: int
     method: str
     witness_pair: tuple[NodeId, NodeId] | None = None
-    per_pair_terms: dict[tuple[NodeId, NodeId], tuple[int, int, int]] | None = None
+    per_pair_terms: Mapping[tuple[NodeId, NodeId], tuple[int, int, int]] | None = None
     detail: str | None = None
 
     def __post_init__(self):
@@ -83,6 +76,44 @@ class KappaReport:
         if self.detail is not None:
             d["detail"] = self.detail
         return d
+
+
+class PairTerms(Mapping):
+    """Read-only per-pair terms of a graph of at most 24 nodes, 3 bytes per
+    pair.
+
+    Keys are the node-id pairs ``(a, b)`` with ``a`` before ``b`` in index
+    order, iterated in ``combinations`` order; a reversed or unknown key
+    raises ``KeyError``. Every term is at most the degree, below 256.
+    """
+
+    __slots__ = ("_ids", "_terms")
+
+    def __init__(self, ids: tuple[NodeId, ...], terms: bytes):
+        self._ids = ids
+        self._terms = terms
+
+    def __getitem__(self, key) -> tuple[int, int, int]:
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise KeyError(key)
+        try:
+            a, b = (self._ids.index(v) for v in key)
+        except ValueError:
+            raise KeyError(key) from None
+        if a >= b:
+            raise KeyError(key)
+        # pairs before (a, b) in combinations order, times 3 bytes
+        at = 3 * (a * (2 * len(self._ids) - a - 1) // 2 + b - a - 1)
+        return tuple(self._terms[at:at + 3])
+
+    def __iter__(self) -> Iterator[tuple[NodeId, NodeId]]:
+        return combinations(self._ids, 2)
+
+    def __len__(self) -> int:
+        return len(self._terms) // 3
+
+    def __repr__(self) -> str:
+        return f"PairTerms({dict(self)!r})"
 
 
 # --- edge-disjoint paths (unit-capacity max flow) --------------------------
@@ -177,99 +208,34 @@ def _edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _shortest_cycle_through(
-    adj: Sequence[Sequence[int]], s: int, removed: set[tuple[int, int]]
-) -> tuple[list[tuple[int, int]] | None, int]:
-    """Edge list of a short simple cycle through ``s`` (None if no cycle
-    passes through s), plus the number of edge scans spent looking.
-
-    One BFS from s labels every vertex with its first-hop branch; any
-    surviving edge joining two different branches closes a cycle through
-    s (branch subtrees only meet at s), and a cycle exists iff some such
-    bridging edge does. The shortest bridged cycle is returned.
-    """
-    work = len(adj[s])
-    nbrs = [w for w in adj[s] if _edge_key(s, w) not in removed]
-    if len(nbrs) < 2:
-        return None, work
-    dist = {s: 0}
-    parent: dict[int, int] = {}
-    branch: dict[int, int] = {}
-    queue = list(nbrs)
-    for u in nbrs:
-        dist[u] = 1
-        parent[u] = s
-        branch[u] = u
-    best: tuple[int, int, int] | None = None  # (cycle length, v, w)
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        if best is not None and best[0] <= 2 * dist[v]:
-            break  # deeper bridges cannot beat the current cycle
-        work += len(adj[v])
-        for w in adj[v]:
-            if w == s or _edge_key(v, w) in removed:
-                continue
-            if w in dist:
-                if branch[w] != branch[v]:
-                    length = dist[v] + dist[w] + 1
-                    if best is None or length < best[0]:
-                        best = (length, v, w)
-                continue
-            dist[w] = dist[v] + 1
-            parent[w] = v
-            branch[w] = branch[v]
-            queue.append(w)
-    if best is None:
-        return None, work
-    _, v, w = best
-    edges = [_edge_key(v, w)]
-    for node in (v, w):
-        while node != s:
-            edges.append(_edge_key(parent[node], node))
-            node = parent[node]
-    return edges, work
-
-
 def _exact_isolation(g: PairGraph) -> Callable[[int, frozenset], int]:
-    """Exact cycle-isolation cost of a node once the given edges are gone.
-
-    Every search made through one returned function spends from one
-    budget of ``SEARCH_BUDGET`` edge scans, read when each search starts.
+    """Exact cycle-isolation cost of a node once the given edges are gone,
+    in O(|V| + |E|) per call: ``k - pieces`` as in
+    :func:`cycle_isolation_count`, where ``k`` counts the node's surviving
+    edges and ``pieces`` the components of the remaining graph without the
+    node that its surviving neighbours reach.
     """
     adj = [g.neighbor_indices(v) for v in range(g.num_nodes)]
-    spent = [0]  # one budget for the whole computation, not per node
 
-    def isolation(si: int, base_removed: frozenset[tuple[int, int]]) -> int:
-        budget = SEARCH_BUDGET
-
-        def solvable(removed: set[tuple[int, int]], depth: int) -> bool:
-            cycle, work = _shortest_cycle_through(adj, si, removed)
-            spent[0] += work
-            if spent[0] > budget:
-                raise GraphTooLarge(
-                    f"cycle isolation for node {g.node_id(si)!r} exceeded the "
-                    f"search budget of {budget} edge scans; use the upper "
-                    "bound instead"
-                )
-            if cycle is None:
-                return True
-            if depth == 0:
-                return False
-            for e in cycle:
-                removed.add(e)
-                if solvable(removed, depth - 1):
-                    removed.discard(e)
-                    return True
-                removed.discard(e)
-            return False
-
-        max_depth = sum(1 for w in adj[si] if _edge_key(si, w) not in base_removed)
-        for k in range(max_depth + 1):
-            if solvable(set(base_removed), k):
-                return k
-        return max_depth  # pragma: no cover - loop always returns by max_depth
+    def isolation(si: int, removed: frozenset[tuple[int, int]]) -> int:
+        seen = {si}
+        k = pieces = 0
+        for w in adj[si]:
+            if _edge_key(si, w) in removed:
+                continue
+            k += 1
+            if w in seen:
+                continue
+            pieces += 1
+            seen.add(w)
+            stack = [w]
+            while stack:
+                v = stack.pop()
+                for x in adj[v]:
+                    if x not in seen and _edge_key(v, x) not in removed:
+                        seen.add(x)
+                        stack.append(x)
+        return k - pieces
 
     return isolation
 
@@ -277,10 +243,12 @@ def _exact_isolation(g: PairGraph) -> Callable[[int, frozenset], int]:
 def cycle_isolation_count(g: PairGraph, s: NodeId) -> int:
     """Minimum number of edge deletions leaving ``s`` on no cycle.
 
-    Exact: iterative deepening from zero deletions, branching on the edges
-    of a shortest remaining cycle through s (any valid deletion set must
-    hit that cycle). Raises :class:`GraphTooLarge` once the search spends
-    more than the module's ``SEARCH_BUDGET`` edge scans.
+    Exact, in O(|V| + |E|) and with no search budget: ``degree(s) -
+    pieces``, where ``pieces`` counts the components of ``g - s`` that
+    ``s``'s neighbours reach. Keeping one edge of ``s`` into each piece
+    leaves ``s`` on no cycle; any cheaper set would have to delete edges
+    away from ``s``, and each such deletion splits off at most one more
+    piece, so it never saves more than it costs.
     """
     return _exact_isolation(g)(g.node_index(s), frozenset())
 
@@ -343,9 +311,7 @@ def _pair_loop(
 
     best = -1
     witness: tuple[int, int] | None = None
-    terms: dict[tuple[NodeId, NodeId], tuple[int, int, int]] = {}
-    # a report holds a triple per pair but few distinct ones: share them
-    triples: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    terms = bytearray()  # (n_paths, cs, ct) per pair, in loop order
     for a, b in combinations(range(n), 2) if record_terms else high_bounds_first():
         if not record_terms and bound(a, b) <= best:
             break  # nothing later can exceed the current maximum
@@ -361,8 +327,7 @@ def _pair_loop(
             n_paths, cs, ct = 0, c_full(a), c_full(b)
         term = n_paths + min(cs, ct)
         if record_terms:
-            triple = (n_paths, cs, ct)
-            terms[(g.node_id(a), g.node_id(b))] = triples.setdefault(triple, triple)
+            terms += bytes((n_paths, cs, ct))
         if term > best:
             best = term
             witness = (a, b)
@@ -371,20 +336,25 @@ def _pair_loop(
         best,
         method,
         witness_pair=(g.node_id(witness[0]), g.node_id(witness[1])),
-        per_pair_terms=terms if record_terms else None,
+        per_pair_terms=(
+            PairTerms(tuple(g.nodes()), bytes(terms)) if record_terms else None
+        ),
         detail=detail,
     )
 
 
 def _degree_bound(g: PairGraph) -> Callable[[int, frozenset], int]:
-    """Isolation bound ``degree - component_increase - 1`` of a node once the
-    given edges are gone, in O(1) per call after one DFS.
+    """Cycle-isolation cost ``degree - component_increase - 1`` of a node
+    once the given edges are gone, in O(1) per call after one DFS.
 
-    The pair loop removes at most the pair's own edge. Deleting a node's
-    edge to ``w`` takes ``w``'s piece away from the node only when the edge
-    is a bridge; otherwise ``w`` stays joined to another neighbour. So a
-    dropped bridge lowers degree and increase alike, and leaves the bound
-    as it was; any other dropped edge lowers it by one.
+    This is the closed form of :func:`_exact_isolation` with ``pieces =
+    component_increase + 1``, so it is exact whenever at most one removed
+    edge touches the node, which holds for every call the pair loop makes:
+    it removes at most the pair's own edge. Deleting a node's edge to ``w``
+    takes ``w``'s piece away from the node only when the edge is a bridge;
+    otherwise ``w`` stays joined to another neighbour. So a dropped bridge
+    lowers degree and increase alike, and leaves the cost as it was; any
+    other dropped edge lowers it by one.
     """
     increase, bridges = g.removal_effects()
 
@@ -409,10 +379,12 @@ def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaRe
     A pair in one component counts its edge-disjoint paths, removes one
     deterministic maximum path set, and adds the cheaper cycle-isolation
     cost on the remainder; a pair across components adds the cheaper
-    whole-graph cost, searched when first read. The witness is the first
-    maximising pair in the loop's order. Guarded by ``exact_limit`` nodes
-    and, across all searches together, by ``SEARCH_BUDGET`` edge scans
-    (:class:`GraphTooLarge` past either).
+    whole-graph cost, computed when first read. Each cost is the closed
+    form ``k - pieces`` of :func:`cycle_isolation_count`, one traversal of
+    the remainder without the node, so there is no search and no budget:
+    the work is one max flow and at most two traversals per pair. The
+    witness is the first maximising pair in the loop's order. Guarded by
+    ``exact_limit`` nodes (:class:`GraphTooLarge` past it).
     """
     _check_exact_limit(g, exact_limit, "kappa_upper")
     if g.num_edges == 0:
@@ -471,10 +443,12 @@ def kappa_intransitive(
     as a path: adjacent pairs cost one for that edge plus the cheaper cycle
     isolation after deleting it; non-adjacent pairs cost the cheaper cycle
     isolation on the whole graph. The witness is the first maximising pair
-    in the loop's order. ``exact=False`` replaces each cycle-isolation cost
-    with the bound ``degree - component_increase - 1``, measured without the
-    removed edge: one O(|V| + |E|) DFS, then O(1) per cost. It has no size
-    guard.
+    in the loop's order. ``exact=False`` reads each cycle-isolation cost as
+    ``degree - component_increase - 1``, measured without the removed edge:
+    one O(|V| + |E|) DFS, then O(1) per cost. Since the loop removes at most
+    one edge, that is the exact cost, and both modes give the same value
+    and witness; ``exact=False`` has no size guard, and the modes differ
+    only in ``detail``.
     """
     detail = "exact" if exact else "bound"
     if g.num_edges == 0:
@@ -498,34 +472,21 @@ def compute_kappa(
 ) -> KappaReport:
     """Dispatch to the variant matching ``method`` and the relation kind.
 
-    ``auto`` uses the exact computation when the graph fits under
-    ``exact_limit`` nodes and is sparse enough for the cycle search
-    (falling back to the bound when the search spends more than the
-    module's ``SEARCH_BUDGET`` edge scans), and the bound otherwise: the
-    upper bound for transitive relations, the intransitive variant's
-    ``exact=False`` mode for intransitive ones. ``exact`` raises
-    :class:`GraphTooLarge` instead of falling back.
+    ``auto`` runs the exact computation exactly when the graph has at
+    most ``exact_limit`` nodes, and the bound otherwise: the upper bound
+    for transitive relations, the intransitive variant's ``exact=False``
+    mode for intransitive ones. ``exact`` raises :class:`GraphTooLarge`
+    above the limit. Cycle isolation is closed form (``k - pieces``, see
+    :func:`cycle_isolation_count`), so the exact computation has no search
+    budget and never falls back.
     """
     if method not in KAPPA_METHODS:
         raise ConfigInvalid(f"unknown method {method!r}")
     if method == "node-dp":
         return kappa_node_dp(g)
-    if g.relation_kind == "intransitive":
-        exact = partial(kappa_intransitive, g, exact=True, exact_limit=exact_limit)
-        bound = partial(kappa_intransitive, g, exact=False)
-    else:
-        exact = partial(kappa_exact, g, exact_limit=exact_limit)
-        bound = partial(kappa_upper, g)
-    attempt_exact = method == "exact" or (
-        method == "auto"
-        and g.num_nodes <= exact_limit
-        and g.num_edges <= _AUTO_DENSITY_LIMIT * max(1, g.num_nodes)
-    )
-    if not attempt_exact:
-        return bound()
-    try:
-        return exact()
-    except GraphTooLarge:
-        if method == "exact":
-            raise
-        return bound()
+    intransitive = g.relation_kind == "intransitive"
+    if method == "upper" or (method == "auto" and g.num_nodes > exact_limit):
+        return kappa_intransitive(g, exact=False) if intransitive else kappa_upper(g)
+    if intransitive:
+        return kappa_intransitive(g, exact_limit=exact_limit)
+    return kappa_exact(g, exact_limit=exact_limit)

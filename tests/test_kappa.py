@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import gc
 import logging
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
 from dppdml import dataio, kappa
 from dppdml.errors import GraphTooLarge, SameNode, UnknownNode
 from dppdml.kappa import (
+    KappaReport,
     compute_kappa,
     cycle_isolation_count,
     kappa_exact,
@@ -132,6 +136,41 @@ class TestCycleIsolation:
                     n, edges, cycles, v, alive
                 )
 
+    def test_closed_form_matches_oracle_after_removals(self, rng):
+        """``k - pieces`` after the removed sets the pair loop passes (a
+        max-flow path set, or a pair's own edge) and after random ones,
+        against the subset-search oracle on the remaining edges."""
+        checked = 0
+        for _ in range(300):
+            n, edges = oracles.random_graph(rng, max_nodes=9, max_edges=14)
+            g = graph_from_edges(edges, n_nodes=n)
+            isolation = kappa._exact_isolation(g)
+            cycles = oracles.cycle_masks(n, edges)
+            key_bit = {
+                kappa._edge_key(g.node_index(a), g.node_index(b)): 1 << k
+                for k, (a, b) in enumerate(edges)
+            }
+            removed_sets = [frozenset()]
+            removed_sets += [frozenset({k}) for k in key_bit]
+            a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+            _, paths = max_edge_disjoint_paths(g, a, b)
+            removed_sets.append(frozenset(
+                kappa._edge_key(g.node_index(x), g.node_index(y))
+                for p in paths for x, y in zip(p, p[1:])
+            ))
+            for _ in range(3):
+                removed_sets.append(frozenset(
+                    k for k in key_bit if rng.random() < 0.4
+                ))
+            for removed in removed_sets:
+                alive = sum(key_bit.values()) - sum(key_bit[e] for e in removed)
+                for v in range(n):
+                    assert isolation(g.node_index(v), removed) == (
+                        oracles.cycle_isolation(n, edges, cycles, v, alive)
+                    ), (n, edges, v, sorted(removed))
+                    checked += 1
+        assert checked > 10_000
+
 
 class TestKappaExact:
     def test_tree_value_is_one(self):
@@ -217,6 +256,66 @@ class TestKappaExact:
         assert report.kappa == max(
             n + min(cs, ct) for n, cs, ct in report.per_pair_terms.values()
         )
+
+    def test_compact_terms_behave_like_the_plain_dict(self, rng):
+        """The report's terms equal a plain dict built by the same loop:
+        same keys in the same order, values, ``len``, ``==`` both ways and
+        ``to_dict()``; a reversed or unknown key raises ``KeyError``."""
+        for relation in ("transitive", "intransitive"):
+            for _ in range(40):
+                n, edges = oracles.random_graph(rng, max_nodes=12, max_edges=20)
+                if not edges:
+                    continue
+                g = graph_from_edges(edges, relation=relation, n_nodes=n)
+                plain = {}
+                for a, b in combinations(g.nodes(), 2):
+                    if relation == "intransitive":
+                        count = int(g.has_edge(a, b))
+                        dropped = [(a, b)] if count else []
+                    else:
+                        count, paths = max_edge_disjoint_paths(g, a, b)
+                        dropped = [e for p in paths for e in zip(p, p[1:])]
+                    sub = oracles.remove_edges(g, dropped)
+                    plain[(a, b)] = (count, cycle_isolation_count(sub, a),
+                                     cycle_isolation_count(sub, b))
+                report = compute_kappa(g, method="exact")
+                terms = report.per_pair_terms
+                assert not isinstance(terms, dict)
+                assert list(terms) == list(plain)
+                assert list(terms.items()) == list(plain.items())
+                assert list(terms.values()) == list(plain.values())
+                assert len(terms) == len(plain) == n * (n - 1) // 2
+                assert terms == plain and plain == terms
+                assert all(terms[k] == v for k, v in plain.items())
+                with_dict = KappaReport(
+                    report.kappa, report.method, report.witness_pair, plain,
+                    report.detail,
+                )
+                assert report.to_dict() == with_dict.to_dict()
+                a, b = next(iter(plain))
+                assert (a, b) in terms and (b, a) not in terms
+                for bad in [(b, a), (a, n + 5), (n + 5, a), (a, a), (a,), a]:
+                    with pytest.raises(KeyError):
+                        terms[bad]
+
+    def test_report_of_16_nodes_keeps_about_2kb(self):
+        g = graph_from_edges(
+            [(k, (k + 1) % 16) for k in range(16)]
+            + [(k, (k + 5) % 16) for k in range(16)]
+        )
+        assert g.num_nodes == 16
+        kappa_exact(g)  # warm any lazily built module state
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = kappa_exact(g)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(report.per_pair_terms) == 120
+        assert kept <= 2048, kept
 
     def test_guard_rejects_large_graphs(self):
         g = graph_from_edges([(k, k + 1) for k in range(70)])
@@ -392,6 +491,20 @@ class TestKappaIntransitive:
                 maximisers, key=lambda k: (g.node_index(k[0]), g.node_index(k[1]))
             )
 
+    def test_bound_mode_is_exact(self, rng):
+        """The pair loop removes at most one edge, so ``exact=False`` gives
+        the value, witness and terms of ``exact=True``."""
+        sizes = []
+        for _ in range(80):
+            n, edges = oracles.random_graph(rng, max_nodes=40, max_edges=90)
+            g = graph_from_edges(edges, relation="intransitive", n_nodes=n)
+            exact = kappa_intransitive(g, exact=True).to_dict()
+            bound = kappa_intransitive(g, exact=False).to_dict()
+            assert (exact.pop("detail"), bound.pop("detail")) == ("exact", "bound")
+            assert bound == exact
+            sizes.append(n)
+        assert max(sizes) > 30 and min(sizes) <= 24
+
     @pytest.mark.parametrize("exact", [True, False])
     def test_pruned_pair_loop_matches_plain_loop_on_midsize_graphs(
         self, rng, exact
@@ -475,25 +588,27 @@ class TestDominanceAndDispatch:
         assert report.method == "upper_bound"
         assert report.kappa == 1
 
-    def test_auto_routes_dense_graphs_to_bound(self):
+    def test_auto_runs_exact_on_dense_graphs(self):
         k12 = graph_from_edges(
             [(i, j) for i in range(12) for j in range(i + 1, 12)]
         )
         report = compute_kappa(k12)
-        assert report.method == "upper_bound"
+        assert report.method == "exact"
         assert report.kappa == 11
 
-    def test_forced_exact_respects_search_budget(self, monkeypatch):
-        samples = dataio.normalize(dataio.synth_two_gaussians(12, seed=2))
-        g = build_graph(dataio.sample_pairs(samples, 3.0, seed=2))
-        # sparse enough that auto attempts the exact computation
-        assert (g.num_nodes, g.num_edges) == (24, 72)
-        monkeypatch.setattr(kappa, "SEARCH_BUDGET", 10_000)
-        with pytest.raises(GraphTooLarge):
-            compute_kappa(g, method="exact")
-        # auto degrades to the bound instead of raising
+    @pytest.mark.parametrize("seed, expected", [
+        (3, 11), (4, 11), (5, 10), (6, 11), (7, 11), (8, 11),
+    ])
+    def test_auto_is_exact_on_64_node_graphs(self, seed, expected):
+        """``synth`` graphs of 32 samples per class at density 2.95: the
+        size where a cycle search used to run out of budget."""
+        samples = dataio.normalize(dataio.synth_two_gaussians(32, seed=seed))
+        g = build_graph(dataio.sample_pairs(samples, 2.95, seed=seed))
+        assert 63 <= g.num_nodes <= kappa.DEFAULT_EXACT_LIMIT
         report = compute_kappa(g)
-        assert report.method == "upper_bound"
+        assert report.method == "exact"
+        assert report.kappa == expected
+        assert report.kappa <= kappa_upper(g).kappa
 
     def test_auto_respects_relation_kind(self):
         g = graph_from_edges(TRIANGLE, relation="intransitive")
