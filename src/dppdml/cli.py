@@ -83,6 +83,32 @@ def _float_list(cfg: dict, key: str) -> list[float]:
         raise ConfigInvalid(f"--{key} must list numbers, got {cfg[key]!r}") from None
 
 
+#: Options unset (``None``) by default that take a number when set, and
+#: comma-separated options, which a config file may also give as a list.
+_OPTIONAL_NUMBERS = {"margin", "staircase_gamma"}
+_LIST_OPTIONS = {"methods", "epsilons", "mechanisms"}
+
+
+def _check_config_type(key: str, value, default) -> None:
+    """A config-file value must have its default's type: any number for a
+    float, an int but no bool for an int (JSON ``true`` is a Python int), a
+    string or list for a comma-separated option, and for an option unset by
+    default ``null`` or, once set, a number or a string."""
+    if default is None:
+        if value is None:
+            return
+        default = 0.0 if key in _OPTIONAL_NUMBERS else ""
+    types = (int, float) if isinstance(default, float) else type(default)
+    if key in _LIST_OPTIONS:
+        types = (str, list)
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(
+        value, types
+    ):
+        raise ConfigInvalid(
+            f"config key {key!r} must be {type(default).__name__}, got {value!r}"
+        )
+
+
 def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     """Layer explicit CLI flags over the config file over defaults."""
     merged = dict(defaults)
@@ -98,6 +124,7 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
                 continue
             if key not in merged:
                 raise DppError(f"config file {config_path}: unknown key {key!r}")
+            _check_config_type(key, value, merged[key])
             merged[key] = value
     for key, value in provided.items():
         if key in ("command", "func"):

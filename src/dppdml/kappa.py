@@ -9,16 +9,17 @@ labels do not compose (intransitive relations) only the pair's own edge
 counts as a path.
 
 Both relation kinds run one pair loop, which differs only in how a pair's
-path count and removed edges are found. A node's cycle-isolation cost is a
-closed form, ``k - pieces``: its ``k`` surviving edges minus the pieces of
-the remaining graph without the node that they reach, one O(|V| + |E|)
-traversal with no search. The exact value still runs one max flow per
-pair, so it is guarded by a node-count limit. Larger graphs get ``max_s
-degree(s) - component_increase(s)``, an upper bound read from one
-articulation-point DFS in O(|V| + |E|), when labels compose; otherwise the
-same loop reads each isolation cost as ``degree - component_increase - 1``
-from that DFS, O(1) per cost and exact, because the loop removes at most
-one edge. The node-privacy baseline (maximum degree) is also provided.
+path count and isolation costs are found. A node's cycle-isolation cost is
+a closed form, ``k - pieces``: its ``k`` surviving edges minus the pieces
+of the remaining graph without the node that they reach. With no edge
+removed that is ``degree - component_increase - 1``, read for every node
+from one articulation-point DFS. When labels compose, each pair runs one
+max flow and each cost one O(|V| + |E|) traversal, so the exact value is
+guarded by a node-count limit; larger graphs get ``max_s degree(s) -
+component_increase(s)``, an upper bound from the same DFS. When they do
+not, the loop removes at most the pair's own edge, which lowers a cost by
+one unless it is a bridge, so every cost is O(1) and the value is exact at
+any size. The node-privacy baseline (maximum degree) is also provided.
 """
 
 from __future__ import annotations
@@ -80,34 +81,32 @@ class KappaReport:
 
 class PairTerms(Mapping):
     """Read-only per-pair terms of a graph of at most 24 nodes, 3 bytes per
-    pair.
+    pair, keyed through the graph's own node index (the graph is shared,
+    not copied).
 
     Keys are the node-id pairs ``(a, b)`` with ``a`` before ``b`` in index
     order, iterated in ``combinations`` order; a reversed or unknown key
     raises ``KeyError``. Every term is at most the degree, below 256.
     """
 
-    __slots__ = ("_ids", "_terms")
+    __slots__ = ("_graph", "_terms")
 
-    def __init__(self, ids: tuple[NodeId, ...], terms: bytes):
-        self._ids = ids
+    def __init__(self, graph: PairGraph, terms: bytes):
+        self._graph = graph
         self._terms = terms
 
     def __getitem__(self, key) -> tuple[int, int, int]:
         if not isinstance(key, tuple) or len(key) != 2:
             raise KeyError(key)
-        try:
-            a, b = (self._ids.index(v) for v in key)
-        except ValueError:
-            raise KeyError(key) from None
+        a, b = (self._graph.node_index(v) for v in key)  # UnknownNode: a KeyError
         if a >= b:
             raise KeyError(key)
         # pairs before (a, b) in combinations order, times 3 bytes
-        at = 3 * (a * (2 * len(self._ids) - a - 1) // 2 + b - a - 1)
+        at = 3 * (a * (2 * self._graph.num_nodes - a - 1) // 2 + b - a - 1)
         return tuple(self._terms[at:at + 3])
 
     def __iter__(self) -> Iterator[tuple[NodeId, NodeId]]:
-        return combinations(self._ids, 2)
+        return combinations(self._graph.nodes(), 2)
 
     def __len__(self) -> int:
         return len(self._terms) // 3
@@ -138,12 +137,13 @@ def max_edge_disjoint_paths(
 
 
 def _unit_max_flow(g: PairGraph, s: int, t: int) -> tuple[int, list[set[int]]]:
+    """Value and flow of a unit-capacity max flow, the flow held as each
+    node's successor set: one unit runs v -> w iff ``w in used[v]``, so
+    v -> w has residual capacity iff it carries no flow, and pushing a unit
+    against a flow cancels it."""
     n = g.num_nodes
-    cap: dict[tuple[int, int], int] = {}
     adj = [g.neighbor_indices(v) for v in range(n)]
-    for a, b in g.iter_edge_indices():
-        cap[(a, b)] = 1
-        cap[(b, a)] = 1
+    used: list[set[int]] = [set() for _ in range(n)]
     value = 0
     while True:
         parent = [-1] * n
@@ -154,26 +154,20 @@ def _unit_max_flow(g: PairGraph, s: int, t: int) -> tuple[int, list[set[int]]]:
             v = queue[head]
             head += 1
             for w in adj[v]:
-                if parent[w] == -1 and cap[(v, w)] > 0:
+                if parent[w] == -1 and w not in used[v]:
                     parent[w] = v
                     queue.append(w)
         if parent[t] == -1:
-            break
+            return value, used
         v = t
         while v != s:
             u = parent[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
+            if u in used[v]:
+                used[v].discard(u)
+            else:
+                used[u].add(v)
             v = u
         value += 1
-    # net unit flow u -> v shows up as cap[(v, u)] == 2
-    used: list[set[int]] = [set() for _ in range(n)]
-    for a, b in g.iter_edge_indices():
-        if cap[(b, a)] == 2:
-            used[a].add(b)
-        elif cap[(a, b)] == 2:
-            used[b].add(a)
-    return value, used
 
 
 def _decompose_paths(
@@ -256,23 +250,36 @@ def cycle_isolation_count(g: PairGraph, s: NodeId) -> int:
 # --- privacy distance variants ---------------------------------------------
 
 
+def _whole_graph_costs(g: PairGraph) -> tuple[list[int], set[tuple[int, int]]]:
+    """Every node's cycle-isolation cost with no edge removed, ``max(0,
+    degree - component_increase - 1)`` (``k - pieces`` with ``pieces =
+    component_increase + 1``; 0 for an isolated node), and the bridges, both
+    from one articulation-point DFS."""
+    increase, bridges = g.removal_effects()
+    c_full = [
+        max(0, len(g.neighbor_indices(v)) - increase[v] - 1)
+        for v in range(g.num_nodes)
+    ]
+    return c_full, bridges
+
+
 def _pair_loop(
     g: PairGraph,
     method: str,
+    c_full: list[int],
     linked: Callable[[int, int], bool],
     paths: Callable[[int, int], tuple[int, frozenset[tuple[int, int]]]],
     isolation: Callable[[int, frozenset[tuple[int, int]]], int],
-    detail: str | None = None,
 ) -> KappaReport:
     """Largest pair term of a graph with edges, with its witness.
 
     A linked pair's term is its path count plus the cheaper isolation cost
     once ``paths``' edges are removed; any other pair's term is the cheaper
-    whole-graph cost, computed when first read. Up to the term-recording
-    size, pairs run in index order and every term is recorded. Above it, a
-    forest returns 1 at once; otherwise pairs run from the highest bound
-    down and the loop stops once no later pair can exceed the maximum. The
-    witness is the first maximising pair in the loop's order.
+    whole-graph cost ``c_full``. Up to the term-recording size, pairs run in
+    index order and every term is recorded. Above it, a forest returns 1 at
+    once; otherwise pairs run from the highest bound down and the loop stops
+    once no later pair can exceed the maximum. The witness is the first
+    maximising pair in the loop's order.
 
     The bound is ``min(degree[a], degree[b])``. Each of a linked pair's
     paths takes one edge from each endpoint, and an isolation cost is at
@@ -285,16 +292,9 @@ def _pair_loop(
     if not record_terms and g.num_edges == n - g.component_count():
         # forest: no cycles, and every linked pair has exactly one path;
         # nodes 0 and 1 are the first pair's endpoints, so linked and first
-        witness_pair = (g.node_id(0), g.node_id(1))
-        return KappaReport(1, method, witness_pair=witness_pair, detail=detail)
+        return KappaReport(1, method, witness_pair=(g.node_id(0), g.node_id(1)))
 
     degree = [len(g.neighbor_indices(v)) for v in range(n)]
-    c_full_known: dict[int, int] = {}
-
-    def c_full(v: int) -> int:
-        if v not in c_full_known:
-            c_full_known[v] = isolation(v, frozenset())
-        return c_full_known[v]
 
     def bound(a: int, b: int) -> int:
         return min(degree[a], degree[b])
@@ -317,14 +317,14 @@ def _pair_loop(
             break  # nothing later can exceed the current maximum
         if linked(a, b):
             n_paths, removed = paths(a, b)
-            if not record_terms and n_paths + min(c_full(a), c_full(b)) <= best:
+            if not record_terms and n_paths + min(c_full[a], c_full[b]) <= best:
                 continue  # removal only lowers isolation costs
             cs = isolation(a, removed)
             if not record_terms and n_paths + cs <= best:
                 continue  # min(cs, ct) cannot exceed cs
             ct = isolation(b, removed)
         else:
-            n_paths, cs, ct = 0, c_full(a), c_full(b)
+            n_paths, cs, ct = 0, c_full[a], c_full[b]
         term = n_paths + min(cs, ct)
         if record_terms:
             terms += bytes((n_paths, cs, ct))
@@ -337,40 +337,9 @@ def _pair_loop(
         method,
         witness_pair=(g.node_id(witness[0]), g.node_id(witness[1])),
         per_pair_terms=(
-            PairTerms(tuple(g.nodes()), bytes(terms)) if record_terms else None
+            PairTerms(g, bytes(terms)) if record_terms else None
         ),
-        detail=detail,
     )
-
-
-def _degree_bound(g: PairGraph) -> Callable[[int, frozenset], int]:
-    """Cycle-isolation cost ``degree - component_increase - 1`` of a node
-    once the given edges are gone, in O(1) per call after one DFS.
-
-    This is the closed form of :func:`_exact_isolation` with ``pieces =
-    component_increase + 1``, so it is exact whenever at most one removed
-    edge touches the node, which holds for every call the pair loop makes:
-    it removes at most the pair's own edge. Deleting a node's edge to ``w``
-    takes ``w``'s piece away from the node only when the edge is a bridge;
-    otherwise ``w`` stays joined to another neighbour. So a dropped bridge
-    lowers degree and increase alike, and leaves the cost as it was; any
-    other dropped edge lowers it by one.
-    """
-    increase, bridges = g.removal_effects()
-
-    def isolation(v: int, removed: frozenset[tuple[int, int]]) -> int:
-        lost = sum(v in e and e not in bridges for e in removed)
-        return max(0, len(g.neighbor_indices(v)) - increase[v] - 1 - lost)
-
-    return isolation
-
-
-def _check_exact_limit(g: PairGraph, exact_limit: int, instead: str) -> None:
-    if g.num_nodes > exact_limit:
-        raise GraphTooLarge(
-            f"graph has {g.num_nodes} nodes, exact computation is guarded "
-            f"at {exact_limit}; use {instead}"
-        )
 
 
 def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaReport:
@@ -379,14 +348,18 @@ def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaRe
     A pair in one component counts its edge-disjoint paths, removes one
     deterministic maximum path set, and adds the cheaper cycle-isolation
     cost on the remainder; a pair across components adds the cheaper
-    whole-graph cost, computed when first read. Each cost is the closed
-    form ``k - pieces`` of :func:`cycle_isolation_count`, one traversal of
-    the remainder without the node, so there is no search and no budget:
-    the work is one max flow and at most two traversals per pair. The
-    witness is the first maximising pair in the loop's order. Guarded by
+    whole-graph cost. Each cost on a remainder is the closed form ``k -
+    pieces`` of :func:`cycle_isolation_count`, one traversal of the
+    remainder without the node, so there is no search and no budget: the
+    work is one max flow and at most two traversals per pair. The witness
+    is the first maximising pair in the loop's order. Guarded by
     ``exact_limit`` nodes (:class:`GraphTooLarge` past it).
     """
-    _check_exact_limit(g, exact_limit, "kappa_upper")
+    if g.num_nodes > exact_limit:
+        raise GraphTooLarge(
+            f"graph has {g.num_nodes} nodes, exact computation is guarded "
+            f"at {exact_limit}; use kappa_upper"
+        )
     if g.num_edges == 0:
         return KappaReport(0, "exact")
     comp_of = {v: ci for ci, comp in enumerate(g.components()) for v in comp}
@@ -402,6 +375,7 @@ def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaRe
     return _pair_loop(
         g,
         "exact",
+        _whole_graph_costs(g)[0],
         lambda a, b: comp_of[a] == comp_of[b],
         flow_paths,
         _exact_isolation(g),
@@ -432,36 +406,34 @@ def kappa_node_dp(g: PairGraph) -> KappaReport:
     return KappaReport(best, "node_dp")
 
 
-def kappa_intransitive(
-    g: PairGraph,
-    exact: bool = True,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-) -> KappaReport:
-    """Privacy distance when pairwise labels do not compose.
+def kappa_intransitive(g: PairGraph) -> KappaReport:
+    """Privacy distance when pairwise labels do not compose, exact at any
+    size.
 
     Runs the pair loop of :func:`kappa_exact` with only the pair's own edge
     as a path: adjacent pairs cost one for that edge plus the cheaper cycle
     isolation after deleting it; non-adjacent pairs cost the cheaper cycle
-    isolation on the whole graph. The witness is the first maximising pair
-    in the loop's order. ``exact=False`` reads each cycle-isolation cost as
-    ``degree - component_increase - 1``, measured without the removed edge:
-    one O(|V| + |E|) DFS, then O(1) per cost. Since the loop removes at most
-    one edge, that is the exact cost, and both modes give the same value
-    and witness; ``exact=False`` has no size guard, and the modes differ
-    only in ``detail``.
+    isolation on the whole graph. Deleting a node's edge to ``w`` takes
+    ``w``'s piece away from the node only when the edge is a bridge;
+    otherwise ``w`` stays joined to another neighbour. So a bridge leaves a
+    whole-graph cost as it was and any other edge lowers it by one: one
+    O(|V| + |E|) DFS, then O(1) per cost. The witness is the first
+    maximising pair in the loop's order.
     """
-    detail = "exact" if exact else "bound"
     if g.num_edges == 0:
-        return KappaReport(0, "intransitive", detail=detail)
-    if exact:
-        _check_exact_limit(g, exact_limit, "exact=False")
+        return KappaReport(0, "intransitive")
+    c_full, bridges = _whole_graph_costs(g)
+
+    def isolation(v: int, removed: frozenset[tuple[int, int]]) -> int:
+        return max(0, c_full[v] - (not removed <= bridges))
+
     return _pair_loop(
         g,
         "intransitive",
+        c_full,
         lambda a, b: b in g.neighbor_indices(a),
         lambda a, b: (1, frozenset({(a, b)})),
-        _exact_isolation(g) if exact else _degree_bound(g),
-        detail,
+        isolation,
     )
 
 
@@ -472,21 +444,23 @@ def compute_kappa(
 ) -> KappaReport:
     """Dispatch to the variant matching ``method`` and the relation kind.
 
-    ``auto`` runs the exact computation exactly when the graph has at
-    most ``exact_limit`` nodes, and the bound otherwise: the upper bound
-    for transitive relations, the intransitive variant's ``exact=False``
-    mode for intransitive ones. ``exact`` raises :class:`GraphTooLarge`
-    above the limit. Cycle isolation is closed form (``k - pieces``, see
-    :func:`cycle_isolation_count`), so the exact computation has no search
-    budget and never falls back.
+    Intransitive relations get :func:`kappa_intransitive`, exact at any
+    size, for every method but ``node-dp``. Transitive ones get
+    :func:`kappa_exact` for ``exact``, which raises :class:`GraphTooLarge`
+    above ``exact_limit`` nodes, and for ``auto`` up to that size; ``upper``
+    and larger ``auto`` runs get :func:`kappa_upper`. Cycle isolation is
+    closed form (``k - pieces``, see :func:`cycle_isolation_count`), so the
+    exact computation has no search budget and never falls back. A negative
+    ``exact_limit`` raises :class:`ConfigInvalid`.
     """
     if method not in KAPPA_METHODS:
         raise ConfigInvalid(f"unknown method {method!r}")
+    if exact_limit < 0:
+        raise ConfigInvalid(f"exact_limit must be >= 0, got {exact_limit}")
     if method == "node-dp":
         return kappa_node_dp(g)
-    intransitive = g.relation_kind == "intransitive"
+    if g.relation_kind == "intransitive":
+        return kappa_intransitive(g)
     if method == "upper" or (method == "auto" and g.num_nodes > exact_limit):
-        return kappa_intransitive(g, exact=False) if intransitive else kappa_upper(g)
-    if intransitive:
-        return kappa_intransitive(g, exact_limit=exact_limit)
+        return kappa_upper(g)
     return kappa_exact(g, exact_limit=exact_limit)

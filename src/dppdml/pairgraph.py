@@ -255,9 +255,6 @@ class PairGraph:
         """Neighbour indices of node ``idx`` in ascending order."""
         return self._adj[idx]
 
-    def iter_edge_indices(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._edges))
-
     # --- structural queries ----------------------------------------------
 
     def degree(self, n: NodeId) -> int:

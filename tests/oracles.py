@@ -126,6 +126,50 @@ def min_cut(n: int, edges: list[Edge], s: int, t: int) -> int:
     return len(edges)  # pragma: no cover
 
 
+def reference_unit_max_flow(g: PairGraph, s: int, t: int) -> tuple[int, list[set[int]]]:
+    """Unit-capacity max flow between node indices on a dict of residual
+    capacities over every edge, built for this pair alone: breadth-first
+    augmentation with neighbours in ascending index order, then the net flow
+    read back per edge (a unit u -> v shows up as ``cap[(v, u)] == 2``).
+    Returns the value and each node's set of flow successors."""
+    n = g.num_nodes
+    edges = sorted((g.node_index(a), g.node_index(b)) for a, b in g.edge_keys())
+    adj = [g.neighbor_indices(v) for v in range(n)]
+    cap = {}
+    for a, b in edges:
+        cap[(a, b)] = 1
+        cap[(b, a)] = 1
+    value = 0
+    while True:
+        parent = [-1] * n
+        parent[s] = s
+        queue = [s]
+        head = 0
+        while head < len(queue) and parent[t] == -1:
+            v = queue[head]
+            head += 1
+            for w in adj[v]:
+                if parent[w] == -1 and cap[(v, w)] > 0:
+                    parent[w] = v
+                    queue.append(w)
+        if parent[t] == -1:
+            break
+        v = t
+        while v != s:
+            u = parent[v]
+            cap[(u, v)] -= 1
+            cap[(v, u)] += 1
+            v = u
+        value += 1
+    used = [set() for _ in range(n)]
+    for a, b in edges:
+        if cap[(b, a)] == 2:
+            used[a].add(b)
+        elif cap[(a, b)] == 2:
+            used[b].add(a)
+    return value, used
+
+
 def simple_paths(n: int, edges: list[Edge], s: int, t: int) -> list[int]:
     """Edge masks of every simple s-t path."""
     incident: list[list[int]] = [[] for _ in range(n)]

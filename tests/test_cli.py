@@ -96,6 +96,16 @@ class TestAnalyzeKappa:
         assert report["method"] == "intransitive"
         assert report["kappa"] == 1
 
+    def test_intransitive_exact_has_no_size_guard(self, toy_files, capsys):
+        _, pairs_path = toy_files
+        args = ["analyze-kappa", "--pairs", pairs_path, "--relation", "intransitive"]
+        assert run(args) == 0
+        auto = capsys.readouterr().out
+        assert run(args + ["--method", "exact", "--exact-limit", 3]) == 0
+        assert capsys.readouterr().out == auto
+        report = json.loads(auto)
+        assert report["method"] == "intransitive" and "detail" not in report
+
     def test_missing_pairs_flag_exits_two(self, capsys):
         assert run(["analyze-kappa"]) == 2
         assert "pairs" in capsys.readouterr().err
@@ -324,6 +334,18 @@ BAD_OPTION_VALUES = {
                              "{pairs}", "--methods="], None),
     "compare-empty-mechanisms": (["compare-mechanisms", "--pairs", "{pairs}",
                                   "--mechanisms="], None),
+    "analyze-negative-exact-limit": (["analyze-kappa", "--pairs", "{pairs}",
+                                      "--exact-limit", -5], None),
+    "analyze-config-string-exact-limit": (["analyze-kappa", "--pairs", "{pairs}"],
+                                          {"exact_limit": "64"}),
+    "evaluate-config-string-k": (["evaluate", "--model", "{model}",
+                                  "--data", "{samples}"], {"k": "5"}),
+    "train-config-string-t-max": (["train", "--pairs", "{pairs}"], {"t_max": "3"}),
+    "train-config-true-t-max": (["train", "--pairs", "{pairs}"], {"t_max": True}),
+    "train-config-string-margin": (["train", "--pairs", "{pairs}"], {"margin": "1"}),
+    "synth-config-int-balance": (["synth"], {"balance": 1}),
+    "sweep-config-number-out": (["sweep", "--data", "{samples}", "--pairs",
+                                 "{pairs}"], {"sweep_out": 3}),
 }
 
 

@@ -112,6 +112,27 @@ class TestEdgeDisjointPaths:
                             used.add(key)
 
 
+    def test_witness_paths_match_capacity_map_reference(self, rng):
+        """``kappa_exact`` removes exactly the witness paths' edges, so its
+        terms depend on them: value and path lists must equal those of the
+        capacity-map flow, decomposed by the same walk. Breadth-first
+        augmentation rarely cancels a unit of flow; graphs of up to 20
+        nodes and 60 edges make it happen in about one graph in ten."""
+        pairs = 0
+        for _ in range(300):
+            n, edges = oracles.random_graph(rng, max_nodes=20, max_edges=60)
+            g = graph_from_edges(edges, n_nodes=n)
+            for s, t in combinations(g.nodes(), 2):
+                si, ti = g.node_index(s), g.node_index(t)
+                value, used = oracles.reference_unit_max_flow(g, si, ti)
+                want = [
+                    [g.node_id(i) for i in p]
+                    for p in kappa._decompose_paths(used, si, ti, value)
+                ]
+                assert max_edge_disjoint_paths(g, s, t) == (value, want)
+                pairs += value > 1
+        assert pairs > 300
+
 class TestCycleIsolation:
     def test_acyclic_graph_needs_nothing(self):
         g = graph_from_edges([("a", "b"), ("b", "c")])
@@ -463,17 +484,17 @@ class TestKappaIntransitive:
                 n, edges
             )
 
-    def test_bound_mode_dominates_exact(self, rng):
+    def test_terms_follow_degree_formula_and_match_oracle(self, rng):
+        checked = 0
         for _ in range(25):
             n, edges = oracles.random_graph(rng, max_nodes=6, max_edges=9)
             if not edges:
                 continue
             g = graph_from_edges(edges, relation="intransitive", n_nodes=n)
-            exact = kappa_intransitive(g, exact=True).kappa
-            report = kappa_intransitive(g, exact=False)
-            assert exact <= report.kappa
-            # each term bounds isolation by degree - increase - 1 on the
-            # graph without the pair's own edge
+            report = kappa_intransitive(g)
+            assert report.kappa == oracles.kappa_intransitive_oracle(n, edges)
+            # each isolation cost is degree - increase - 1 on the graph
+            # without the pair's own edge
             for (a, b), triple in report.per_pair_terms.items():
                 linked = g.has_edge(a, b)
                 sub = oracles.remove_edges(g, [(a, b)]) if linked else g
@@ -490,60 +511,69 @@ class TestKappaIntransitive:
             assert report.witness_pair == min(
                 maximisers, key=lambda k: (g.node_index(k[0]), g.node_index(k[1]))
             )
+            checked += 1
+        assert checked >= 20
 
-    def test_bound_mode_is_exact(self, rng):
-        """The pair loop removes at most one edge, so ``exact=False`` gives
-        the value, witness and terms of ``exact=True``."""
-        sizes = []
-        for _ in range(80):
-            n, edges = oracles.random_graph(rng, max_nodes=40, max_edges=90)
-            g = graph_from_edges(edges, relation="intransitive", n_nodes=n)
-            exact = kappa_intransitive(g, exact=True).to_dict()
-            bound = kappa_intransitive(g, exact=False).to_dict()
-            assert (exact.pop("detail"), bound.pop("detail")) == ("exact", "bound")
-            assert bound == exact
-            sizes.append(n)
-        assert max(sizes) > 30 and min(sizes) <= 24
-
-    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("by_count", [True, False])
     def test_pruned_pair_loop_matches_plain_loop_on_midsize_graphs(
-        self, rng, exact
+        self, rng, by_count
     ):
-        """Above the term-recording size the shared pair loop prunes and
-        may take the forest shortcut; value and witness term must match an
-        unpruned sweep over reduced graphs."""
+        """The pair loop must match an unpruned sweep over reduced graphs
+        whose isolation costs come from ``cycle_isolation_count`` (by
+        count) or from the oracle's ``degree - increase - 1``. Up to the
+        term-recording size every term must match; above it the loop
+        prunes and may take the forest shortcut, and value and witness
+        term must match."""
 
         def cost(graph, v):
-            if exact:
+            if by_count:
                 return cycle_isolation_count(graph, v)
             increase = oracles.component_increase(graph, v)
             return max(0, graph.degree(v) - increase - 1)
 
-        for g in midsize_graphs(rng, 25, 41, "intransitive", max_extra=30):
+        sizes = []
+        for g in [
+            *midsize_graphs(rng, 10, 25, "intransitive", max_extra=30),
+            *midsize_graphs(rng, 25, 41, "intransitive", max_extra=30),
+        ]:
             n = g.num_nodes
             full = {v: cost(g, v) for v in range(n)}
-            terms = {}
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if g.has_edge(a, b):
-                        sub = oracles.remove_edges(g, [(a, b)])
-                        term = 1 + min(cost(sub, a), cost(sub, b))
-                    else:
-                        term = min(full[a], full[b])
-                    terms[frozenset((a, b))] = term
-            report = kappa_intransitive(g, exact=exact)
-            assert report.kappa == max(terms.values())
-            assert terms[frozenset(report.witness_pair)] == report.kappa
+            terms = {}  # keyed like per_pair_terms: ids in index order
+            for a, b in combinations(sorted(range(n), key=g.node_index), 2):
+                if g.has_edge(a, b):
+                    sub = oracles.remove_edges(g, [(a, b)])
+                    terms[(a, b)] = (1, cost(sub, a), cost(sub, b))
+                else:
+                    terms[(a, b)] = (0, full[a], full[b])
+            term = {k: p + min(cs, ct) for k, (p, cs, ct) in terms.items()}
+            report = kappa_intransitive(g)
+            assert report.kappa == max(term.values())
+            assert term[report.witness_pair] == report.kappa
+            if report.per_pair_terms is not None:
+                assert dict(report.per_pair_terms) == terms
             if g.num_edges == n - g.component_count():
                 assert report.kappa == 1
                 assert g.has_edge(*report.witness_pair)
+            sizes.append(n)
+        assert min(sizes) <= kappa._TERMS_NODE_LIMIT < max(sizes)
+
+    def test_exact_method_has_no_size_guard(self):
+        """The intransitive engine is exact at any size, so ``exact``
+        returns the ``auto`` report above ``exact_limit``."""
+        edges = [(k, (k + 1) % 80) for k in range(80)]
+        edges += [(k, k + 40) for k in range(0, 40, 3)]
+        g = graph_from_edges(edges, relation="intransitive")
+        assert g.num_nodes == 80 > kappa.DEFAULT_EXACT_LIMIT
+        report = compute_kappa(g, method="exact")
+        assert report == compute_kappa(g, method="auto")
+        assert report == compute_kappa(g, method="exact", exact_limit=3)
+        assert report.method == "intransitive"
+        assert report.kappa > 1
 
 
 class TestPairLoopBound:
-    @pytest.mark.parametrize("relation, exact", [
-        ("transitive", True), ("intransitive", True), ("intransitive", False),
-    ])
-    def test_every_term_within_smaller_degree(self, rng, relation, exact):
+    @pytest.mark.parametrize("relation", ["transitive", "intransitive"])
+    def test_every_term_within_smaller_degree(self, rng, relation):
         """The pair loop prunes by ``min(degree)``: no pair's term exceeds
         it, and some pairs reach it, so no smaller bound holds."""
         reached = 0
@@ -552,10 +582,7 @@ class TestPairLoopBound:
             if not edges:
                 continue
             g = graph_from_edges(edges, relation=relation, n_nodes=n)
-            if relation == "transitive":
-                report = kappa_exact(g)
-            else:
-                report = kappa_intransitive(g, exact=exact)
+            report = compute_kappa(g, method="exact")
             for (a, b), (p, cs, ct) in report.per_pair_terms.items():
                 smaller = min(g.degree(a), g.degree(b))
                 assert p + min(cs, ct) <= smaller

@@ -269,10 +269,9 @@ class TestQueries:
                 oracles.component_increase(g, g.node_id(v)) for v in range(n)
             ]
             assert bridges == {
-                (a, b) for a, b in g.iter_edge_indices()
-                if oracles.remove_edges(
-                    g, [(g.node_id(a), g.node_id(b))]
-                ).component_count() > g.component_count()
+                (g.node_index(a), g.node_index(b)) for a, b in g.edge_keys()
+                if oracles.remove_edges(g, [(a, b)]).component_count()
+                > g.component_count()
             }
             split += sum(len(c) > 1 for c in g.components()) > 1
             for v in range(n):
