@@ -572,17 +572,24 @@ class TestKappaIntransitive:
 
 
 class TestPairLoopBound:
+    @pytest.mark.parametrize("dispatched", [True, False])
     @pytest.mark.parametrize("relation", ["transitive", "intransitive"])
-    def test_every_term_within_smaller_degree(self, rng, relation):
+    def test_every_term_within_smaller_degree(self, rng, relation, dispatched):
         """The pair loop prunes by ``min(degree)``: no pair's term exceeds
-        it, and some pairs reach it, so no smaller bound holds."""
+        it, and some pairs reach it, so no smaller bound holds. Checked on
+        the report of ``compute_kappa(method="exact")`` (dispatched) and
+        of the relation's engine called directly."""
+        engine = kappa_exact if relation == "transitive" else kappa_intransitive
         reached = 0
         for _ in range(150):
             n, edges = oracles.random_graph(rng, max_nodes=12, max_edges=20)
             if not edges:
                 continue
             g = graph_from_edges(edges, relation=relation, n_nodes=n)
-            report = compute_kappa(g, method="exact")
+            if dispatched:
+                report = compute_kappa(g, method="exact")
+            else:
+                report = engine(g)
             for (a, b), (p, cs, ct) in report.per_pair_terms.items():
                 smaller = min(g.degree(a), g.degree(b))
                 assert p + min(cs, ct) <= smaller
