@@ -252,7 +252,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_path = Path(cfg["model_out"]) if cfg["model_out"] else out / "model.json"
     trace_path = Path(cfg["trace_out"]) if cfg["trace_out"] else out / "trace.csv"
     participants = sorted(
-        {p.i for p in pairs} | {p.j for p in pairs}, key=lambda v: (str(type(v)), v)
+        set(pairs.i) | set(pairs.j), key=lambda v: (str(type(v)), v)
     )
     payload = model.to_dict()
     payload.update(

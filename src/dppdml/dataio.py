@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     SingleClass,
 )
-from .pairgraph import PairwiseDatum, _parse_node_id
+from .pairgraph import PairSet, _parse_features, _parse_node_id
 
 logger = logging.getLogger(__name__)
 
@@ -114,14 +114,15 @@ def normalize(samples: SampleSet, mode: str = "l1") -> SampleSet:
     return SampleSet(x, samples.labels.copy(), samples.ids.copy())
 
 
-def _pair_datum(samples: SampleSet, a: int, b: int) -> PairwiseDatum:
-    """Pair between row indices a < b; label 0 iff same class."""
-    y = 0 if samples.labels[a] == samples.labels[b] else 1
-    return PairwiseDatum(
-        samples.ids[a].item() if hasattr(samples.ids[a], "item") else samples.ids[a],
-        samples.ids[b].item() if hasattr(samples.ids[b], "item") else samples.ids[b],
+def _pairs_between(samples: SampleSet, rows) -> PairSet:
+    """Pairs between the row indices ``(a, b)`` of each entry of ``rows``, as
+    one ``PairSet``: ``dx = x[a] - x[b]`` and label 0 iff same class."""
+    a, b = np.array(rows, dtype=int).reshape(-1, 2).T
+    return PairSet(
+        samples.ids[a].tolist(),
+        samples.ids[b].tolist(),
         samples.x[a] - samples.x[b],
-        y,
+        samples.labels[a] != samples.labels[b],
     )
 
 
@@ -130,13 +131,13 @@ def sample_pairs(
     density: float,
     balance: bool = False,
     seed: int = 0,
-) -> list[PairwiseDatum]:
+) -> PairSet:
     """Uniformly sample unordered pairs until edges-per-participant hits
-    ``density``.
+    ``density``, returned as one ``PairSet`` in sampling order.
 
     The participant count only includes individuals that appear in some
     sampled pair. With ``balance`` the same- and different-class pair counts
-    are kept equal.
+    are kept equal. Each pair runs from its lower row index to its higher.
     """
     n = len(samples)
     if n < 2 or density > (n - 1) / 2:
@@ -187,7 +188,7 @@ def sample_pairs(
         counts[y] += 1
         nodes.update(key)
         skipped.clear()  # class eligibility may have flipped
-    return [_pair_datum(samples, a, b) for a, b in chosen]
+    return _pairs_between(samples, chosen)
 
 
 def toy_pairs(
@@ -195,9 +196,9 @@ def toy_pairs(
     intra_per_class: int = 50,
     inter: int = 50,
     seed: int = 0,
-) -> list[PairwiseDatum]:
-    """Acyclic toy pair selection: a chain inside each class plus an
-    inter-class star.
+) -> PairSet:
+    """Acyclic toy pair selection, as one ``PairSet``: a chain inside each
+    class plus an inter-class star.
 
     The star centre is the first-class sample closest to its class mean
     (an off-centre hub would tilt every inter-class difference along the
@@ -228,16 +229,10 @@ def toy_pairs(
         [[centre], rng.permutation([i for i in idx_a if i != centre])]
     )
     perm_b = rng.permutation(idx_b)
-    pairs = []
-    for k in range(intra_per_class):
-        pairs.append(_pair_datum(samples, int(perm_a[k]), int(perm_a[k + 1])))
-        pairs.append(_pair_datum(samples, int(perm_b[k]), int(perm_b[k + 1])))
-    targets = [int(perm_b[0])] + [
-        int(v) for v in perm_b[intra_per_class + 1 : intra_per_class + inter]
-    ]
-    for t in targets:
-        pairs.append(_pair_datum(samples, centre, t))
-    return pairs
+    chains = [(p[k], p[k + 1]) for k in range(intra_per_class)
+              for p in (perm_a, perm_b)]
+    targets = [perm_b[0]] + list(perm_b[intra_per_class + 1 : intra_per_class + inter])
+    return _pairs_between(samples, chains + [(centre, t) for t in targets])
 
 
 def downsample_majority(samples: SampleSet, seed: int = 0) -> SampleSet:
@@ -291,23 +286,7 @@ def load_csv(
         for rownum, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row {rownum}: expected {len(header)} columns, got {len(row)}",
-                    row=rownum,
-                )
-            feats = []
-            for k in feat_idx:
-                try:
-                    feats.append(float(row[k]))
-                except ValueError:
-                    raise ParseError(
-                        f"row {rownum}, col {k + 1}: feature {row[k]!r} "
-                        "is not numeric",
-                        row=rownum,
-                        col=k + 1,
-                    ) from None
-            rows.append(feats)
+            rows.append(_parse_features(row, rownum, len(header), feat_idx))
             labels.append(_parse_label(row[label_idx], rownum, label_idx + 1))
             if id_idx is not None:
                 ids.append(_parse_node_id(row[id_idx]))
@@ -340,8 +319,9 @@ def save_samples_csv(path, samples: SampleSet, delimiter: str = ",") -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(["id", "label"] + [f"f{k + 1}" for k in range(d)])
-        for k in range(len(samples)):
-            writer.writerow(
-                [samples.ids[k], samples.labels[k]]
-                + [repr(float(v)) for v in samples.x[k]]
+        writer.writerows(
+            [i, label] + [repr(v) for v in row]
+            for i, label, row in zip(
+                samples.ids.tolist(), samples.labels.tolist(), samples.x.tolist()
             )
+        )

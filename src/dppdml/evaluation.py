@@ -136,10 +136,10 @@ def knn_accuracy(
 
 
 def split_by_participation(
-    samples: SampleSet, pairs: list[PairwiseDatum]
+    samples: SampleSet, pairs: PairSet
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of pair participants (train) and everyone else (test)."""
-    return split_by_ids(samples, {p.i for p in pairs} | {p.j for p in pairs})
+    return split_by_ids(samples, set(pairs.i) | set(pairs.j))
 
 
 def split_by_ids(samples: SampleSet, ids) -> tuple[np.ndarray, np.ndarray]:
@@ -201,8 +201,8 @@ def run_experiment(
     for m in methods:
         if m not in METHODS:
             raise ConfigInvalid(f"unknown method {m!r}; expected one of {METHODS}")
-    train_idx, test_idx = split_by_participation(samples, pairs)
     pairs = PairSet.of(pairs)
+    train_idx, test_idx = split_by_participation(samples, pairs)
     if len(test_idx) == 0:
         test_idx = train_idx  # every individual participates; score in-sample
     if kappa_default is None:

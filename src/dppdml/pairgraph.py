@@ -100,12 +100,9 @@ class PairSet:
                 f"columns disagree in length: {len(i)} i, {len(j)} j, "
                 f"{len(y)} y, {len(dx)} dx rows"
             )
-        faulty = np.fromiter(map(operator.eq, i, j), bool, len(i))
-        faulty |= ~((y == 0) | (y == 1))
-        faulty |= ~np.isfinite(dx).all(axis=1)
-        if faulty.any():
-            k = int(np.argmax(faulty))
-            PairwiseDatum(i[k], j[k], dx[k], y[k].item())  # raises its error
+        k = _first_fault(i, j, dx, y)
+        if k >= 0:
+            PairwiseDatum(i[k], j[k], dx[k], y.tolist()[k])  # raises its error
         y = y.astype(int)
         dx.setflags(write=False)
         y.setflags(write=False)
@@ -142,22 +139,31 @@ class PairSet:
         return (self[k] for k in range(len(self)))
 
 
+def _first_fault(i: Sequence, j: Sequence, dx: np.ndarray, y: np.ndarray) -> int:
+    """Index of the first pair that ``PairwiseDatum`` rejects, or -1."""
+    faulty = np.fromiter(map(operator.eq, i, j), bool, len(i))
+    faulty |= ~((y == 0) | (y == 1))
+    faulty |= ~np.isfinite(dx).all(axis=1)
+    return int(np.argmax(faulty)) if faulty.any() else -1
+
+
 def _node_sort_key(n: NodeId):
     # ints sort before strings so mixed id types stay orderable
     return (0, n, "") if isinstance(n, int) else (1, 0, str(n))
 
 
 class PairGraph:
-    """Simple undirected graph whose edges carry pairwise data.
+    """Simple undirected graph whose edges are the rows of ``PairSet.of(pairs)``.
 
     Node ids are opaque; internally they are normalised to dense indices in
-    order of first appearance, which fixes all tie-breaking (flow augmenting
-    order, reductions) deterministically for a given input order.
+    order of first appearance in the ``i``/``j`` columns, which fixes all
+    tie-breaking (flow augmenting order, reductions) deterministically for a
+    given input order.
     """
 
     def __init__(
         self,
-        pairs: Sequence[PairwiseDatum],
+        pairs: PairSet | Sequence[PairwiseDatum],
         relation_kind: str = "transitive",
         extra_nodes: Iterable[NodeId] = (),
     ):
@@ -166,29 +172,23 @@ class PairGraph:
                 f"relation_kind must be one of {RELATION_KINDS}, got {relation_kind!r}"
             )
         self.relation_kind = relation_kind
+        self._pairs = pairs = PairSet.of(pairs)
         self._order: list[NodeId] = []
         self._index: dict[NodeId, int] = {}
-        dim: int | None = None
-        for p in pairs:
-            if dim is None:
-                dim = p.dim
-            elif p.dim != dim:
-                raise DimensionMismatch(
-                    f"pair ({p.i}, {p.j}) has dimension {p.dim}, expected {dim}"
-                )
-            self._intern(p.i)
-            self._intern(p.j)
+        for u, v in zip(pairs.i, pairs.j):
+            self._intern(u)
+            self._intern(v)
         for n in extra_nodes:
             self._intern(n)
-        self._dim = dim
-        self._edges: dict[tuple[int, int], PairwiseDatum] = {}
+        self._dim = pairs.dim if len(pairs) else None
+        self._edges: dict[tuple[int, int], int] = {}  # index key -> pair row
         adj: list[list[int]] = [[] for _ in self._order]
-        for p in pairs:
-            a, b = self._index[p.i], self._index[p.j]
+        for row, (u, v) in enumerate(zip(pairs.i, pairs.j)):
+            a, b = self._index[u], self._index[v]
             key = (a, b) if a < b else (b, a)
             if key in self._edges:
-                raise DuplicateEdge(f"duplicate pair on ({p.i}, {p.j})")
-            self._edges[key] = p
+                raise DuplicateEdge(f"duplicate pair on ({u}, {v})")
+            self._edges[key] = row
             adj[a].append(b)
             adj[b].append(a)
         # ascending neighbour indices per node, immutable like the graph
@@ -233,8 +233,8 @@ class PairGraph:
         return n in self._index
 
     def pairs(self) -> list[PairwiseDatum]:
-        """Edge payloads in deterministic (index-sorted) order."""
-        return [self._edges[k] for k in sorted(self._edges)]
+        """Edge payloads (``PairSet`` rows) in deterministic (index-sorted) order."""
+        return [self._pairs[self._edges[k]] for k in sorted(self._edges)]
 
     def edge_keys(self) -> list[tuple[NodeId, NodeId]]:
         return [
@@ -344,15 +344,16 @@ class PairGraph:
 
 
 def build_graph(
-    pairs: Sequence[PairwiseDatum],
+    pairs: PairSet | Sequence[PairwiseDatum],
     relation_kind: str = "transitive",
     extra_nodes: Iterable[NodeId] = (),
 ) -> PairGraph:
     """Build the pair graph for a dataset.
 
-    Rejects self-loops, duplicate unordered pairs, and mixed feature
-    dimensions. ``extra_nodes`` adds individuals that appear in no pair;
-    they stay isolated and never affect the privacy distance.
+    Reads the columns of a ``PairSet`` or of a stacked datum list. Rejects
+    self-loops, duplicate unordered pairs, and mixed feature dimensions.
+    ``extra_nodes`` adds individuals that appear in no pair; they stay
+    isolated and never affect the privacy distance.
     """
     return PairGraph(pairs, relation_kind, extra_nodes=extra_nodes)
 
@@ -362,15 +363,16 @@ def build_graph(
 # One row per pair: i, j, y, dx_1, ..., dx_d. Header row optional.
 
 
-def _looks_like_header(row: Sequence[str]) -> bool:
-    if len(row) < 4:
-        return False
+def _number(cell: str) -> float | None:
     try:
-        float(row[2])
-        float(row[3])
+        return float(cell)
     except ValueError:
-        return True
-    return False
+        return None
+
+
+def _looks_like_header(row: Sequence[str]) -> bool:
+    """A header names its columns: no cell from column 3 on is a number."""
+    return len(row) >= 4 and all(_number(c) is None for c in row[2:])
 
 
 def _parse_node_id(cell: str) -> NodeId:
@@ -381,62 +383,77 @@ def _parse_node_id(cell: str) -> NodeId:
         return cell
 
 
-def read_pairs_file(path, delimiter: str = ",") -> list[PairwiseDatum]:
-    """Read pairwise data from delimited text (``i, j, y, dx_1, ..., dx_d``)."""
-    pairs: list[PairwiseDatum] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for rownum, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if rownum == 1 and _looks_like_header(row):
-                continue
-            if len(row) < 4:
-                raise ParseError(
-                    f"row {rownum}: expected at least 4 columns, got {len(row)}",
-                    row=rownum,
-                )
-            i = _parse_node_id(row[0])
-            j = _parse_node_id(row[1])
-            try:
-                label = float(row[2])
-            except ValueError:
-                raise ParseError(
-                    f"row {rownum}, col 3: label {row[2]!r} is not numeric",
-                    row=rownum,
-                    col=3,
-                ) from None
-            if not label.is_integer():
-                raise ParseError(
-                    f"row {rownum}, col 3: label {row[2]!r} is not an integer",
-                    row=rownum,
-                    col=3,
-                )
-            y = int(label)
-            feats = []
-            for colnum, cell in enumerate(row[3:], start=4):
-                try:
-                    feats.append(float(cell))
-                except ValueError:
+def _parse_features(row: Sequence[str], rownum: int, width: int, cols) -> list[float]:
+    """The numbers in the 0-based columns ``cols`` of data row ``rownum``,
+    which must have ``width`` cells; ``ParseError`` names what fails."""
+    if len(row) != width:
+        raise ParseError(f"row {rownum}: expected {width} columns, got {len(row)}",
+                         row=rownum)
+    try:
+        return [float(row[c]) for c in cols]
+    except ValueError:
+        c = next(c for c in cols if _number(row[c]) is None)
+        raise ParseError(f"row {rownum}, col {c + 1}: feature {row[c]!r} is not "
+                         "numeric", row=rownum, col=c + 1) from None
+
+
+def read_pairs_file(path, delimiter: str = ",") -> PairSet:
+    """Read delimited text (``i, j, y, dx_1, ..., dx_d``) into one ``PairSet``,
+    built from column lists with no per-row ``PairwiseDatum``.
+
+    Row 1 is a header when none of its cells from column 3 on is a number;
+    every data row must be as wide as the first. The earliest faulty row
+    raises ``ParseError`` naming it (and the column of a cell that does not
+    parse)."""
+    i, j, y, dx, rownums = [], [], [], [], []
+
+    def pair_set() -> PairSet:
+        feats = np.array(dx, dtype=float) if dx else np.empty((0, 0))
+        try:
+            return PairSet(i, j, feats, y)
+        except ValueError as exc:  # self-loop, label not 0 or 1, non-finite dx
+            row = rownums[_first_fault(i, j, feats, np.array(y))]
+            raise ParseError(f"row {row}: {exc}", row=row) from exc
+
+    width = 0
+    try:
+        with open(path, newline="") as fh:
+            for rownum, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if rownum == 1 and _looks_like_header(row):
+                    continue
+                if len(row) < 4:
                     raise ParseError(
-                        f"row {rownum}, col {colnum}: feature {cell!r} is not numeric",
+                        f"row {rownum}: expected at least 4 columns, got {len(row)}",
                         row=rownum,
-                        col=colnum,
-                    ) from None
-            try:
-                pairs.append(PairwiseDatum(i, j, np.array(feats), y))
-            except (SelfLoop, ValueError) as exc:
-                raise ParseError(f"row {rownum}: {exc}", row=rownum) from exc
-    return pairs
+                    )
+                label = _number(row[2])
+                if label is None or not label.is_integer():
+                    what = "not numeric" if label is None else "not an integer"
+                    raise ParseError(f"row {rownum}, col 3: label {row[2]!r} is {what}",
+                                     row=rownum, col=3)
+                width = width or len(row)
+                dx.append(_parse_features(row, rownum, width, range(3, width)))
+                i.append(_parse_node_id(row[0]))
+                j.append(_parse_node_id(row[1]))
+                y.append(int(label))
+                rownums.append(rownum)
+    except ParseError:
+        pair_set()  # a faulty pair in an earlier row is reported first
+        raise
+    return pair_set()
 
 
-def write_pairs_file(path, pairs: Sequence[PairwiseDatum], delimiter: str = ",",
-                     header: bool = True) -> None:
-    """Write pairwise data in the format ``read_pairs_file`` accepts."""
+def write_pairs_file(path, pairs: PairSet | Sequence[PairwiseDatum],
+                     delimiter: str = ",") -> None:
+    """Write pairwise data, header first, in the format ``read_pairs_file``
+    accepts, from the columns of ``PairSet.of(pairs)``."""
+    ps = PairSet.of(pairs)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
-        if header:
-            d = pairs[0].dim if pairs else 0
-            writer.writerow(["i", "j", "y"] + [f"dx_{k + 1}" for k in range(d)])
-        for p in pairs:
-            writer.writerow([p.i, p.j, p.y] + [repr(float(v)) for v in p.delta_x])
+        writer.writerow(["i", "j", "y"] + [f"dx_{k + 1}" for k in range(ps.dim)])
+        writer.writerows(
+            [i, j, y] + [repr(v) for v in dx]
+            for i, j, y, dx in zip(ps.i, ps.j, ps.y.tolist(), ps.dx.tolist())
+        )

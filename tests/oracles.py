@@ -6,13 +6,14 @@ components, min-cut enumeration for path counts, degree-2 subgraph
 enumeration for cycles, subset search for cycle breaking), so agreement
 with the library is meaningful. The derived-graph helpers rebuild a
 ``PairGraph`` without some edges or a node, so that what a removal does can
-be recounted from scratch. The training references at the end replay,
-pair by pair and step by step, the loops that the columnar training code
-replaced, so that code can be held to them bit for bit.
+be recounted from scratch. The pair-data and training references at the
+end replay, pair by pair (and step by step), the per-datum code that the
+columnar code replaced, so that code can be held to them bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -26,6 +27,7 @@ from dppdml.dml import (
     sensitivity_basic,
     step_size,
 )
+from dppdml.errors import ParseError, SelfLoop
 from dppdml.kappa import compute_kappa
 from dppdml.mechanisms import staircase_optimal_gamma, warner_flip
 from dppdml.pairgraph import PairGraph, PairwiseDatum
@@ -405,6 +407,94 @@ def random_graph(rng, max_nodes: int = 8, max_edges: int = 12) -> tuple[int, lis
     m = int(rng.integers(0, cap + 1))
     picks = rng.choice(len(all_pairs), size=m, replace=False) if m else []
     return n, sorted(all_pairs[int(k)] for k in picks)
+
+
+# --- pair data references -------------------------------------------------------
+#
+# Pair construction and the pairs-file reader as they ran before pairs were
+# kept as columns on the way from sampler or file to graph: one validated
+# ``PairwiseDatum`` per pair. The columnar code must give the same pairs
+# bit for bit and fail on the same rows with the same errors.
+
+
+def reference_pair_datum(samples, a: int, b: int) -> PairwiseDatum:
+    """Pair between sample rows a and b; label 0 iff same class."""
+    y = 0 if samples.labels[a] == samples.labels[b] else 1
+    return PairwiseDatum(
+        samples.ids[a].item() if hasattr(samples.ids[a], "item") else samples.ids[a],
+        samples.ids[b].item() if hasattr(samples.ids[b], "item") else samples.ids[b],
+        samples.x[a] - samples.x[b],
+        y,
+    )
+
+
+def _reference_looks_like_header(row) -> bool:
+    if len(row) < 4:
+        return False
+    try:
+        float(row[2])
+        float(row[3])
+    except ValueError:
+        return True
+    return False
+
+
+def _reference_node_id(cell: str):
+    cell = cell.strip()
+    try:
+        return int(cell)
+    except ValueError:
+        return cell
+
+
+def reference_read_pairs_file(path, delimiter: str = ",") -> list[PairwiseDatum]:
+    """The per-row reader: row 1 is a header when its label or first feature
+    does not parse, and rows may differ in width."""
+    pairs: list[PairwiseDatum] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        for rownum, row in enumerate(reader, start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if rownum == 1 and _reference_looks_like_header(row):
+                continue
+            if len(row) < 4:
+                raise ParseError(
+                    f"row {rownum}: expected at least 4 columns, got {len(row)}",
+                    row=rownum,
+                )
+            i = _reference_node_id(row[0])
+            j = _reference_node_id(row[1])
+            try:
+                label = float(row[2])
+            except ValueError:
+                raise ParseError(
+                    f"row {rownum}, col 3: label {row[2]!r} is not numeric",
+                    row=rownum,
+                    col=3,
+                ) from None
+            if not label.is_integer():
+                raise ParseError(
+                    f"row {rownum}, col 3: label {row[2]!r} is not an integer",
+                    row=rownum,
+                    col=3,
+                )
+            y = int(label)
+            feats = []
+            for colnum, cell in enumerate(row[3:], start=4):
+                try:
+                    feats.append(float(cell))
+                except ValueError:
+                    raise ParseError(
+                        f"row {rownum}, col {colnum}: feature {cell!r} is not numeric",
+                        row=rownum,
+                        col=colnum,
+                    ) from None
+            try:
+                pairs.append(PairwiseDatum(i, j, np.array(feats), y))
+            except (SelfLoop, ValueError) as exc:
+                raise ParseError(f"row {rownum}: {exc}", row=rownum) from exc
+    return pairs
 
 
 # --- training reference -------------------------------------------------------

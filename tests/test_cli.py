@@ -8,7 +8,7 @@ import pytest
 
 from dppdml import dataio
 from dppdml.cli import main
-from dppdml.pairgraph import PairwiseDatum, read_pairs_file, write_pairs_file
+from dppdml.pairgraph import PairSet, PairwiseDatum, read_pairs_file, write_pairs_file
 
 
 def run(args):
@@ -81,6 +81,18 @@ class TestAnalyzeKappa:
         path.write_text("a,b,0,0.5\nc,d,0.5,0.25\n")
         assert run(["analyze-kappa", "--pairs", path]) == 2
         assert "row 2, col 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, where", [
+        ("0,1,0,oops\n1,2,1,0.25\n2,0,0,0.3\n", "row 1, col 4"),
+        ("0,1,0,0.5,0.1\n1,2,1,0.25\n", "row 2: expected 5 columns, got 4"),
+    ], ids=["typo-in-row-1", "ragged"])
+    def test_typo_in_row_one_or_ragged_row_exits_two_naming_row(
+        self, tmp_path, capsys, text, where
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert run(["analyze-kappa", "--pairs", path]) == 2
+        assert where in capsys.readouterr().err
 
     def test_intransitive_relation(self, tmp_path, capsys):
         path = tmp_path / "tri.csv"
@@ -181,7 +193,7 @@ class TestTrainEvaluate:
                     "--t-max", 1, "--mechanism", "none"]) == 0
         stray = tmp_path / "stray_pairs.csv"
         pairs = read_pairs_file(pairs_path)
-        write_pairs_file(stray, pairs + [
+        write_pairs_file(stray, list(pairs) + [
             PairwiseDatum(pairs[0].i, 9999, pairs[0].delta_x, 1)
         ])
         model = json.loads((out / "model.json").read_text())
@@ -208,6 +220,32 @@ class TestTrainEvaluate:
             "--d-prime", 0,
         ]) == 2
         assert "d_prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["toy", "density"])
+def test_cli_path_builds_no_per_pair_datum(mode, tmp_path, monkeypatch):
+    """Pairs stay columns from the sampler or the file to the graph, the
+    trainer and the split: no step reads a ``PairSet`` row by row or builds
+    a ``PairwiseDatum``."""
+    def per_pair(*args, **kwargs):
+        raise AssertionError("per-pair datum on the CLI path")
+
+    monkeypatch.setattr(PairSet, "__getitem__", per_pair)
+    monkeypatch.setattr(PairSet, "__iter__", per_pair)
+    monkeypatch.setattr(PairwiseDatum, "__post_init__", per_pair)
+    d = tmp_path
+    samples, pairs = d / "samples.csv", d / "pairs.csv"
+    for argv in (
+        ["synth", "--mode", mode, "--n-per-class", 60, "--intra", 20,
+         "--inter", 20, "--density", 1.5, "--out-dir", d],
+        ["analyze-kappa", "--pairs", pairs],
+        ["train", "--pairs", pairs, "--out-dir", d / "m", "--t-max", 1],
+        ["evaluate", "--model", d / "m" / "model.json", "--data", samples,
+         "--pairs", pairs],
+        ["sweep", "--data", samples, "--pairs", pairs, "--out-dir", d / "s",
+         "--repeats", 1, "--t-max", 1, "--epsilons", 1],
+    ):
+        assert run(argv) == 0, argv[0]
 
 
 class TestSweep:

@@ -23,7 +23,9 @@ from dppdml.errors import (
     SingleClass,
 )
 from dppdml.kappa import compute_kappa
-from dppdml.pairgraph import build_graph
+from dppdml.pairgraph import PairSet, build_graph
+
+from . import oracles
 
 
 class TestSynth:
@@ -171,6 +173,48 @@ class TestToyPairs:
         samples = normalize(synth_two_gaussians(30, seed=0))
         with pytest.raises(ValueError):
             toy_pairs(samples, 50, 50, seed=0)
+
+
+class TestPairsMatchReference:
+    """``sample_pairs`` and ``toy_pairs`` build their ``PairSet`` from index
+    arrays; each pair equals, bit for bit, the datum that
+    ``oracles.reference_pair_datum`` makes from the same two sample rows."""
+
+    @staticmethod
+    def string_id_samples(tmp_path, n_per_class):
+        samples = normalize(synth_two_gaussians(n_per_class, seed=4))
+        ids = [f"s{k:03d}" for k in range(len(samples))]
+        save_samples_csv(tmp_path / "s.csv", SampleSet(samples.x, samples.labels, ids))
+        return load_csv(tmp_path / "s.csv")
+
+    @staticmethod
+    def assert_matches(samples, ps, ascending):
+        assert isinstance(ps, PairSet)
+        index = samples.index_of()
+        rows = [(index[i], index[j]) for i, j in zip(ps.i, ps.j)]
+        if ascending:
+            assert all(a < b for a, b in rows)
+        want = [oracles.reference_pair_datum(samples, a, b) for a, b in rows]
+        assert [(type(i), i, type(j), j) for i, j in zip(ps.i, ps.j)] == [
+            (type(p.i), p.i, type(p.j), p.j) for p in want
+        ]
+        assert ps.y.tolist() == [p.y for p in want]
+        assert ps.dx.tobytes() == np.stack([p.delta_x for p in want]).tobytes()
+
+    @pytest.mark.parametrize("balance", [False, True])
+    @pytest.mark.parametrize("ids", ["int", "str"])
+    def test_sample_pairs(self, tmp_path, balance, ids):
+        samples = (normalize(synth_two_gaussians(60, seed=4)) if ids == "int"
+                   else self.string_id_samples(tmp_path, 60))
+        ps = sample_pairs(samples, 2.0, balance=balance, seed=9)
+        self.assert_matches(samples, ps, ascending=True)
+        assert type(ps.i[0]) is (int if ids == "int" else str)
+
+    @pytest.mark.parametrize("ids", ["int", "str"])
+    def test_toy_pairs(self, tmp_path, ids):
+        samples = (normalize(synth_two_gaussians(100, seed=4)) if ids == "int"
+                   else self.string_id_samples(tmp_path, 100))
+        self.assert_matches(samples, toy_pairs(samples, 50, 50, seed=4), ascending=False)
 
 
 class TestDownsample:

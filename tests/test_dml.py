@@ -540,7 +540,7 @@ class TestTrainMatchesLoopReference:
             PairwiseDatum("z1", "z2", np.array([9.0, -7.0]), 1),  # far out
             PairwiseDatum("z2", "z3", np.array([4.0, 3.0]), 0),   # clipped
         ]
-        pairs = extra + pairs
+        pairs = extra + list(pairs)
         return pairs, build_graph(pairs)
 
     @staticmethod

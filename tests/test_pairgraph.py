@@ -458,3 +458,194 @@ class TestPairsFile:
         path.write_text("0,1,0\n")
         with pytest.raises(ParseError):
             read_pairs_file(path)
+
+    def test_typo_in_first_data_row_is_not_a_header(self, tmp_path):
+        # the label parses, so row 1 is data whose feature is a typo
+        path = tmp_path / "typo.csv"
+        path.write_text("0,1,0,oops\n1,2,1,0.25\n2,0,0,0.3\n")
+        with pytest.raises(ParseError) as err:
+            read_pairs_file(path)
+        assert (err.value.row, err.value.col) == (1, 4)
+
+    @pytest.mark.parametrize("header", ["i,j,y,dx_1", " a , b , label , f1 "])
+    def test_header_names_every_column_from_the_label_on(self, tmp_path, header):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"{header}\n0,1,0,0.5\n1,2,1,0.25\n")
+        back = read_pairs_file(path)
+        assert (back.i, back.j, back.y.tolist()) == ((0, 1), (1, 2), [0, 1])
+
+    def test_row_wider_or_narrower_than_the_first_names_its_row(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        for text, row in [("0,1,0,0.5,0.25\n1,2,1,0.5\n", 2),
+                          ("i,j,y,dx_1\n0,1,0,0.5\n\n1,2,1,0.5\n2,3,0,0.1,0.2\n", 5)]:
+            path.write_text(text)
+            with pytest.raises(ParseError, match="columns") as err:
+                read_pairs_file(path)
+            assert (err.value.row, err.value.col) == (row, None)
+
+    def test_reads_into_a_pair_set(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("i,j,y,dx_1\n")
+        empty = read_pairs_file(path)
+        assert isinstance(empty, PairSet) and len(empty) == 0
+        assert build_graph(empty).dim is None
+
+
+def _columns(pairs):
+    """Ids with their types, labels and the bytes and shape of ``dx``."""
+    ps = PairSet.of(pairs)
+    typed = lambda ids: [(type(v), v) for v in ids]
+    return typed(ps.i), typed(ps.j), ps.y.tolist(), ps.dx.tobytes(), ps.dx.shape
+
+
+def _pairs_text(seed, ids, header, blank, delimiter, pad, n=14, d=3):
+    """A valid pairs file with the given id kind, header, blank lines,
+    delimiter and cell padding; numbers in several spellings."""
+    rng = np.random.default_rng(seed)
+    name = {
+        "int": str,
+        "str": lambda k: f"u{k}",
+        "mixed": lambda k: str(k) if k % 2 else f"u{k}",
+    }[ids]
+    spell = [repr, lambda v: f"{v:.3e}", lambda v: f"{v:.6f}"]
+    lines = [delimiter.join(["i", "j", "y"] + [f"dx_{k + 1}" for k in range(d)])]
+    lines = lines if header else []
+    for r in range(n):
+        a, b = rng.choice(40, size=2, replace=False)
+        label = ["0", "1", "1.0", "0.0"][rng.integers(4)]
+        feats = [spell[rng.integers(3)](float(v)) for v in rng.normal(size=d)]
+        cells = [name(a), name(b), label] + feats
+        if pad:
+            cells = [f" {c}  " for c in cells]
+        lines.append(delimiter.join(cells))
+        if blank and r % 5 == 1:
+            lines += ["", delimiter.join(["  "] * (d + 3))]
+    return "\n".join(lines) + "\n"
+
+
+class TestReaderMatchesReference:
+    """``read_pairs_file`` against the per-row reader of
+    ``oracles.reference_read_pairs_file``."""
+
+    @pytest.mark.parametrize("ids", ["int", "str", "mixed"])
+    @pytest.mark.parametrize("header, blank, delimiter, pad", [
+        (True, False, ",", False),
+        (False, False, ",", False),
+        (True, True, ";", False),
+        (False, True, ",", True),
+        (True, False, ";", True),
+    ])
+    def test_valid_files(self, tmp_path, ids, header, blank, delimiter, pad):
+        path = tmp_path / "pairs.txt"
+        for seed in range(3):
+            path.write_text(_pairs_text(seed, ids, header, blank, delimiter, pad))
+            got = read_pairs_file(path, delimiter=delimiter)
+            want = oracles.reference_read_pairs_file(path, delimiter=delimiter)
+            assert isinstance(got, PairSet)
+            assert _columns(got) == _columns(want)
+
+    MALFORMED = {
+        "non-numeric label": "0,1,0,0.5\n1,2,x,0.25\n",
+        "fractional label": "0,1,0,0.5\n1,2,0.5,0.25\n",
+        "NaN label": "0,1,0,0.5\n1,2,nan,0.25\n",
+        "label out of range": "0,1,0,0.5\n1,2,2,0.25\n",
+        "huge label": "0,1,0,0.5\n1,2,1e30,0.25\n",
+        "bad feature": "i,j,y,dx_1,dx_2\n0,1,0,0.5,0.1\n1,2,1,0.25,oops\n",
+        "self-loop": "0,1,0,0.5\n2,2,1,0.25\n",
+        "padded self-loop": "a,b,0,0.5\n c ,c,1,0.25\n",
+        "non-finite feature": "0,1,0,0.5\n1,2,1,inf\n",
+        "NaN feature in row 1": "0,1,0,nan\n1,2,1,0.25\n",
+        "short row": "0,1,0,0.5\n1,2,1\n",
+        "self-loop, then bad feature": "0,1,0,0.5\n2,2,1,0.25\n3,4,0,oops\n",
+        "bad feature, then self-loop": "0,1,0,0.5\n1,2,1,zz\n2,2,1,0.25\n",
+        "two faulty pairs": "0,1,0,0.5\n1,2,1,-inf\n3,4,5,0.25\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_files_fail_alike(self, tmp_path, case):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.MALFORMED[case])
+        with pytest.raises(ParseError) as got:
+            read_pairs_file(path)
+        with pytest.raises(ParseError) as want:
+            oracles.reference_read_pairs_file(path)
+        assert (got.value.row, got.value.col, str(got.value)) == (
+            want.value.row, want.value.col, str(want.value)
+        )
+
+    #: The only files the two readers treat differently: the reference
+    #: skips a first row with a typo as a header, and reads a ragged file
+    #: whose widths only the graph build rejects, naming no row.
+    DIFFERENCES = {
+        "typo in row 1": ("0,1,0,oops\n1,2,1,0.25\n2,0,0,0.3\n", (1, 4)),
+        "ragged": ("0,1,0,0.5,0.1\n1,2,1,0.25\n", (2, None)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIFFERENCES))
+    def test_listed_differences(self, tmp_path, case):
+        text, where = self.DIFFERENCES[case]
+        path = tmp_path / "pairs.csv"
+        path.write_text(text)
+        assert len(oracles.reference_read_pairs_file(path)) == 2
+        with pytest.raises(ParseError) as got:
+            read_pairs_file(path)
+        assert (got.value.row, got.value.col) == where
+
+
+class TestGraphFromColumns:
+    """A graph from a ``PairSet`` equals the graph from the equivalent datum
+    list, and both equal a first-appearance recount of the list."""
+
+    @staticmethod
+    def recount(pairs):
+        order = list(dict.fromkeys(n for p in pairs for n in (p.i, p.j)))
+        index = {n: k for k, n in enumerate(order)}
+        nbrs = [[] for _ in order]
+        keys = []
+        for p in pairs:
+            a, b = index[p.i], index[p.j]
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+            keys.append((min(a, b), max(a, b)))
+        return (order, [tuple(sorted(nb)) for nb in nbrs],
+                [(order[a], order[b]) for a, b in sorted(keys)])
+
+    @staticmethod
+    def shape(g):
+        return (g.nodes(), [g.neighbor_indices(k) for k in range(g.num_nodes)],
+                g.edge_keys())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_graph(self, seed):
+        rng = np.random.default_rng(seed)
+        ids = [k if k % 3 else f"n{k}" for k in range(12)]
+        keys = list(dict.fromkeys(
+            tuple(sorted(rng.choice(12, size=2, replace=False).tolist()))
+            for _ in range(20)
+        ))
+        pairs = []
+        for a, b in keys:
+            if rng.integers(2):
+                a, b = b, a
+            pairs.append(datum(ids[a], ids[b], int(rng.integers(2)), rng.normal(size=2)))
+        from_list, from_set = build_graph(pairs), build_graph(PairSet.of(pairs))
+        assert self.shape(from_list) == self.shape(from_set) == self.recount(pairs)
+        assert from_set.dim == 2
+        index_key = lambda p: sorted(map(from_set.node_index, (p.i, p.j)))
+        assert _columns(from_set.pairs()) == _columns(sorted(pairs, key=index_key))
+
+    def test_same_errors(self):
+        dup = [datum("a", "b"), datum(0, "a"), datum("b", "a", y=1)]
+        mixed = [datum("a", "b"), datum("b", "c", dx=(1.0, 2.0))]
+        assert _error(lambda: build_graph(dup)) == _error(
+            lambda: build_graph(PairSet.of(dup))
+        )
+        assert _error(lambda: build_graph(dup))[0] is DuplicateEdge
+        assert _error(lambda: build_graph(mixed)) == _error(
+            lambda: PairSet.of(mixed)
+        )
+        assert _error(lambda: build_graph(mixed))[0] is DimensionMismatch
+
+    def test_edgeless_graph_has_no_dim(self):
+        g = build_graph(PairSet.of([]), extra_nodes=["z", 1])
+        assert g.dim is None and g.nodes() == ["z", 1] and g.pairs() == []
