@@ -35,7 +35,6 @@ from .kappa import (
     max_edge_disjoint_paths,
 )
 from .mechanisms import (
-    NoiseSpec,
     PrivacyBudget,
     duchi_randomize,
     gaussian_sigma,

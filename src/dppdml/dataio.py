@@ -294,7 +294,10 @@ def load_csv(
                 ids.append(rownum - 2)
     if not rows:
         raise ParseError("samples file has a header but no data rows", row=2)
-    return SampleSet(np.array(rows), np.array(labels), np.array(ids))
+    # mixed int and str ids stay as parsed: numpy would make them all str
+    mixed = len(set(map(type, ids))) > 1
+    return SampleSet(np.array(rows), np.array(labels),
+                     np.array(ids, dtype=object if mixed else None))
 
 
 def _parse_label(cell: str, rownum: int, col: int):

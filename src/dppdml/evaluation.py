@@ -159,19 +159,10 @@ def _method_config(
 ) -> TrainConfig:
     if method == "nonpriv" or method == "input_per":
         return replace(base, mechanism="none", seed=seed)
-    if method == "dpp":
+    if method in ("dpp", "dpp_s", "node_dp"):
         return replace(
-            base, mechanism="laplace", sensitivity_mode="basic",
-            epsilon=epsilon, seed=seed,
-        )
-    if method == "dpp_s":
-        return replace(
-            base, mechanism="laplace", sensitivity_mode="reduced",
-            epsilon=epsilon, seed=seed,
-        )
-    if method == "node_dp":
-        return replace(
-            base, mechanism="laplace", sensitivity_mode="basic",
+            base, mechanism="laplace",
+            sensitivity_mode="reduced" if method == "dpp_s" else "basic",
             epsilon=epsilon, seed=seed,
         )
     raise ConfigInvalid(f"unknown method {method!r}; expected one of {METHODS}")

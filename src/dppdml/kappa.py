@@ -142,7 +142,7 @@ def _unit_max_flow(g: PairGraph, s: int, t: int) -> tuple[int, list[set[int]]]:
     v -> w has residual capacity iff it carries no flow, and pushing a unit
     against a flow cancels it."""
     n = g.num_nodes
-    adj = [g.neighbor_indices(v) for v in range(n)]
+    adj = g.adjacency
     used: list[set[int]] = [set() for _ in range(n)]
     value = 0
     while True:
@@ -207,9 +207,10 @@ def _exact_isolation(g: PairGraph) -> Callable[[int, frozenset], int]:
     in O(|V| + |E|) per call: ``k - pieces`` as in
     :func:`cycle_isolation_count`, where ``k`` counts the node's surviving
     edges and ``pieces`` the components of the remaining graph without the
-    node that its surviving neighbours reach.
+    node that its surviving neighbours reach. Traverses the graph's own
+    adjacency, skipping the removed edges, with no copy.
     """
-    adj = [g.neighbor_indices(v) for v in range(g.num_nodes)]
+    adj = g.adjacency
 
     def isolation(si: int, removed: frozenset[tuple[int, int]]) -> int:
         seen = {si}
@@ -257,8 +258,7 @@ def _whole_graph_costs(g: PairGraph) -> tuple[list[int], set[tuple[int, int]]]:
     from one articulation-point DFS."""
     increase, bridges = g.removal_effects()
     c_full = [
-        max(0, len(g.neighbor_indices(v)) - increase[v] - 1)
-        for v in range(g.num_nodes)
+        max(0, len(nbrs) - inc - 1) for nbrs, inc in zip(g.adjacency, increase)
     ]
     return c_full, bridges
 
@@ -294,7 +294,7 @@ def _pair_loop(
         # nodes 0 and 1 are the first pair's endpoints, so linked and first
         return KappaReport(1, method, witness_pair=(g.node_id(0), g.node_id(1)))
 
-    degree = [len(g.neighbor_indices(v)) for v in range(n)]
+    degree = [len(nbrs) for nbrs in g.adjacency]
 
     def bound(a: int, b: int) -> int:
         return min(degree[a], degree[b])
@@ -389,8 +389,8 @@ def kappa_upper(g: PairGraph) -> KappaReport:
     best = 0
     witness_node = None
     increases, _ = g.removal_effects()
-    for v, increase in enumerate(increases):
-        term = len(g.neighbor_indices(v)) - increase
+    for v, (nbrs, increase) in enumerate(zip(g.adjacency, increases)):
+        term = len(nbrs) - increase
         if term > best:
             best = term
             witness_node = g.node_id(v)
@@ -400,10 +400,7 @@ def kappa_upper(g: PairGraph) -> KappaReport:
 
 def kappa_node_dp(g: PairGraph) -> KappaReport:
     """Node-privacy baseline: the maximum node degree."""
-    best = 0
-    for v in range(g.num_nodes):
-        best = max(best, len(g.neighbor_indices(v)))
-    return KappaReport(best, "node_dp")
+    return KappaReport(max(map(len, g.adjacency), default=0), "node_dp")
 
 
 def kappa_intransitive(g: PairGraph) -> KappaReport:
@@ -431,7 +428,7 @@ def kappa_intransitive(g: PairGraph) -> KappaReport:
         g,
         "intransitive",
         c_full,
-        lambda a, b: b in g.neighbor_indices(a),
+        lambda a, b: b in g.adjacency[a],
         lambda a, b: (1, frozenset({(a, b)})),
         isolation,
     )

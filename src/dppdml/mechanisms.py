@@ -16,17 +16,15 @@ import numpy as np
 from .errors import DeltaZero, InvalidGamma, NonPositiveScale, OutOfRange
 from .pairgraph import PairSet, PairwiseDatum
 
-MECHANISMS = ("laplace", "gaussian", "staircase", "duchi")
-
 
 @dataclass(frozen=True)
 class PrivacyBudget:
     """Privacy budget governing noise calibration.
 
     ``delta == 0`` selects pure (l1 / Laplace) calibration; ``delta > 0``
-    selects the approximate (l2 / Gaussian) regime. The per-epoch budget is
-    ``epsilon / t_max``; charging it once per epoch over disjoint batches
-    accumulates to exactly ``epsilon``.
+    selects the approximate (l2 / Gaussian) regime. ``epsilon`` is split
+    evenly over the ``t_max`` epochs: each epoch's noise is calibrated to
+    ``epsilon / t_max``.
     """
 
     epsilon: float
@@ -47,31 +45,6 @@ class PrivacyBudget:
     @property
     def per_epoch_epsilon(self) -> float:
         return self.epsilon / self.t_max
-
-    def epoch_budget(self) -> "PrivacyBudget":
-        """Budget slice for a single epoch."""
-        return PrivacyBudget(self.per_epoch_epsilon, self.delta, self.kappa, 1)
-
-    def total_epsilon_charged(self) -> float:
-        """Total budget consumed after all epochs (epsilon by construction)."""
-        return self.epsilon
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Resolved noise parameters actually used by one update step."""
-
-    mechanism: str
-    scale_or_sigma: float
-    staircase_gamma: float | None = None
-
-    def __post_init__(self):
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if not self.scale_or_sigma > 0:
-            raise NonPositiveScale(
-                f"scale must be positive, got {self.scale_or_sigma}"
-            )
 
 
 def laplace_sample(scale: float, rng: np.random.Generator, size=None):

@@ -1,9 +1,11 @@
 """Undirected graph model of a pairwise dataset.
 
 Every labelled pair (feature difference + same/different flag) becomes an
-edge between its two participants; the structural queries needed by the
-privacy-distance computation (degrees, components, removal effects) live
-here. Graphs are immutable, so all queries are safe to run concurrently.
+edge between its two participants. The privacy distance depends only on
+that structure, so the graph keeps the node ids and one adjacency, not the
+pairs; the structural queries the privacy-distance computation needs
+(degrees, components, removal effects) live here. Graphs are immutable, so
+all queries are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,11 +62,6 @@ class PairwiseDatum:
     @property
     def dim(self) -> int:
         return self.delta_x.shape[0]
-
-    def key(self) -> tuple[NodeId, NodeId]:
-        """Unordered endpoint pair in a canonical order."""
-        a, b = self.i, self.j
-        return (a, b) if _node_sort_key(a) <= _node_sort_key(b) else (b, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,18 +145,15 @@ def _first_fault(i: Sequence, j: Sequence, dx: np.ndarray, y: np.ndarray) -> int
     return int(np.argmax(faulty)) if faulty.any() else -1
 
 
-def _node_sort_key(n: NodeId):
-    # ints sort before strings so mixed id types stay orderable
-    return (0, n, "") if isinstance(n, int) else (1, 0, str(n))
-
-
 class PairGraph:
-    """Simple undirected graph whose edges are the rows of ``PairSet.of(pairs)``.
+    """Simple undirected graph with one edge per row of ``PairSet.of(pairs)``.
 
     Node ids are opaque; internally they are normalised to dense indices in
-    order of first appearance in the ``i``/``j`` columns, which fixes all
-    tie-breaking (flow augmenting order, reductions) deterministically for a
-    given input order.
+    order of first appearance in the ``i``/``j`` columns, then
+    ``extra_nodes``, which fixes all tie-breaking (flow augmenting order,
+    reductions) deterministically for a given input order. The graph keeps
+    the id order and index, the edge count and one adjacency: per node, its
+    neighbours' indices in ascending order, as a tuple of tuples.
     """
 
     def __init__(
@@ -172,35 +167,24 @@ class PairGraph:
                 f"relation_kind must be one of {RELATION_KINDS}, got {relation_kind!r}"
             )
         self.relation_kind = relation_kind
-        self._pairs = pairs = PairSet.of(pairs)
-        self._order: list[NodeId] = []
-        self._index: dict[NodeId, int] = {}
-        for u, v in zip(pairs.i, pairs.j):
-            self._intern(u)
-            self._intern(v)
-        for n in extra_nodes:
-            self._intern(n)
-        self._dim = pairs.dim if len(pairs) else None
-        self._edges: dict[tuple[int, int], int] = {}  # index key -> pair row
+        pairs = PairSet.of(pairs)  # stacked only to validate; not kept
+        index: dict[NodeId, int] = {}
+        for n in (*chain.from_iterable(zip(pairs.i, pairs.j)), *extra_nodes):
+            index.setdefault(n, len(index))
+        self._index = index
+        self._order: list[NodeId] = list(index)
+        seen: set[tuple[int, int]] = set()
         adj: list[list[int]] = [[] for _ in self._order]
-        for row, (u, v) in enumerate(zip(pairs.i, pairs.j)):
-            a, b = self._index[u], self._index[v]
+        for u, v in zip(pairs.i, pairs.j):
+            a, b = index[u], index[v]
             key = (a, b) if a < b else (b, a)
-            if key in self._edges:
+            if key in seen:
                 raise DuplicateEdge(f"duplicate pair on ({u}, {v})")
-            self._edges[key] = row
+            seen.add(key)
             adj[a].append(b)
             adj[b].append(a)
-        # ascending neighbour indices per node, immutable like the graph
-        self._adj: list[tuple[int, ...]] = [tuple(sorted(nb)) for nb in adj]
-
-    def _intern(self, n: NodeId) -> int:
-        idx = self._index.get(n)
-        if idx is None:
-            idx = len(self._order)
-            self._index[n] = idx
-            self._order.append(n)
-        return idx
+        self._adj = tuple(tuple(sorted(nb)) for nb in adj)
+        self.num_edges = len(seen)
 
     # --- basic accessors -------------------------------------------------
 
@@ -209,13 +193,9 @@ class PairGraph:
         return len(self._order)
 
     @property
-    def num_edges(self) -> int:
-        return len(self._edges)
-
-    @property
-    def dim(self) -> int | None:
-        """Feature dimension, or None for an edgeless graph."""
-        return self._dim
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour indices of every node, ascending; read-only."""
+        return self._adj
 
     def nodes(self) -> list[NodeId]:
         return list(self._order)
@@ -229,31 +209,13 @@ class PairGraph:
     def node_id(self, idx: int) -> NodeId:
         return self._order[idx]
 
-    def has_node(self, n: NodeId) -> bool:
-        return n in self._index
-
-    def pairs(self) -> list[PairwiseDatum]:
-        """Edge payloads (``PairSet`` rows) in deterministic (index-sorted) order."""
-        return [self._pairs[self._edges[k]] for k in sorted(self._edges)]
-
     def edge_keys(self) -> list[tuple[NodeId, NodeId]]:
+        """Each edge as ids ``(u, v)``, ``u`` first in index order, sorted by
+        the index pair."""
         return [
-            (self._order[a], self._order[b]) for a, b in sorted(self._edges)
+            (self._order[a], self._order[b])
+            for a, nbrs in enumerate(self._adj) for b in nbrs if a < b
         ]
-
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        if u not in self._index or v not in self._index:
-            return False
-        a, b = self._index[u], self._index[v]
-        return ((a, b) if a < b else (b, a)) in self._edges
-
-    def neighbors(self, n: NodeId) -> list[NodeId]:
-        """Neighbour ids in ascending index order."""
-        return [self._order[m] for m in self._adj[self.node_index(n)]]
-
-    def neighbor_indices(self, idx: int) -> tuple[int, ...]:
-        """Neighbour indices of node ``idx`` in ascending order."""
-        return self._adj[idx]
 
     # --- structural queries ----------------------------------------------
 
@@ -350,7 +312,8 @@ def build_graph(
 ) -> PairGraph:
     """Build the pair graph for a dataset.
 
-    Reads the columns of a ``PairSet`` or of a stacked datum list. Rejects
+    Validates a ``PairSet`` or a stacked datum list, then reads only the
+    ``i``/``j`` columns: the graph keeps no reference to the pairs. Rejects
     self-loops, duplicate unordered pairs, and mixed feature dimensions.
     ``extra_nodes`` adds individuals that appear in no pair; they stay
     isolated and never affect the privacy distance.

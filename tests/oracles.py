@@ -83,23 +83,30 @@ def connected(n: int, edges: list[Edge], emask: int, a: int, b: int) -> bool:
 # --- derived graphs -------------------------------------------------------------
 
 
+def _rebuild(g: PairGraph, keys, nodes) -> PairGraph:
+    """A graph of ``g``'s relation kind on the edges ``keys`` and the
+    ``nodes``, with unit features: the graph keeps only its structure."""
+    pairs = [PairwiseDatum(u, v, np.ones(1), 0) for u, v in keys]
+    return PairGraph(pairs, g.relation_kind, extra_nodes=nodes)
+
+
 def remove_edges(g: PairGraph, edge_set) -> PairGraph:
-    """``g`` without the given edges; the node set and order are unchanged."""
+    """``g`` without the given edges; the node set is unchanged."""
+    keys = g.edge_keys()
+    present = {frozenset(k) for k in keys}
     drop = set()
     for u, v in edge_set:
-        if not g.has_edge(u, v):
+        if frozenset((u, v)) not in present:
             raise KeyError(f"edge ({u!r}, {v!r}) not in graph")
         drop.add(frozenset((u, v)))
-    kept = [p for p in g.pairs() if frozenset((p.i, p.j)) not in drop]
-    return PairGraph(kept, g.relation_kind, extra_nodes=g.nodes())
+    return _rebuild(g, [k for k in keys if frozenset(k) not in drop], g.nodes())
 
 
 def without_node(g: PairGraph, n) -> PairGraph:
     """``g`` without ``n`` and its edges."""
     g.node_index(n)  # an unknown node raises
-    kept = [p for p in g.pairs() if n not in (p.i, p.j)]
-    others = [m for m in g.nodes() if m != n]
-    return PairGraph(kept, g.relation_kind, extra_nodes=others)
+    kept = [k for k in g.edge_keys() if n not in k]
+    return _rebuild(g, kept, [m for m in g.nodes() if m != n])
 
 
 def component_increase(g: PairGraph, v, dropped=()) -> int:
@@ -136,7 +143,7 @@ def reference_unit_max_flow(g: PairGraph, s: int, t: int) -> tuple[int, list[set
     Returns the value and each node's set of flow successors."""
     n = g.num_nodes
     edges = sorted((g.node_index(a), g.node_index(b)) for a, b in g.edge_keys())
-    adj = [g.neighbor_indices(v) for v in range(n)]
+    adj = g.adjacency
     cap = {}
     for a, b in edges:
         cap[(a, b)] = 1

@@ -181,6 +181,21 @@ class TestTrainEvaluate:
                     "--data", bad]) == 2
         assert "row 4, col 2" in capsys.readouterr().err
 
+    def test_mixed_numeric_and_text_ids(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("id,label,f1\n1,0,0.1\na,1,0.5\n2,0,0.2\nb,1,0.7\n")
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("1,a,1,0.1\na,2,1,0.2\n2,b,1,0.3\n")
+        out = tmp_path / "run"
+        assert run(["train", "--pairs", pairs, "--out-dir", out,
+                    "--t-max", 1, "--d-prime", 1]) == 0
+        capsys.readouterr()
+        for extra in ([], ["--pairs", pairs]):
+            assert run(["evaluate", "--model", out / "model.json",
+                        "--data", samples, "--k", 1, *extra]) == 0
+            result = json.loads(capsys.readouterr().out)
+            assert result["train_size"] == 4
+
     @pytest.mark.parametrize(
         "command", ["evaluate-pairs", "sweep", "evaluate-model"]
     )

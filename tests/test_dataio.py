@@ -305,6 +305,25 @@ class TestCsv:
         s = load_csv(path)
         assert s.ids.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("cells, kind", [
+        (["1", "a", "2", "b"], "O"),  # an object array only when types mix
+        (["1", "2", "3", "4"], "i"),
+        (["u1", "a", "x", "b"], "U"),
+    ])
+    def test_ids_keep_their_parsed_types(self, tmp_path, cells, kind):
+        path = tmp_path / "samples.csv"
+        rows = [f"{c},{k % 2},{k / 4}" for k, c in enumerate(cells)]
+        path.write_text("\n".join(["id,label,f1", *rows]) + "\n")
+        s = load_csv(path)
+        assert s.ids.dtype.kind == kind
+        want = [int(c) if c.isdigit() else c for c in cells]
+        assert [(type(v), v) for v in s.ids.tolist()] == [(type(v), v) for v in want]
+        back = tmp_path / "back.csv"
+        save_samples_csv(back, s)
+        assert back.read_text().splitlines()[1:] == [
+            f"{c},{k % 2},{k / 4!r}" for k, c in enumerate(cells)
+        ]
+
     def test_round_trip(self, tmp_path):
         samples = normalize(synth_two_gaussians(20, seed=6))
         path = tmp_path / "samples.csv"

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,7 +90,7 @@ class TestConstruction:
 
     def test_isolated_nodes_retained(self):
         g = build_graph([datum("a", "b")], extra_nodes=["z"])
-        assert g.has_node("z")
+        assert g.nodes() == ["a", "b", "z"]
         assert g.degree("z") == 0
 
     def test_mixed_id_types_supported(self):
@@ -96,8 +99,8 @@ class TestConstruction:
         g = build_graph([datum(0, "alice"), datum("alice", 1), datum(1, 0)])
         assert g.degree("alice") == 2
         assert kappa_exact(g).kappa == 2
-        keys = {p.key() for p in g.pairs()}
-        assert (0, "alice") in keys  # ints order before strings
+        # ids keep their types; each key leads with the earlier-seen id
+        assert g.edge_keys() == [(0, "alice"), (0, 1), ("alice", 1)]
 
 
 def _error(make):
@@ -215,13 +218,14 @@ class TestQueries:
     def test_neighbours_ascending_and_read_only(self):
         g = graph_from_edges([("c", "b"), ("c", "a"), ("d", "c"), ("a", "b")])
         # indices follow first appearance: c=0, b=1, a=2, d=3
-        assert g.neighbor_indices(0) == (1, 2, 3)
-        assert g.neighbors("c") == ["b", "a", "d"]
-        assert g.neighbors("a") == ["c", "b"]
+        assert g.adjacency == ((1, 2, 3), (0, 2), (0, 1), (0,))
+        assert g.adjacency is g.adjacency  # the graph's own, not a copy
         with pytest.raises(TypeError):
-            g.neighbor_indices(0)[0] = 3
-        g.neighbors("c").append("z")
-        assert g.neighbors("c") == ["b", "a", "d"]
+            g.adjacency[0][0] = 3
+        with pytest.raises(TypeError):
+            g.adjacency[0] = ()
+        with pytest.raises(AttributeError):
+            g.adjacency = ()
 
     def test_component_count_two_disjoint_edges(self):
         g = build_graph([datum("a", "b"), datum("c", "d")])
@@ -276,7 +280,7 @@ class TestQueries:
             split += sum(len(c) > 1 for c in g.components()) > 1
             for v in range(n):
                 isolated += g.degree(v) == 0
-                for w in g.neighbor_indices(v):
+                for w in g.adjacency[v]:
                     bridge = (min(v, w), max(v, w)) in bridges
                     bridged += bridge and increase[v] > 0
                     kept += not bridge and increase[v] > 0
@@ -348,7 +352,7 @@ class TestRemoveEdges:
         assert sub.num_nodes == fig5_graph.num_nodes
         assert sub.num_edges == fig5_graph.num_edges - len(used)
         # wiped routes no longer connect s and t
-        assert not sub.has_edge("s", "t")
+        assert sub.node_index("t") not in sub.adjacency[sub.node_index("s")]
 
 
 @st.composite
@@ -367,13 +371,9 @@ class TestInvariants:
         pairs = [PairwiseDatum(a, b, np.array([float(a + b)]), (a + b) % 2)
                  for a, b in edges]
         g = build_graph(pairs)
-        back = g.pairs()
-        assert sorted(p.key() for p in back) == sorted(p.key() for p in pairs)
-        by_key = {p.key(): p for p in pairs}
-        for p in back:
-            src = by_key[p.key()]
-            assert p.y == src.y
-            assert np.array_equal(p.delta_x, src.delta_x)
+        back = g.edge_keys()
+        assert len(back) == g.num_edges == len(edges)
+        assert set(map(frozenset, back)) == set(map(frozenset, edges))
 
     @settings(max_examples=60, deadline=None)
     @given(edge_lists())
@@ -488,7 +488,7 @@ class TestPairsFile:
         path.write_text("i,j,y,dx_1\n")
         empty = read_pairs_file(path)
         assert isinstance(empty, PairSet) and len(empty) == 0
-        assert build_graph(empty).dim is None
+        assert build_graph(empty).num_edges == 0
 
 
 def _columns(pairs):
@@ -612,8 +612,7 @@ class TestGraphFromColumns:
 
     @staticmethod
     def shape(g):
-        return (g.nodes(), [g.neighbor_indices(k) for k in range(g.num_nodes)],
-                g.edge_keys())
+        return g.nodes(), list(g.adjacency), g.edge_keys()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_same_graph(self, seed):
@@ -630,9 +629,7 @@ class TestGraphFromColumns:
             pairs.append(datum(ids[a], ids[b], int(rng.integers(2)), rng.normal(size=2)))
         from_list, from_set = build_graph(pairs), build_graph(PairSet.of(pairs))
         assert self.shape(from_list) == self.shape(from_set) == self.recount(pairs)
-        assert from_set.dim == 2
-        index_key = lambda p: sorted(map(from_set.node_index, (p.i, p.j)))
-        assert _columns(from_set.pairs()) == _columns(sorted(pairs, key=index_key))
+        assert from_set.num_edges == len(pairs)
 
     def test_same_errors(self):
         dup = [datum("a", "b"), datum(0, "a"), datum("b", "a", y=1)]
@@ -646,6 +643,22 @@ class TestGraphFromColumns:
         )
         assert _error(lambda: build_graph(mixed))[0] is DimensionMismatch
 
-    def test_edgeless_graph_has_no_dim(self):
+    def test_edgeless_graph_keeps_its_nodes(self):
         g = build_graph(PairSet.of([]), extra_nodes=["z", 1])
-        assert g.dim is None and g.nodes() == ["z", 1] and g.pairs() == []
+        assert g.nodes() == ["z", 1] and g.edge_keys() == []
+        assert g.adjacency == ((), ()) and g.num_edges == 0
+
+    def test_graph_keeps_only_its_structure(self):
+        """The graph holds the relation kind, the id order and index, the
+        adjacency and the edge count; the pairs it was built from are
+        freed once the caller drops them."""
+        ps = PairSet.of([datum("a", "b", dx=(1.0, 2.0)), datum("b", 0, dx=(3.0, 4.0))])
+        g = build_graph(ps, extra_nodes=["z"])
+        assert set(vars(g)) == {
+            "relation_kind", "_order", "_index", "_adj", "num_edges"
+        }
+        ref = weakref.ref(ps)
+        del ps
+        gc.collect()
+        assert ref() is None
+        assert g.nodes() == ["a", "b", 0, "z"] and g.num_edges == 2
