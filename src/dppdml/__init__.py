@@ -12,7 +12,6 @@ from .dataio import (
 )
 from .dml import (
     MetricModel,
-    SensitivityBound,
     TrainConfig,
     TrainTrace,
     clip_gradient,
@@ -35,7 +34,6 @@ from .kappa import (
     max_edge_disjoint_paths,
 )
 from .mechanisms import (
-    PrivacyBudget,
     duchi_randomize,
     gaussian_sigma,
     input_perturb,

@@ -26,6 +26,7 @@ from .dml import (
     BATCH_MODES,
     NORM_MODES,
     SENSITIVITY_MODES,
+    TRACE_COLUMNS,
     TRAIN_MECHANISMS,
     MetricModel,
     TrainConfig,
@@ -264,19 +265,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         }
     )
     _write_json(model_path, payload)
-    rows = [
-        (
-            r["iter"], r["epoch"], r["objective"], r["eta"],
-            r["sens_basic"], r["sens_reduced_min"], r["sens_reduced_max"],
-        )
-        for r in trace.rows()
-    ]
-    _write_csv(
-        trace_path,
-        ["iter", "epoch", "objective", "eta", "sens_basic",
-         "sens_reduced_min", "sens_reduced_max"],
-        rows,
-    )
+    rows = [[r[c] for c in TRACE_COLUMNS] for r in trace.rows()]
+    _write_csv(trace_path, TRACE_COLUMNS, rows)
     _emit_resolved(cfg, "train")
     print(f"wrote {model_path} and {trace_path} "
           f"(final objective {trace.objectives[-1]:.6f})")

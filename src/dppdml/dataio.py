@@ -264,7 +264,11 @@ def load_csv(
     id_col: str = "id",
     delimiter: str = ",",
 ) -> SampleSet:
-    """Load samples from delimited text with a header row."""
+    """Load samples from delimited text with a header row.
+
+    Raises :class:`ParseError` at the first row whose id an earlier row
+    already gave.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
@@ -283,13 +287,23 @@ def load_csv(
             k for k in range(len(header)) if k != label_idx and k != id_idx
         ]
         rows, labels, ids = [], [], []
+        first_row: dict = {}  # id -> the row that first gave it
         for rownum, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             rows.append(_parse_features(row, rownum, len(header), feat_idx))
             labels.append(_parse_label(row[label_idx], rownum, label_idx + 1))
             if id_idx is not None:
-                ids.append(_parse_node_id(row[id_idx]))
+                node_id = _parse_node_id(row[id_idx])
+                if node_id in first_row:
+                    raise ParseError(
+                        f"row {rownum}, col {id_idx + 1}: id {node_id!r} "
+                        f"repeats row {first_row[node_id]}",
+                        row=rownum,
+                        col=id_idx + 1,
+                    )
+                first_row[node_id] = rownum
+                ids.append(node_id)
             else:
                 ids.append(rownum - 2)
     if not rows:

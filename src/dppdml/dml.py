@@ -25,7 +25,6 @@ from .errors import (
 )
 from .kappa import KappaReport, compute_kappa
 from .mechanisms import (
-    PrivacyBudget,
     duchi_randomize_vector,
     gaussian_sigma,
     laplace_sample,
@@ -38,6 +37,11 @@ TRAIN_MECHANISMS = ("none", "laplace", "gaussian", "staircase", "duchi")
 SENSITIVITY_MODES = ("basic", "reduced")
 NORM_MODES = ("l1", "l2")
 BATCH_MODES = ("shuffle", "component")
+#: Columns of ``trace.csv``, in order: the keys of :meth:`TrainTrace.rows`.
+TRACE_COLUMNS = (
+    "iter", "epoch", "objective", "eta",
+    "sens_basic", "sens_reduced_min", "sens_reduced_max",
+)
 
 
 @dataclass(frozen=True)
@@ -142,23 +146,6 @@ class TrainConfig:
         if not self.init_scale > 0:
             raise ConfigInvalid(f"init_scale must be positive, got {self.init_scale}")
 
-    def budget(self, kappa: int) -> PrivacyBudget:
-        eps = self.epsilon if self.mechanism != "none" else math.inf
-        return PrivacyBudget(eps, self.delta, kappa, self.t_max)
-
-
-@dataclass(frozen=True)
-class SensitivityBound:
-    """Per-row gradient sensitivity (privacy-distance factor included)."""
-
-    per_row: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        arr = np.asarray(self.per_row, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "per_row", arr)
-
 
 @dataclass
 class TrainTrace:
@@ -177,21 +164,15 @@ class TrainTrace:
     degenerate_events: int = 0
 
     def rows(self) -> list[dict]:
-        out = []
-        for k in range(len(self.iterations)):
-            reduced = self.sens_reduced[k]
-            out.append(
-                {
-                    "iter": self.iterations[k],
-                    "epoch": self.epochs[k],
-                    "objective": self.objectives[k],
-                    "eta": self.etas[k],
-                    "sens_basic": self.sens_basic[k],
-                    "sens_reduced_min": float(np.min(reduced)),
-                    "sens_reduced_max": float(np.max(reduced)),
-                }
-            )
-        return out
+        """One dict per step, keyed by :data:`TRACE_COLUMNS` in order."""
+        return [
+            dict(zip(TRACE_COLUMNS, (
+                self.iterations[k], self.epochs[k], self.objectives[k],
+                self.etas[k], self.sens_basic[k],
+                float(np.min(reduced)), float(np.max(reduced)),
+            )))
+            for k, reduced in enumerate(self.sens_reduced)
+        ]
 
 
 # --- loss and gradients -----------------------------------------------------
@@ -259,13 +240,12 @@ def step_size(tau: int) -> float:
 
 def sensitivity_basic(
     kappa: int, h: float, batch_size: int, d_prime: int = 1
-) -> SensitivityBound:
-    """Fixed per-row bound ``2 kappa h / batch_size`` from the Lipschitz cap."""
+) -> np.ndarray:
+    """Fixed per-row bound ``2 kappa h / batch_size`` from the Lipschitz cap,
+    as a ``(d_prime,)`` array."""
     if kappa < 0 or not h > 0 or batch_size < 1 or d_prime < 1:
         raise ConfigInvalid("kappa >= 0, h > 0, batch_size >= 1, d_prime >= 1 required")
-    return SensitivityBound(
-        np.full(d_prime, 2.0 * kappa * h / batch_size), mode="basic"
-    )
+    return np.full(d_prime, 2.0 * kappa * h / batch_size)
 
 
 def _counterpart_bound(w: np.ndarray, h: float, margin: float, norm_mode: str) -> np.ndarray:
@@ -301,8 +281,9 @@ def sensitivity_reduced(
     kappa: int,
     batch_size: int,
     norm_mode: str = "l1",
-) -> SensitivityBound:
-    """Data-dependent per-row bound ``kappa (g' + g'') / batch_size``.
+) -> np.ndarray:
+    """Data-dependent per-row bound ``kappa (g' + g'') / batch_size``, as a
+    ``(d_prime,)`` array.
 
     ``clipped_grads[r]`` holds the clipped per-pair gradients of row r as an
     (n_batch, d) array; g' is the largest norm among them and g'' the
@@ -324,11 +305,9 @@ def sensitivity_reduced(
         else:
             norms = np.linalg.norm(block, axis=1)
         peaks.append(float(norms.max()))
-    per_row = _reduced_bound(
+    return _reduced_bound(
         np.array(peaks), w, h, margin, kappa, batch_size, norm_mode
     )
-    mode = "reduced" if norm_mode == "l1" else "reduced_l2"
-    return SensitivityBound(per_row, mode=mode)
 
 
 # --- training ----------------------------------------------------------------
@@ -484,7 +463,7 @@ def train(
     slices = _batch_slices(len(pairs), config.batch_size, order)
     h = config.lipschitz
     basic_of = {
-        n_b: sensitivity_basic(kappa, h, n_b, config.d_prime).per_row
+        n_b: sensitivity_basic(kappa, h, n_b, config.d_prime)
         for n_b in {len(b) for b in slices}
     }
     batches = [
@@ -492,8 +471,9 @@ def train(
         for b in slices
     ]
 
-    budget = config.budget(kappa)
-    eps_epoch = budget.per_epoch_epsilon
+    eps_epoch = (
+        config.epsilon / config.t_max if config.mechanism != "none" else math.inf
+    )
     gamma = config.staircase_gamma
     if config.mechanism == "staircase" and gamma is None:
         gamma = staircase_optimal_gamma(eps_epoch)
@@ -561,9 +541,7 @@ def _row_noise(
     if config.mechanism == "laplace":
         return laplace_sample(sens / eps_epoch, rng, size=d)
     if config.mechanism == "gaussian":
-        sigma = gaussian_sigma(
-            PrivacyBudget(eps_epoch, config.delta, 1, 1), sens
-        )
+        sigma = gaussian_sigma(eps_epoch, config.delta, sens)
         return rng.normal(0.0, sigma, size=d)
     if config.mechanism == "staircase":
         return staircase_sample(eps_epoch, sens, gamma, rng, size=d)

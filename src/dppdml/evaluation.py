@@ -30,43 +30,19 @@ METHODS = ("nonpriv", "dpp", "dpp_s", "node_dp", "input_per")
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Aggregated accuracy of one (method, epsilon) cell."""
+    """Per-run accuracies of one (method, epsilon) cell."""
 
     method: str
     epsilon: float
-    runs: int
-    mean_accuracy: float
-    std_accuracy: float
     per_run: tuple[float, ...]
 
-    def __post_init__(self):
-        if self.runs != len(self.per_run):
-            raise ValueError("runs must equal len(per_run)")
-        if self.per_run:
-            if abs(self.mean_accuracy - float(np.mean(self.per_run))) > 1e-12:
-                raise ValueError("mean_accuracy inconsistent with per_run")
+    @property
+    def mean_accuracy(self) -> float:
+        return float(np.mean(self.per_run))
 
-    @classmethod
-    def from_runs(cls, method: str, epsilon: float, per_run) -> "ExperimentReport":
-        per_run = tuple(float(v) for v in per_run)
-        return cls(
-            method=method,
-            epsilon=epsilon,
-            runs=len(per_run),
-            mean_accuracy=float(np.mean(per_run)),
-            std_accuracy=float(np.std(per_run)),
-            per_run=per_run,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "epsilon": self.epsilon,
-            "runs": self.runs,
-            "mean_accuracy": self.mean_accuracy,
-            "std_accuracy": self.std_accuracy,
-            "per_run": list(self.per_run),
-        }
+    @property
+    def std_accuracy(self) -> float:
+        return float(np.std(self.per_run))
 
 
 def project(model: MetricModel, x: np.ndarray) -> np.ndarray:
@@ -225,14 +201,12 @@ def run_experiment(
     for method in methods:
         for epsilon in epsilons:
             if method == "nonpriv" and nonpriv_cache is not None:
-                reports.append(
-                    ExperimentReport.from_runs(method, epsilon, nonpriv_cache)
-                )
+                reports.append(ExperimentReport(method, epsilon, nonpriv_cache))
                 continue
-            per_run = [
+            per_run = tuple(
                 one_run(method, epsilon, seed + r) for r in range(repeats)
-            ]
+            )
             if method == "nonpriv":
-                nonpriv_cache = tuple(per_run)
-            reports.append(ExperimentReport.from_runs(method, epsilon, per_run))
+                nonpriv_cache = per_run
+            reports.append(ExperimentReport(method, epsilon, per_run))
     return reports

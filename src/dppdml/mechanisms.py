@@ -8,43 +8,12 @@ derive independent streams by spawning from one master seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DeltaZero, InvalidGamma, NonPositiveScale, OutOfRange
 from .pairgraph import PairSet, PairwiseDatum
-
-
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """Privacy budget governing noise calibration.
-
-    ``delta == 0`` selects pure (l1 / Laplace) calibration; ``delta > 0``
-    selects the approximate (l2 / Gaussian) regime. ``epsilon`` is split
-    evenly over the ``t_max`` epochs: each epoch's noise is calibrated to
-    ``epsilon / t_max``.
-    """
-
-    epsilon: float
-    delta: float = 0.0
-    kappa: int = 1
-    t_max: int = 1
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (0 <= self.delta < 1):
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be non-negative, got {self.kappa}")
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be at least 1, got {self.t_max}")
-
-    @property
-    def per_epoch_epsilon(self) -> float:
-        return self.epsilon / self.t_max
 
 
 def laplace_sample(scale: float, rng: np.random.Generator, size=None):
@@ -54,17 +23,21 @@ def laplace_sample(scale: float, rng: np.random.Generator, size=None):
     return rng.laplace(0.0, scale, size=size)
 
 
-def gaussian_sigma(budget: PrivacyBudget, sensitivity: float) -> float:
+def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
     """Smallest Gaussian noise level for the approximate regime.
 
     sigma = sqrt(2 ln(1.25 / delta)) * sensitivity / epsilon, requiring
-    delta > 0.
+    0 < delta < 1 and positive epsilon and sensitivity.
     """
-    if budget.delta <= 0:
+    if delta <= 0:
         raise DeltaZero("Gaussian calibration requires delta > 0")
+    if not delta < 1:
+        raise OutOfRange(f"delta must be below 1, got {delta}")
+    if not epsilon > 0:
+        raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
     if not sensitivity > 0:
         raise NonPositiveScale(f"sensitivity must be positive, got {sensitivity}")
-    return math.sqrt(2.0 * math.log(1.25 / budget.delta)) * sensitivity / budget.epsilon
+    return math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / epsilon
 
 
 # --- staircase mechanism ----------------------------------------------------

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     DimensionMismatch,
     DuplicateEdge,
     ParseError,
@@ -163,7 +164,7 @@ class PairGraph:
         extra_nodes: Iterable[NodeId] = (),
     ):
         if relation_kind not in RELATION_KINDS:
-            raise ValueError(
+            raise ConfigInvalid(
                 f"relation_kind must be one of {RELATION_KINDS}, got {relation_kind!r}"
             )
         self.relation_kind = relation_kind

@@ -593,7 +593,9 @@ def reference_train(pairs, graph, config, kappa_report=None):
         order = order[np.argsort(comp_key, kind="stable")]
     batches = _batch_slices(len(pairs), config.batch_size, order)
 
-    eps_epoch = config.budget(kappa).per_epoch_epsilon
+    eps_epoch = (
+        math.inf if config.mechanism == "none" else config.epsilon / config.t_max
+    )
     h = config.lipschitz
     gamma = config.staircase_gamma
     if config.mechanism == "staircase" and gamma is None:
@@ -623,7 +625,7 @@ def reference_train(pairs, graph, config, kappa_report=None):
             g_peaks = clipped_norms.max(axis=1)
             mean_grad = (cmat @ dx) / n_b
 
-            basic = sensitivity_basic(kappa, h, n_b, config.d_prime).per_row
+            basic = sensitivity_basic(kappa, h, n_b, config.d_prime)
             reduced = _reference_reduced_bound(
                 g_peaks, w, h, margin, kappa, n_b, config.norm_mode
             )

@@ -242,7 +242,7 @@ def test_criterion_06_neighbouring_batch_sensitivity_bound():
                     grads = np.stack([clipped(p, row) for p in batch])
                     bound = sensitivity_reduced(
                         [grads], w[row:row + 1], h, margin, 1, batch_size
-                    ).per_row[0]
+                    )[0]
                     mean = grads.mean(axis=0)
                     for pos in range(batch_size):
                         for repl in pool:

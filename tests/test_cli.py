@@ -196,6 +196,32 @@ class TestTrainEvaluate:
             result = json.loads(capsys.readouterr().out)
             assert result["train_size"] == 4
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_repeated_sample_id_exits_two_naming_row(
+        self, command, tmp_path, capsys
+    ):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(
+            "id,label,f1\n1,0,0.1\n2,1,0.5\n3,0,0.2\n1,1,0.7\n4,1,0.9\n"
+        )
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("1,2,1,0.4\n2,3,1,0.3\n3,4,1,0.7\n1,3,0,0.1\n")
+        out = tmp_path / "run"
+        assert run(["train", "--pairs", pairs, "--out-dir", out,
+                    "--t-max", 1, "--d-prime", 1]) == 0
+        argv = {
+            "evaluate": ["evaluate", "--model", out / "model.json",
+                         "--data", samples, "--k", 1],
+            "sweep": ["sweep", "--data", samples, "--pairs", pairs,
+                      "--out-dir", tmp_path / "sweep", "--methods", "nonpriv",
+                      "--epsilons", 1, "--repeats", 1, "--t-max", 1,
+                      "--d-prime", 1, "--k", 1],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert "row 5, col 1: id 1 repeats row 2" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     @pytest.mark.parametrize(
         "command", ["evaluate-pairs", "sweep", "evaluate-model"]
     )
@@ -378,6 +404,10 @@ BAD_OPTION_VALUES = {
                                        "l2", "--delta", 1.5], None),
     "analyze-config-method": (["analyze-kappa", "--pairs", "{pairs}"],
                               {"method": "bogus"}),
+    "analyze-config-bogus-relation": (["analyze-kappa", "--pairs", "{pairs}"],
+                                      {"relation": "bogus"}),
+    "train-config-bogus-relation": (["train", "--pairs", "{pairs}"],
+                                    {"relation": "bogus"}),
     "sweep-non-numeric-epsilon": (["sweep", "--data", "{samples}",
                                    "--pairs", "{pairs}", "--epsilons", "1,x"],
                                   None),

@@ -277,6 +277,23 @@ class TestCsv:
         path.write_text("id,label,f1\n0,cat,0.1\n1,dog,0.2\n")
         assert load_csv(path).labels.tolist() == ["cat", "dog"]
 
+    @pytest.mark.parametrize("first, repeat, shown", [
+        ("1", "1", "1"),
+        ("1", " 1 ", "1"),
+        ("a", "a", "'a'"),
+    ])
+    def test_repeated_id_rejected_naming_row(self, tmp_path, first, repeat, shown):
+        path = tmp_path / "samples.csv"
+        path.write_text(
+            f"id,label,f1\n{first},0,0.1\n2,1,0.5\n3,0,0.2\n"
+            f"{repeat},1,0.7\n4,1,0.9\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert err.value.row == 5
+        assert err.value.col == 1
+        assert f"id {shown} repeats row 2" in str(err.value)
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("id,target,f1\n0,0,0.1\n")

@@ -153,16 +153,16 @@ class TestStepSize:
 class TestSensitivities:
     def test_basic_toy_constants(self):
         bound = sensitivity_basic(1, 0.5, 30, d_prime=2)
-        assert bound.per_row == pytest.approx(np.full(2, 1.0 / 30.0))
-        assert bound.mode == "basic"
+        assert isinstance(bound, np.ndarray) and bound.shape == (2,)
+        assert bound == pytest.approx(np.full(2, 1.0 / 30.0))
 
     def test_basic_linear_in_kappa(self):
-        one = sensitivity_basic(1, 0.5, 30).per_row[0]
-        two = sensitivity_basic(2, 0.5, 30).per_row[0]
+        one = sensitivity_basic(1, 0.5, 30)[0]
+        two = sensitivity_basic(2, 0.5, 30)[0]
         assert two == pytest.approx(2 * one)
 
     def test_basic_vanishes_with_batch_size(self):
-        assert sensitivity_basic(1, 0.5, 10**9).per_row[0] <= 1e-9
+        assert sensitivity_basic(1, 0.5, 10**9)[0] <= 1e-9
 
     def test_reduced_with_zero_gradients_and_zero_rows(self):
         d_prime, d, batch = 2, 3, 4
@@ -171,7 +171,8 @@ class TestSensitivities:
         bound = sensitivity_reduced(grads, w, h=0.5, margin=1.0, kappa=1,
                                     batch_size=batch)
         expected = min(0.5, 2.0 * 1.0 * math.sqrt(d_prime)) / batch
-        assert bound.per_row == pytest.approx(np.full(d_prime, expected))
+        assert isinstance(bound, np.ndarray) and bound.shape == (d_prime,)
+        assert bound == pytest.approx(np.full(d_prime, expected))
 
     def test_reduced_saturates_to_basic(self):
         # peak at the cap and 4||W_r|| >= h: no reduction possible
@@ -180,8 +181,8 @@ class TestSensitivities:
         g = np.array([[0.5, 0.0]])  # l1 norm exactly h
         bound = sensitivity_reduced([np.tile(g, (batch, 1))], w, h=0.5,
                                     margin=1.0, kappa=1, batch_size=batch)
-        basic = sensitivity_basic(1, 0.5, batch).per_row[0]
-        assert bound.per_row[0] == pytest.approx(basic)
+        basic = sensitivity_basic(1, 0.5, batch)[0]
+        assert bound[0] == pytest.approx(basic)
 
     def test_reduced_never_exceeds_basic(self, rng):
         for _ in range(100):
@@ -199,8 +200,9 @@ class TestSensitivities:
                 for _ in range(d_prime)
             ]
             bound = sensitivity_reduced(grads, w, h, margin, kappa, batch)
-            basic = sensitivity_basic(kappa, h, batch).per_row[0]
-            assert np.all(bound.per_row <= basic + 1e-12)
+            basic = sensitivity_basic(kappa, h, batch)[0]
+            assert bound.shape == (d_prime,)
+            assert np.all(bound <= basic + 1e-12)
 
     def test_reduced_rejects_empty_batch(self):
         with pytest.raises(EmptyBatch):
@@ -375,6 +377,10 @@ class TestTrain:
         with pytest.raises(ConfigInvalid):
             train(pairs, graph, vii_a_config(mechanism="gaussian",
                                              norm_mode="l2", delta=1.5))
+        with pytest.raises(ConfigInvalid):
+            train(pairs, graph, vii_a_config(mechanism="laplace", epsilon=0.0))
+        with pytest.raises(ConfigInvalid):
+            train(pairs, graph, vii_a_config(t_max=0))
 
     def test_neighbouring_batch_deviation_bounded(self, rng):
         """Replacing one pair never moves the mean clipped row gradient by
@@ -405,7 +411,7 @@ class TestTrain:
                 grads = np.stack([clipped(p, row) for p in batch])
                 bound = sensitivity_reduced(
                     [grads], w[row:row + 1], h, margin, 1, batch_size
-                ).per_row[0]
+                )[0]
                 mean = grads.mean(axis=0)
                 for pos in range(batch_size):
                     for repl in pool:
@@ -498,12 +504,12 @@ class TestTrainMatchesReference:
         assert trace.degenerate_events == 1
         assert trace.sens_basic[0] == sensitivity_basic(
             trace.kappa, self.H, n, d_prime
-        ).per_row[0]
+        )[0]
         reduced = sensitivity_reduced(
             blocks, w0, self.H, self.MARGIN, trace.kappa, n, norm_mode
         )
         np.testing.assert_allclose(
-            trace.sens_reduced[0], reduced.per_row, rtol=1e-12, atol=0
+            trace.sens_reduced[0], reduced, rtol=1e-12, atol=0
         )
 
 

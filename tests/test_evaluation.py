@@ -137,17 +137,11 @@ class TestSplit:
 
 
 class TestExperimentReport:
-    def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ExperimentReport("dpp", 1.0, 3, 0.9, 0.0, (0.9, 0.9))
-        with pytest.raises(ValueError):
-            ExperimentReport("dpp", 1.0, 2, 0.1, 0.0, (0.9, 0.9))
-
     def test_from_runs(self):
-        rep = ExperimentReport.from_runs("dpp", 2.0, [0.8, 1.0])
+        rep = ExperimentReport("dpp", 2.0, (0.8, 1.0))
         assert rep.mean_accuracy == pytest.approx(0.9)
         assert rep.std_accuracy == pytest.approx(0.1)
-        assert rep.runs == 2
+        assert len(rep.per_run) == 2
 
 
 class TestRunExperiment:

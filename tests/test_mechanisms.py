@@ -11,7 +11,6 @@ import pytest
 import dppdml
 from dppdml.errors import DeltaZero, InvalidGamma, NonPositiveScale, OutOfRange
 from dppdml.mechanisms import (
-    PrivacyBudget,
     duchi_randomize,
     duchi_randomize_vector,
     gaussian_sigma,
@@ -27,26 +26,6 @@ from dppdml.pairgraph import PairSet, PairwiseDatum
 from . import oracles
 
 N_BIG = 1_000_000
-
-
-class TestPrivacyBudget:
-    def test_per_epoch_split(self):
-        budget = PrivacyBudget(epsilon=2.0, t_max=10)
-        assert budget.per_epoch_epsilon == 0.2
-
-    def test_epoch_accounting_sums_to_total(self):
-        for eps in (1.0, 2.0, 3.0, 4.0):
-            for t_max in (1, 3, 10):
-                budget = PrivacyBudget(epsilon=eps, t_max=t_max)
-                assert budget.per_epoch_epsilon * t_max == eps
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PrivacyBudget(epsilon=0.0)
-        with pytest.raises(ValueError):
-            PrivacyBudget(epsilon=1.0, delta=1.0)
-        with pytest.raises(ValueError):
-            PrivacyBudget(epsilon=1.0, t_max=0)
 
 
 class TestLaplace:
@@ -78,31 +57,45 @@ class TestLaplace:
 
 class TestGaussianSigma:
     def test_formula_value(self):
-        budget = PrivacyBudget(epsilon=1.0, delta=0.25 * math.exp(-2))
         expected = math.sqrt(4.0 + 2.0 * math.log(5.0))
-        assert gaussian_sigma(budget, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert gaussian_sigma(1.0, 0.25 * math.exp(-2), 1.0) == pytest.approx(
+            expected, rel=1e-12
+        )
 
     def test_clean_closed_form(self):
         # delta = 1.25 e^-2 makes 2 ln(1.25/delta) = 4 exactly
-        budget = PrivacyBudget(epsilon=1.0, delta=1.25 * math.exp(-2))
-        assert gaussian_sigma(budget, 1.0) == pytest.approx(2.0, rel=1e-12)
+        assert gaussian_sigma(1.0, 1.25 * math.exp(-2), 1.0) == pytest.approx(
+            2.0, rel=1e-12
+        )
 
     def test_linear_in_sensitivity(self):
-        budget = PrivacyBudget(epsilon=1.0, delta=1e-3)
-        assert gaussian_sigma(budget, 2.0) == pytest.approx(
-            2.0 * gaussian_sigma(budget, 1.0)
+        assert gaussian_sigma(1.0, 1e-3, 2.0) == pytest.approx(
+            2.0 * gaussian_sigma(1.0, 1e-3, 1.0)
         )
 
     def test_inverse_linear_in_epsilon(self):
-        lo = PrivacyBudget(epsilon=1.0, delta=1e-3)
-        hi = PrivacyBudget(epsilon=2.0, delta=1e-3)
-        assert gaussian_sigma(hi, 1.0) == pytest.approx(
-            gaussian_sigma(lo, 1.0) / 2.0
+        assert gaussian_sigma(2.0, 1e-3, 1.0) == pytest.approx(
+            gaussian_sigma(1.0, 1e-3, 1.0) / 2.0
         )
 
     def test_rejects_zero_delta(self):
         with pytest.raises(DeltaZero):
-            gaussian_sigma(PrivacyBudget(epsilon=1.0, delta=0.0), 1.0)
+            gaussian_sigma(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "epsilon, delta, sensitivity, error",
+        [
+            (0.0, 1e-3, 1.0, NonPositiveScale),
+            (-1.0, 1e-3, 1.0, NonPositiveScale),
+            (1.0, 1e-3, 0.0, NonPositiveScale),
+            (1.0, -1e-3, 1.0, DeltaZero),
+            (1.0, 1.0, 1.0, OutOfRange),
+            (1.0, 1.5, 1.0, OutOfRange),
+        ],
+    )
+    def test_rejects_out_of_range(self, epsilon, delta, sensitivity, error):
+        with pytest.raises(error):
+            gaussian_sigma(epsilon, delta, sensitivity)
 
 
 class TestStaircase:
