@@ -42,6 +42,8 @@ TRACE_COLUMNS = (
     "iter", "epoch", "objective", "eta",
     "sens_basic", "sens_reduced_min", "sens_reduced_max",
 )
+#: Most elements the projections of one block of :func:`_objectives` hold.
+OBJECTIVE_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -249,13 +251,14 @@ def sensitivity_basic(
 
 
 def _counterpart_bound(w: np.ndarray, h: float, margin: float, norm_mode: str) -> np.ndarray:
-    """Worst-case clipped gradient norm of any replacement pair, per row."""
-    d_prime = w.shape[0]
+    """Worst-case clipped gradient norm of any replacement pair, per row of
+    ``W``; ``w`` is one ``(d_prime, d)`` matrix or a stack ``(..., d_prime, d)``."""
+    d_prime = w.shape[-2]
     if norm_mode == "l1":
-        w_norms = np.add.reduce(np.abs(w), axis=1)
+        w_norms = np.add.reduce(np.abs(w), axis=-1)
         hinge_cap = 2.0 * margin * math.sqrt(d_prime)
     else:
-        w_norms = np.sqrt(np.add.reduce(w * w, axis=1))
+        w_norms = np.sqrt(np.add.reduce(w * w, axis=-1))
         hinge_cap = 2.0 * margin
     return np.minimum(h, np.maximum(4.0 * w_norms, hinge_cap))
 
@@ -372,13 +375,14 @@ def _pair_order(
 
 
 def _distances(w: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projections ``W dx_j`` as columns and their l2 lengths ``D``.
+    """Projections ``W dx_j`` as columns and their l2 lengths ``D``, for one
+    ``W`` or for each ``W`` of a stack ``(..., d_prime, d)``.
 
     ``sqrt(add.reduce(p * p))`` is what ``np.linalg.norm(p, axis=0)`` runs,
     without its dispatch.
     """
-    proj = w @ dx.T                                      # (d_prime, n)
-    return proj, np.sqrt(np.add.reduce(proj * proj, axis=0))
+    proj = w @ dx.T                                      # (..., d_prime, n)
+    return proj, np.sqrt(np.add.reduce(proj * proj, axis=-2))
 
 
 def _coefficients(
@@ -392,23 +396,44 @@ def _coefficients(
     dissimilar pairs at zero distance.
     """
     proj, d_w = _distances(w, dx)
-    coef = np.ones(d_w.shape)
-    zero = dissimilar & (d_w == 0)
-    active = dissimilar & (d_w > 0) & (d_w < margin)
-    coef[active] = (d_w[active] - margin) / d_w[active]
-    coef[zero | (dissimilar & (d_w >= margin))] = 0.0
-    return proj * coef, int(np.count_nonzero(zero))
+    coef = np.where(dissimilar, 0.0, 1.0)
+    active = dissimilar & (d_w < margin)
+    degenerate = 0
+    if not d_w.all():
+        zero = dissimilar & (d_w == 0)
+        degenerate = int(np.count_nonzero(zero))
+        active &= ~zero
+    np.divide(d_w - margin, d_w, out=coef, where=active)
+    return proj * coef, degenerate
+
+
+def _objectives(
+    ws: np.ndarray, dx: np.ndarray, y: np.ndarray, margin: float
+) -> np.ndarray:
+    """Mean contrastive loss of the whole pair set under each ``W`` of a
+    stack ``(T, d_prime, d)``.
+
+    The stack is taken in blocks whose projections hold at most
+    :data:`OBJECTIVE_BLOCK` elements, so the temporaries stay small however
+    long the run.
+    """
+    n = len(y)
+    similar = y == 0
+    out = np.empty(len(ws))
+    step = max(1, OBJECTIVE_BLOCK // (ws.shape[1] * n))
+    for start in range(0, len(ws), step):
+        d_w = _distances(ws[start : start + step], dx)[1]   # (block, n)
+        # the distance for similar pairs, the hinge for dissimilar ones
+        reach = np.where(similar, d_w, np.maximum(0.0, margin - d_w))
+        out[start : start + step] = np.add.reduce(0.5 * reach**2, axis=-1) / n
+    return out
 
 
 def dataset_objective(
     w: np.ndarray, dx: np.ndarray, y: np.ndarray, margin: float
 ) -> float:
     """Mean contrastive loss of the whole pair set under W."""
-    d_w = _distances(w, dx)[1]
-    losses = np.where(
-        y == 0, 0.5 * d_w**2, 0.5 * np.maximum(0.0, margin - d_w) ** 2
-    )
-    return float(np.add.reduce(losses) / len(losses))
+    return float(_objectives(np.asarray(w)[None], dx, y, margin)[0])
 
 
 def train(
@@ -426,6 +451,12 @@ def train(
     identical inputs give a bit-identical trajectory. The batches are fixed
     for the whole run, so their slices, labels, feature norms and fixed
     bounds are taken once, before the first step.
+
+    A step computes only what its update needs. It stores its ``W`` and its
+    clipped-gradient peaks in arrays sized for the whole run, and the
+    trace's objective and data-dependent bound columns are computed from
+    those stacks after the last step. The reduced bound is computed inside
+    the loop only when it scales the noise.
     """
     config.validate()
     pairs = PairSet.of(pairs)
@@ -458,7 +489,6 @@ def train(
     order_rng = np.random.default_rng(seeds[1])
     row_rngs = [np.random.default_rng(s) for s in seeds[2:]]
 
-    w = init_rng.uniform(-config.init_scale, config.init_scale, (config.d_prime, d))
     order = _pair_order(pairs, graph, config.batch_mode, order_rng)
     slices = _batch_slices(len(pairs), config.batch_size, order)
     h = config.lipschitz
@@ -471,57 +501,59 @@ def train(
         for b in slices
     ]
 
-    eps_epoch = (
-        config.epsilon / config.t_max if config.mechanism != "none" else math.inf
-    )
+    noisy = config.mechanism != "none"
+    reduced_noise = noisy and config.sensitivity_mode == "reduced"
+    eps_epoch = config.epsilon / config.t_max if noisy else math.inf
     gamma = config.staircase_gamma
     if config.mechanism == "staircase" and gamma is None:
         gamma = staircase_optimal_gamma(eps_epoch)
 
+    schedule = batches * config.t_max
+    ws = np.empty((len(schedule) + 1, config.d_prime, d))
+    ws[0] = init_rng.uniform(-config.init_scale, config.init_scale, (config.d_prime, d))
+    peaks = np.empty((len(schedule), config.d_prime))
+    etas = [step_size(tau) for tau in range(1, len(schedule) + 1)]
+    degenerate_events = 0
+
+    for k, (dx, dissimilar, norms, n_b, basic) in enumerate(schedule):
+        w = ws[k]
+        amat, degenerate = _coefficients(w, dx, dissimilar, margin)
+        degenerate_events += degenerate
+        raw_norms = np.abs(amat) * norms                    # (d_prime, n)
+        clip = np.maximum(1.0, raw_norms / h)
+        g_peaks = np.maximum.reduce(raw_norms / clip, axis=1, out=peaks[k])
+        update = ((amat / clip) @ dx) / n_b                 # mean gradient
+
+        if noisy:
+            sens = (
+                _reduced_bound(g_peaks, w, h, margin, kappa, n_b, config.norm_mode)
+                if reduced_noise else basic
+            )
+            for r in range(config.d_prime):
+                update[r] += _row_noise(
+                    update[r], sens[r], eps_epoch, config, gamma, h, row_rngs[r],
+                )
+        np.subtract(w, etas[k] * update, out=ws[k + 1])
+
+    objectives = _objectives(ws, dx_all, y_all, margin)
+    sizes = np.array([n_b for _, _, _, n_b, _ in schedule])
+    reduced = _reduced_bound(
+        peaks, ws[:-1], h, margin, kappa, sizes[:, None], config.norm_mode
+    )
     trace = TrainTrace(
         kappa=kappa,
         kappa_method=kappa_report.method,
         margin=margin,
-        initial_objective=dataset_objective(w, dx_all, y_all, margin),
+        initial_objective=float(objectives[0]),
+        iterations=list(range(1, len(schedule) + 1)),
+        epochs=[e for e in range(1, config.t_max + 1) for _ in batches],
+        objectives=objectives[1:].tolist(),
+        etas=etas,
+        sens_basic=[float(basic[0]) for _, _, _, _, basic in schedule],
+        sens_reduced=list(reduced),
+        degenerate_events=degenerate_events,
     )
-
-    tau = 0
-    for epoch in range(1, config.t_max + 1):
-        for dx, dissimilar, norms, n_b, basic in batches:
-            tau += 1
-            eta = step_size(tau)
-
-            amat, degenerate = _coefficients(w, dx, dissimilar, margin)
-            trace.degenerate_events += degenerate
-            raw_norms = np.abs(amat) * norms                # (d_prime, n)
-            clip = np.maximum(1.0, raw_norms / h)
-            cmat = amat / clip
-            g_peaks = np.maximum.reduce(raw_norms / clip, axis=1)
-            mean_grad = (cmat @ dx) / n_b
-
-            reduced = _reduced_bound(
-                g_peaks, w, h, margin, kappa, n_b, config.norm_mode
-            )
-            sens = reduced if config.sensitivity_mode == "reduced" else basic
-
-            update = mean_grad
-            if config.mechanism != "none":
-                update = mean_grad.copy()
-                for r in range(config.d_prime):
-                    update[r] += _row_noise(
-                        mean_grad[r], sens[r], eps_epoch, config, gamma,
-                        h, row_rngs[r],
-                    )
-            w = w - eta * update
-
-            trace.iterations.append(tau)
-            trace.epochs.append(epoch)
-            trace.objectives.append(dataset_objective(w, dx_all, y_all, margin))
-            trace.etas.append(eta)
-            trace.sens_basic.append(float(basic[0]))
-            trace.sens_reduced.append(reduced)
-
-    return MetricModel(w), trace
+    return MetricModel(ws[-1]), trace
 
 
 def _row_noise(

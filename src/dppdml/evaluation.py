@@ -55,14 +55,6 @@ def project(model: MetricModel, x: np.ndarray) -> np.ndarray:
     return x @ model.w.T
 
 
-def _encode_labels(train_labels, test_labels) -> tuple[np.ndarray, np.ndarray]:
-    classes = np.unique(np.concatenate([np.asarray(train_labels),
-                                        np.asarray(test_labels)]))
-    lookup = {c: k for k, c in enumerate(classes.tolist())}
-    enc = lambda arr: np.array([lookup[v] for v in np.asarray(arr).tolist()])
-    return enc(train_labels), enc(test_labels)
-
-
 def knn_accuracy(
     model: MetricModel,
     train_x: np.ndarray,
@@ -90,25 +82,28 @@ def knn_accuracy(
             )
     if not 1 <= k <= len(train_x):
         raise ConfigInvalid(f"k must lie in [1, {len(train_x)}], got {k}")
-    y_train, y_test = _encode_labels(train_labels, test_labels)
+    labels = np.concatenate([np.asarray(train_labels), np.asarray(test_labels)])
+    classes, codes = np.unique(labels, return_inverse=True)
+    y_train, y_test = codes[: len(train_x)], codes[len(train_x) :]
     p_train = project(model, train_x)
     p_test = project(model, test_x)
     # squared distances suffice for ranking
     d2 = (
-        np.sum(p_test**2, axis=1)[:, None]
-        + np.sum(p_train**2, axis=1)[None, :]
+        np.add.reduce(p_test**2, axis=1)[:, None]
+        + np.add.reduce(p_train**2, axis=1)[None, :]
         - 2.0 * p_test @ p_train.T
     )
-    n_classes = int(max(y_train.max(), y_test.max())) + 1
-    correct = 0
-    for row in range(len(test_x)):
-        nearest = np.argsort(d2[row], kind="stable")[:k]
-        votes = np.bincount(y_train[nearest], minlength=n_classes)
-        top = votes.max()
-        winners = np.flatnonzero(votes == top)
-        pred = winners[0] if len(winners) == 1 else y_train[nearest[0]]
-        correct += int(pred == y_test[row])
-    return correct / len(test_x)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]     # (n_test, k)
+    neighbour_labels = y_train[nearest]
+    n_test, n_classes = len(test_x), len(classes)
+    cells = np.arange(n_test)[:, None] * n_classes + neighbour_labels
+    votes = np.bincount(cells.ravel(), minlength=n_test * n_classes).reshape(
+        n_test, n_classes
+    )
+    top = np.maximum.reduce(votes, axis=1)
+    tied = np.add.reduce(votes == top[:, None], axis=1) > 1
+    pred = np.where(tied, neighbour_labels[:, 0], votes.argmax(axis=1))
+    return np.count_nonzero(pred == y_test) / n_test
 
 
 def split_by_participation(
@@ -162,12 +157,17 @@ def run_experiment(
     Seeds run ``seed + 0 .. seed + repeats - 1`` so cells are directly
     comparable; the privacy distance is computed once per distance notion
     and the pairs are stacked into one ``PairSet``, both reused across runs.
+    Every budget must be positive (an infinite one is allowed); a bad one is
+    rejected before any training.
     """
     if repeats < 1:
         raise ConfigInvalid(f"repeats must be >= 1, got {repeats}")
     for m in methods:
         if m not in METHODS:
             raise ConfigInvalid(f"unknown method {m!r}; expected one of {METHODS}")
+    for epsilon in epsilons:
+        if not epsilon > 0:
+            raise ConfigInvalid(f"epsilon must be positive, got {epsilon}")
     pairs = PairSet.of(pairs)
     train_idx, test_idx = split_by_participation(samples, pairs)
     if len(test_idx) == 0:

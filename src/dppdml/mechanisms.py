@@ -176,8 +176,12 @@ def input_perturb(
     ``feature_share`` of the budget goes to the feature differences (split
     evenly across dimensions, Laplace at per-coordinate sensitivity 2 under
     the l1 normalisation); the rest drives randomized response on labels.
-    Each pair draws its ``d`` Laplace values (none at an infinite budget),
-    then one uniform for its label, in pair order.
+    The stream is that of drawing, pair by pair, the pair's ``d`` Laplace
+    values (none at an infinite budget) and then one uniform for its label.
+    It is taken as one ``(n, d + 1)`` block of uniforms, and each Laplace
+    uniform is turned into noise as ``Generator.laplace`` does. That sampler
+    redraws a uniform of exactly 0, so if the block holds one, the
+    generator is rewound and the pairs are drawn one at a time instead.
     """
     if not epsilon > 0:
         raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
@@ -188,12 +192,31 @@ def input_perturb(
     eps_feat = feature_share * epsilon
     eps_label = (1.0 - feature_share) * epsilon
     scale = 0.0 if math.isinf(eps_feat) else 2.0 * d / eps_feat
-    noise = np.zeros((n, d))
-    label_draw = np.empty(n)
-    for k in range(n):
-        if scale > 0:
-            noise[k] = rng.laplace(0.0, scale, size=d)
-        label_draw[k] = rng.random()
+    k = d if scale > 0 else 0
+    state = rng.bit_generator.state
+    draws = rng.random((n, k + 1))
+    if draws[:, :k].all():
+        noise = _laplace_noise(draws[:, :k], scale) if k else np.zeros((n, d))
+        label_draw = draws[:, k]
+    else:
+        rng.bit_generator.state = state
+        noise = np.zeros((n, d))
+        label_draw = np.empty(n)
+        for row in range(n):
+            if k:
+                noise[row] = rng.laplace(0.0, scale, size=d)
+            label_draw[row] = rng.random()
     flipped = label_draw >= _keep_probability(eps_label)
     y = np.where(flipped, 1 - pairs.y, pairs.y)
     return PairSet(pairs.i, pairs.j, pairs.dx + noise, y)
+
+
+def _laplace_noise(uniforms: np.ndarray, scale: float) -> np.ndarray:
+    """Zero-mean Laplace noise from uniforms in (0, 1), computed as numpy's
+    ``random_laplace`` does; ``math.log`` is the C library's ``log`` that it
+    calls, where ``np.log`` can differ in the last place."""
+    return np.array([
+        0.0 - scale * math.log(2.0 - u - u) if u >= 0.5
+        else 0.0 + scale * math.log(u + u)
+        for u in uniforms.ravel().tolist()
+    ]).reshape(uniforms.shape)

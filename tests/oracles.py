@@ -664,3 +664,29 @@ def reference_input_perturb(pairs, epsilon, rng, feature_share: float = 0.5):
             PairwiseDatum(p.i, p.j, p.delta_x + noise, warner_flip(p.y, eps_label, rng))
         )
     return out
+
+
+def reference_knn_accuracy(model, train_x, train_labels, test_x, test_labels, k):
+    """``evaluation.knn_accuracy`` one test row at a time, with labels encoded
+    through a dict: the ``k`` nearest by stable sort of squared distances,
+    the majority label, and the nearest neighbour's label on a tied vote."""
+    classes = np.unique(np.concatenate([np.asarray(train_labels),
+                                        np.asarray(test_labels)]))
+    lookup = {c: code for code, c in enumerate(classes.tolist())}
+    y_train = np.array([lookup[v] for v in np.asarray(train_labels).tolist()])
+    y_test = np.array([lookup[v] for v in np.asarray(test_labels).tolist()])
+    p_train = np.asarray(train_x, dtype=float) @ model.w.T
+    p_test = np.asarray(test_x, dtype=float) @ model.w.T
+    d2 = (
+        np.sum(p_test**2, axis=1)[:, None]
+        + np.sum(p_train**2, axis=1)[None, :]
+        - 2.0 * p_test @ p_train.T
+    )
+    correct = 0
+    for row in range(len(p_test)):
+        nearest = np.argsort(d2[row], kind="stable")[:k]
+        votes = np.bincount(y_train[nearest], minlength=len(classes))
+        winners = np.flatnonzero(votes == votes.max())
+        pred = winners[0] if len(winners) == 1 else y_train[nearest[0]]
+        correct += int(pred == y_test[row])
+    return correct / len(p_test)

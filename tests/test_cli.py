@@ -411,6 +411,13 @@ BAD_OPTION_VALUES = {
     "sweep-non-numeric-epsilon": (["sweep", "--data", "{samples}",
                                    "--pairs", "{pairs}", "--epsilons", "1,x"],
                                   None),
+    "sweep-nonpositive-epsilon": (["sweep", "--data", "{samples}",
+                                   "--pairs", "{pairs}", "--methods", "nonpriv",
+                                   "--epsilons=-1,0", "--repeats", 1,
+                                   "--t-max", 1], None),
+    "sweep-nan-epsilon": (["sweep", "--data", "{samples}", "--pairs",
+                           "{pairs}", "--methods", "nonpriv", "--epsilons",
+                           "nan", "--repeats", 1, "--t-max", 1], None),
     "sweep-empty-epsilons": (["sweep", "--data", "{samples}", "--pairs",
                               "{pairs}", "--epsilons="], None),
     "sweep-empty-methods": (["sweep", "--data", "{samples}", "--pairs",

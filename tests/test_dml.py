@@ -8,6 +8,7 @@ import pytest
 from dppdml import dataio
 from dppdml.dml import (
     NORM_MODES,
+    OBJECTIVE_BLOCK,
     MetricModel,
     TrainConfig,
     clip_gradient,
@@ -595,6 +596,37 @@ class TestTrainMatchesLoopReference:
         report = compute_kappa(graph)
         assert _bits(*train(noisy, graph, config, kappa_report=report)) == _bits(
             *oracles.reference_train(noisy_ref, graph, config, report)
+        )
+
+
+class TestTrainMatchesLoopReferenceAcrossBlocks:
+    """The trace's objective column is computed after the loop, from the
+    stack of every step's ``W``, in blocks of at most ``OBJECTIVE_BLOCK``
+    elements. On the 1,374 pairs of ``synth`` seed 0 at 350 per class, a
+    block holds five ``W``, so the 55 of a two-epoch run span eleven blocks;
+    the trace must still equal the per-step reference bit for bit."""
+
+    @staticmethod
+    def data():
+        samples = dataio.normalize(dataio.synth_two_gaussians(350, seed=0))
+        pairs = dataio.sample_pairs(samples, 2.0, seed=0)
+        return list(pairs), build_graph(pairs)
+
+    @pytest.mark.parametrize("mechanism, norm_mode", [
+        ("none", "l1"), ("laplace-basic", "l1"), ("laplace-reduced", "l1"),
+        ("laplace-reduced", "l2"),
+    ])
+    def test_bit_equal_to_reference(self, mechanism, norm_mode):
+        pairs, graph = self.data()
+        config = TestTrainMatchesLoopReference.config(
+            mechanism, norm_mode, "shuffle", batch_size=50, t_max=2
+        )
+        report = compute_kappa(graph)
+        model, trace = train(pairs, graph, config, kappa_report=report)
+        per_w = config.d_prime * len(pairs)
+        assert OBJECTIVE_BLOCK // per_w == 5 and len(trace.objectives) + 1 == 55
+        assert _bits(model, trace) == _bits(
+            *oracles.reference_train(pairs, graph, config, report)
         )
 
 

@@ -17,6 +17,8 @@ from dppdml.evaluation import (
 )
 from dppdml.pairgraph import build_graph
 
+from . import oracles
+
 
 def benchmark(n_per_class=60, seed=0, density=1.5):
     samples = dataio.normalize(dataio.synth_two_gaussians(n_per_class, seed=seed))
@@ -124,6 +126,38 @@ class TestKnn:
         x_tr = np.array([[1.0], [-1.0]])
         acc = knn_accuracy(model, x_tr, [1, 0], np.array([[0.0]]), [1], 1)
         assert acc == 1.0  # equidistant: index 0 (label 1) wins
+
+
+class TestKnnMatchesRowReference:
+    """``knn_accuracy`` votes for every test row at once and agrees with the
+    row-at-a-time ``oracles.reference_knn_accuracy``. Points on a small
+    integer grid, drawn with repeats, give exact distance ties under the
+    identity map; even ``k`` and three classes give tied votes."""
+
+    @pytest.mark.parametrize("transform", ["identity", "random"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties_duplicates_and_three_string_classes(self, transform, k, seed):
+        gen = np.random.default_rng(seed)
+        grid = gen.integers(-2, 3, (12, 2)).astype(float)
+        train_x = grid[gen.integers(0, 12, 40)]
+        test_x = np.vstack([grid[gen.integers(0, 12, 15)],
+                            gen.normal(0, 1.5, (15, 2))])
+        names = np.array(["ant", "bee", "cat"])
+        train_labels = names[gen.integers(0, 3, 40)]
+        test_labels = names[gen.integers(0, 3, 30)]
+        w = np.eye(2) if transform == "identity" else gen.normal(0, 1, (2, 2))
+        model = MetricModel(w)
+        args = (model, train_x, train_labels, test_x, test_labels, k)
+        assert knn_accuracy(*args) == oracles.reference_knn_accuracy(*args)
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_random_data_integer_labels(self, rng, k):
+        x = rng.normal(0, 1, (300, 3))
+        labels = rng.integers(0, 3, 300)
+        model = MetricModel(rng.normal(0, 1, (2, 3)))
+        args = (model, x[:200], labels[:200], x[200:], labels[200:], k)
+        assert knn_accuracy(*args) == oracles.reference_knn_accuracy(*args)
 
 
 class TestSplit:

@@ -243,6 +243,29 @@ class TestWarner:
             warner_flip(2, 1.0, rng)
 
 
+class _ZeroPlanting:
+    """A generator whose first block of uniforms has a 0.0 planted at ``at``;
+    every other draw is the wrapped generator's own."""
+
+    def __init__(self, gen: np.random.Generator, at: tuple[int, int]):
+        self._gen = gen
+        self._at = at
+        self.bit_generator = gen.bit_generator
+        self.planted = False
+        self.laplace_calls = 0
+
+    def random(self, size=None):
+        out = self._gen.random(size)
+        if size is not None and not self.planted:
+            out[self._at] = 0.0
+            self.planted = True
+        return out
+
+    def laplace(self, *args, **kwargs):
+        self.laplace_calls += 1
+        return self._gen.laplace(*args, **kwargs)
+
+
 class TestInputPerturb:
     @staticmethod
     def _pairs(n, dim=3, seed=0):
@@ -305,6 +328,21 @@ class TestInputPerturb:
         gen, ref_gen = np.random.default_rng(4), np.random.default_rng(4)
         input_perturb(self._pairs(30), math.inf, gen)
         ref_gen.random(30)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("epsilon", [0.3, 2.0, math.inf])
+    def test_zero_uniform_falls_back_to_the_reference_stream(self, epsilon):
+        # at a finite budget the planted 0.0 is a Laplace uniform, which
+        # ``Generator.laplace`` would redraw; at an infinite one it is a
+        # label uniform, which is used as drawn
+        pairs = self._pairs(50, dim=2, seed=1)
+        gen = _ZeroPlanting(np.random.default_rng(8), at=(3, 0))
+        ref_gen = np.random.default_rng(8)
+        out = input_perturb(pairs, epsilon, gen)
+        ref = oracles.reference_input_perturb(pairs, epsilon, ref_gen)
+        assert gen.planted and gen.laplace_calls == (0 if math.isinf(epsilon) else 50)
+        assert out.dx.tobytes() == np.stack([p.delta_x for p in ref]).tobytes()
+        assert out.y.tolist() == [p.y for p in ref]
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     def test_pairset_input_and_empty_input(self, rng):
