@@ -2,7 +2,6 @@
 
 from .dataio import (
     SampleSet,
-    downsample_majority,
     load_csv,
     normalize,
     sample_pairs,
@@ -12,6 +11,7 @@ from .dataio import (
 )
 from .dml import (
     MetricModel,
+    RepeatTrace,
     TrainConfig,
     TrainTrace,
     clip_gradient,
@@ -26,7 +26,6 @@ from .evaluation import ExperimentReport, knn_accuracy, project, run_experiment
 from .kappa import (
     KappaReport,
     compute_kappa,
-    cycle_isolation_count,
     kappa_exact,
     kappa_intransitive,
     kappa_node_dp,
@@ -40,8 +39,6 @@ from .mechanisms import (
     laplace_sample,
     staircase_optimal_gamma,
     staircase_sample,
-    staircase_variance,
-    warner_flip,
 )
 from .pairgraph import (
     PairGraph,

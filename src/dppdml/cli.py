@@ -299,8 +299,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 "model file carries no train_ids; pass --pairs to define the split"
             )
         train_idx, test_idx = evaluation.split_by_ids(samples, train_ids)
-    if len(test_idx) == 0:
-        test_idx = train_idx
+    in_sample = len(test_idx) == 0
+    if in_sample:
+        test_idx = train_idx  # every individual participates; score in-sample
     acc = evaluation.knn_accuracy(
         model,
         samples.x[train_idx],
@@ -314,6 +315,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "k": cfg["k"],
         "train_size": int(len(train_idx)),
         "test_size": int(len(test_idx)),
+        "in_sample": in_sample,
     }
     print(json.dumps(result, sort_keys=True))
     if cfg.get("out_dir"):
@@ -362,6 +364,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append((rep.method, rep.epsilon, run, acc))
     _write_csv(sweep_path, ["method", "epsilon", "run", "accuracy"], rows)
     _emit_resolved(cfg, "sweep")
+    if any(rep.in_sample for rep in reports):
+        print("every sample is in a pair: accuracies are scored in-sample, "
+              "on the training individuals")
     for rep in reports:
         print(f"{rep.method:10s} eps={rep.epsilon:<6g} "
               f"acc={rep.mean_accuracy:.4f} +- {rep.std_accuracy:.4f}")

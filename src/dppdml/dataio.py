@@ -20,7 +20,6 @@ from .errors import (
     InfeasibleDensity,
     MissingLabelColumn,
     ParseError,
-    SingleClass,
 )
 from .pairgraph import PairSet, _parse_features, _parse_node_id
 
@@ -233,23 +232,6 @@ def toy_pairs(
               for p in (perm_a, perm_b)]
     targets = [perm_b[0]] + list(perm_b[intra_per_class + 1 : intra_per_class + inter])
     return _pairs_between(samples, chains + [(centre, t) for t in targets])
-
-
-def downsample_majority(samples: SampleSet, seed: int = 0) -> SampleSet:
-    """Randomly subsample every larger class down to the minority size."""
-    classes, counts = np.unique(samples.labels, return_counts=True)
-    if len(classes) < 2:
-        raise SingleClass("rebalancing needs at least two classes")
-    target = int(counts.min())
-    rng = np.random.default_rng(seed)
-    keep: list[int] = []
-    for cls in classes:
-        members = np.flatnonzero(samples.labels == cls)
-        if len(members) > target:
-            members = rng.choice(members, size=target, replace=False)
-        keep.extend(int(v) for v in members)
-    keep.sort()
-    return SampleSet(samples.x[keep], samples.labels[keep], samples.ids[keep])
 
 
 # --- samples CSV ------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateDistance,
     DimensionMismatch,
     EmptyBatch,
+    NonPositiveScale,
 )
 from .kappa import KappaReport, compute_kappa
 from .mechanisms import (
@@ -326,7 +327,13 @@ def default_margin(
     takes on a single vector, so each term equals ``_vector_norm`` of its row.
     """
     pairs = PairSet.of(pairs)
-    dissimilar = pairs.dx[pairs.y == 1]
+    return _default_margin(pairs.dx, pairs.y, ratio, norm_mode)
+
+
+def _default_margin(
+    dx: np.ndarray, y: np.ndarray, ratio: float, norm_mode: str
+) -> float:
+    dissimilar = dx[y == 1]
     if not len(dissimilar):
         raise ConfigInvalid(
             "no dissimilar pairs to derive a margin from; set margin explicitly"
@@ -342,69 +349,73 @@ def default_margin(
     return m
 
 
-def _batch_slices(
-    n_pairs: int,
-    batch_size: int,
-    order: np.ndarray,
-) -> list[np.ndarray]:
-    batches = [
-        order[k : k + batch_size] for k in range(0, n_pairs, batch_size)
+def _batch_bounds(n_pairs: int, batch_size: int) -> list[tuple[int, int]]:
+    """Start and end of each batch along a run's pair order. A last batch
+    under half the batch size is dropped, too small for a stable sensitivity
+    denominator, unless it is the only one."""
+    bounds = [
+        (k, min(k + batch_size, n_pairs)) for k in range(0, n_pairs, batch_size)
     ]
-    if len(batches) > 1 and len(batches[-1]) < batch_size / 2:
-        batches.pop()  # too small for a stable sensitivity denominator
-    return batches
+    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] < batch_size / 2:
+        bounds.pop()
+    return bounds
+
+
+def _pair_components(pairs: PairSet, graph: PairGraph) -> np.ndarray:
+    """Component number of each pair's first endpoint, in the order of
+    :meth:`PairGraph.components`."""
+    comp_of = np.empty(graph.num_nodes, dtype=np.intp)
+    for ci, comp in enumerate(graph.components()):
+        comp_of[comp] = ci
+    first = np.fromiter(map(graph.node_index, pairs.i), np.intp, len(pairs))
+    return comp_of[first]
 
 
 def _pair_order(
-    pairs: PairSet,
-    graph: PairGraph,
-    batch_mode: str,
-    rng: np.random.Generator,
+    n_pairs: int, components: np.ndarray | None, rng: np.random.Generator
 ) -> np.ndarray:
-    order = rng.permutation(len(pairs))
-    if batch_mode == "component":
-        comp_of: dict[int, int] = {}
-        for ci, comp in enumerate(graph.components()):
-            for v in comp:
-                comp_of[v] = ci
-        comp_key = np.array(
-            [comp_of[graph.node_index(pairs.i[k])] for k in order]
-        )
-        order = order[np.argsort(comp_key, kind="stable")]
+    """A run's pair order: a permutation drawn from ``rng``, stably sorted by
+    component when ``components`` is given."""
+    order = rng.permutation(n_pairs)
+    if components is not None:
+        order = order[np.argsort(components[order], kind="stable")]
     return order
 
 
 def _distances(w: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projections ``W dx_j`` as columns and their l2 lengths ``D``, for one
-    ``W`` or for each ``W`` of a stack ``(..., d_prime, d)``.
+    ``W`` or for each ``W`` of a stack ``(..., d_prime, d)``; ``dx`` is one
+    ``(n, d)`` set or one per ``W``.
 
     ``sqrt(add.reduce(p * p))`` is what ``np.linalg.norm(p, axis=0)`` runs,
     without its dispatch.
     """
-    proj = w @ dx.T                                      # (..., d_prime, n)
+    proj = w @ dx.swapaxes(-1, -2)                       # (..., d_prime, n)
     return proj, np.sqrt(np.add.reduce(proj * proj, axis=-2))
 
 
 def _coefficients(
-    w: np.ndarray, dx: np.ndarray, dissimilar: np.ndarray, margin: float
-) -> tuple[np.ndarray, int]:
-    """Per-pair gradient coefficient matrix for one batch.
+    w: np.ndarray, dx: np.ndarray, dissimilar: np.ndarray, margin: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-pair gradient coefficient matrix for one batch, or for a stack of
+    ``W`` with one batch and margin each.
 
     ``dissimilar`` marks the pairs with ``y == 1``. Returns (A, degenerate)
     where row r of A holds the scalar that multiplies dx_j in the gradient
-    of row r; the zero subgradient is used for the ``degenerate``
-    dissimilar pairs at zero distance.
+    of row r, and ``degenerate`` counts, per ``W``, the dissimilar pairs at
+    zero distance, for which the zero subgradient is used (None when no
+    distance is zero).
     """
     proj, d_w = _distances(w, dx)
     coef = np.where(dissimilar, 0.0, 1.0)
     active = dissimilar & (d_w < margin)
-    degenerate = 0
+    degenerate = None
     if not d_w.all():
         zero = dissimilar & (d_w == 0)
-        degenerate = int(np.count_nonzero(zero))
+        degenerate = np.count_nonzero(zero, axis=-1)
         active &= ~zero
     np.divide(d_w - margin, d_w, out=coef, where=active)
-    return proj * coef, degenerate
+    return proj * coef[..., None, :], degenerate
 
 
 def _objectives(
@@ -436,12 +447,33 @@ def dataset_objective(
     return float(_objectives(np.asarray(w)[None], dx, y, margin)[0])
 
 
+@dataclass
+class RepeatTrace:
+    """Record of ``R`` runs trained as one batch by ``train(..., repeats=R)``:
+    the steps the runs share, and each run's margin and count of degenerate
+    hinge events. The per-step columns of :class:`TrainTrace` are not
+    computed for a batch."""
+
+    kappa: int
+    kappa_method: str
+    margins: tuple[float, ...]
+    iterations: list[int]
+    degenerate: tuple[int, ...]
+
+    @property
+    def degenerate_events(self) -> int:
+        """Degenerate hinge events over every run of the batch."""
+        return sum(self.degenerate)
+
+
 def train(
     pairs: PairSet | Sequence[PairwiseDatum],
     graph: PairGraph,
     config: TrainConfig,
     kappa_report: KappaReport | None = None,
-) -> tuple[MetricModel, TrainTrace]:
+    repeats: int | None = None,
+    run_pairs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[MetricModel, TrainTrace] | tuple[tuple[MetricModel, ...], RepeatTrace]:
     """Run the private training loop and return the model plus its trace.
 
     The privacy distance comes from ``kappa_report`` when given (so repeated
@@ -452,11 +484,19 @@ def train(
     for the whole run, so their slices, labels, feature norms and fixed
     bounds are taken once, before the first step.
 
-    A step computes only what its update needs. It stores its ``W`` and its
-    clipped-gradient peaks in arrays sized for the whole run, and the
-    trace's objective and data-dependent bound columns are computed from
-    those stacks after the last step. The reduced bound is computed inside
-    the loop only when it scales the noise.
+    With ``repeats=R``, the R runs at seeds ``config.seed + r`` advance as
+    one ``(R, d_prime, d)`` stack and the call returns a tuple of R models
+    and a :class:`RepeatTrace`; each run equals the single run at its seed
+    bit for bit. ``run_pairs``, arrays ``(R, n, d)`` and ``(R, n)``, gives
+    each run its own feature differences and labels in place of those of
+    ``pairs`` (whose endpoints still set the components), and without a
+    fixed margin each run derives its own.
+
+    A step computes only what its update needs. A single run stores its
+    ``W`` and its clipped-gradient peaks in arrays sized for the whole run,
+    and the trace's objective and data-dependent bound columns are computed
+    from those stacks after the last step. The reduced bound is computed
+    inside the loop only when it scales the noise.
     """
     config.validate()
     pairs = PairSet.of(pairs)
@@ -467,39 +507,68 @@ def train(
         raise ConfigInvalid(
             f"d_prime={config.d_prime} exceeds feature dimension {d}"
         )
+    runs = 1 if repeats is None else repeats
+    if runs < 1:
+        raise ConfigInvalid(f"repeats must be >= 1, got {repeats}")
+    if run_pairs is None:
+        dx_runs, y_runs = pairs.dx[None], pairs.y[None]   # shared by every run
+    else:
+        dx_runs, y_runs = (np.asarray(a) for a in run_pairs)
+        want = ((runs, *pairs.dx.shape), (runs, len(pairs)))
+        if (dx_runs.shape, y_runs.shape) != want:
+            raise DimensionMismatch(
+                f"run_pairs must have shapes {want[0]} and {want[1]}, "
+                f"got {dx_runs.shape} and {y_runs.shape}"
+            )
     if kappa_report is None:
         kappa_report = compute_kappa(graph)
     kappa = kappa_report.kappa
 
-    margin = (
-        config.margin
-        if config.margin is not None
-        else default_margin(pairs, config.margin_ratio, config.norm_mode)
-    )
+    if config.margin is not None:
+        margins = [config.margin]
+    elif run_pairs is None:
+        margins = [default_margin(pairs, config.margin_ratio, config.norm_mode)]
+    else:
+        margins = [
+            _default_margin(dx, y, config.margin_ratio, config.norm_mode)
+            for dx, y in zip(dx_runs, y_runs)
+        ]
+    # one margin for every run, or one per run as a column over its pairs
+    margin = margins[0] if len(margins) == 1 else np.array(margins)[:, None]
 
-    dx_all, y_all = pairs.dx, pairs.y
     dx_norms = (
-        np.add.reduce(np.abs(dx_all), axis=1)
+        np.add.reduce(np.abs(dx_runs), axis=-1)
         if config.norm_mode == "l1"
-        else np.sqrt(np.add.reduce(dx_all * dx_all, axis=1))
+        else np.sqrt(np.add.reduce(dx_runs * dx_runs, axis=-1))
     )
 
-    seeds = np.random.SeedSequence(config.seed).spawn(2 + config.d_prime)
-    init_rng = np.random.default_rng(seeds[0])
-    order_rng = np.random.default_rng(seeds[1])
-    row_rngs = [np.random.default_rng(s) for s in seeds[2:]]
-
-    order = _pair_order(pairs, graph, config.batch_mode, order_rng)
-    slices = _batch_slices(len(pairs), config.batch_size, order)
-    h = config.lipschitz
-    basic_of = {
-        n_b: sensitivity_basic(kappa, h, n_b, config.d_prime)
-        for n_b in {len(b) for b in slices}
-    }
-    batches = [
-        (dx_all[b], y_all[b] == 1, dx_norms[b], len(b), basic_of[len(b)])
-        for b in slices
+    seeds = [
+        np.random.SeedSequence(config.seed + r).spawn(2 + config.d_prime)
+        for r in range(runs)
     ]
+    components = (
+        _pair_components(pairs, graph) if config.batch_mode == "component" else None
+    )
+    orders = np.stack([
+        _pair_order(len(pairs), components, np.random.default_rng(s[1]))
+        for s in seeds
+    ])
+    source = (
+        np.arange(runs)[:, None] if run_pairs is not None
+        else np.zeros((runs, 1), dtype=np.intp)
+    )
+    # a batch stacks its runs along a leading axis; a single run has none,
+    # so its arrays keep the shapes of one W and one batch
+    lead, pick = ((), 0) if repeats is None else ((runs,), slice(None))
+    h = config.lipschitz
+    batches = []
+    for start, end in _batch_bounds(len(pairs), config.batch_size):
+        taken = (source[pick], orders[pick, start:end])
+        n_b = end - start
+        batches.append((
+            dx_runs[taken], y_runs[taken] == 1, dx_norms[taken][..., None, :],
+            n_b, sensitivity_basic(kappa, h, n_b, config.d_prime),
+        ))
 
     noisy = config.mechanism != "none"
     reduced_noise = noisy and config.sensitivity_mode == "reduced"
@@ -509,33 +578,57 @@ def train(
         gamma = staircase_optimal_gamma(eps_epoch)
 
     schedule = batches * config.t_max
-    ws = np.empty((len(schedule) + 1, config.d_prime, d))
-    ws[0] = init_rng.uniform(-config.init_scale, config.init_scale, (config.d_prime, d))
-    peaks = np.empty((len(schedule), config.d_prime))
-    etas = [step_size(tau) for tau in range(1, len(schedule) + 1)]
-    degenerate_events = 0
+    steps = len(schedule)
+    shape = (*lead, config.d_prime, d)
+    if noisy:
+        add_noise = _noise(
+            config, kappa, eps_epoch, gamma, h,
+            [np.random.default_rng(s) for run in seeds for s in run[2:]],
+            steps, shape,
+        )
+    # a single run keeps every step's W for its trace; a batch keeps two
+    ws = np.empty((steps + 1 if repeats is None else 2, *shape))
+    w0 = ws[0].reshape(runs, config.d_prime, d)
+    for r, run in enumerate(seeds):
+        w0[r] = np.random.default_rng(run[0]).uniform(
+            -config.init_scale, config.init_scale, (config.d_prime, d)
+        )
+    peaks = np.empty((steps, *lead, config.d_prime))
+    etas = [step_size(tau) for tau in range(1, steps + 1)]
+    degenerate_events = np.zeros(lead, dtype=int)
 
     for k, (dx, dissimilar, norms, n_b, basic) in enumerate(schedule):
-        w = ws[k]
+        w = ws[k % len(ws)]
         amat, degenerate = _coefficients(w, dx, dissimilar, margin)
-        degenerate_events += degenerate
-        raw_norms = np.abs(amat) * norms                    # (d_prime, n)
+        if degenerate is not None:
+            degenerate_events += degenerate
+        raw_norms = np.abs(amat) * norms                    # (..., d_prime, n)
         clip = np.maximum(1.0, raw_norms / h)
-        g_peaks = np.maximum.reduce(raw_norms / clip, axis=1, out=peaks[k])
-        update = ((amat / clip) @ dx) / n_b                 # mean gradient
+        # the temporaries are divided in place: same values, fewer copies
+        g_peaks = np.maximum.reduce(
+            np.divide(raw_norms, clip, out=raw_norms), axis=-1, out=peaks[k]
+        )
+        update = np.divide(amat, clip, out=amat) @ dx
+        update /= n_b                                       # mean gradient
 
         if noisy:
             sens = (
                 _reduced_bound(g_peaks, w, h, margin, kappa, n_b, config.norm_mode)
                 if reduced_noise else basic
             )
-            for r in range(config.d_prime):
-                update[r] += _row_noise(
-                    update[r], sens[r], eps_epoch, config, gamma, h, row_rngs[r],
-                )
-        np.subtract(w, etas[k] * update, out=ws[k + 1])
+            add_noise(update, sens)
+        np.subtract(w, etas[k] * update, out=ws[(k + 1) % len(ws)])
 
-    objectives = _objectives(ws, dx_all, y_all, margin)
+    if repeats is not None:
+        return tuple(MetricModel(w) for w in ws[steps % 2]), RepeatTrace(
+            kappa=kappa,
+            kappa_method=kappa_report.method,
+            margins=tuple(np.broadcast_to(margins, runs).tolist()),
+            iterations=list(range(1, steps + 1)),
+            degenerate=tuple(degenerate_events.tolist()),
+        )
+
+    objectives = _objectives(ws, dx_runs[0], y_runs[0], margin)
     sizes = np.array([n_b for _, _, _, n_b, _ in schedule])
     reduced = _reduced_bound(
         peaks, ws[:-1], h, margin, kappa, sizes[:, None], config.norm_mode
@@ -545,15 +638,75 @@ def train(
         kappa_method=kappa_report.method,
         margin=margin,
         initial_objective=float(objectives[0]),
-        iterations=list(range(1, len(schedule) + 1)),
+        iterations=list(range(1, steps + 1)),
         epochs=[e for e in range(1, config.t_max + 1) for _ in batches],
         objectives=objectives[1:].tolist(),
         etas=etas,
         sens_basic=[float(basic[0]) for _, _, _, _, basic in schedule],
         sens_reduced=list(reduced),
-        degenerate_events=degenerate_events,
+        degenerate_events=int(degenerate_events),
     )
     return MetricModel(ws[-1]), trace
+
+
+def _noise(
+    config: TrainConfig,
+    kappa: int,
+    eps_epoch: float,
+    gamma: float | None,
+    h: float,
+    streams: list[np.random.Generator],
+    steps: int,
+    shape: tuple[int, ...],
+):
+    """``add(update, sens)``, called once per step: adds to each row of the
+    mean gradient ``update`` (``shape``: ``(d_prime, d)``, or ``(R,
+    d_prime, d)`` for a batch) its noise at that row's sensitivity, in place.
+
+    ``streams`` holds one generator per row, run by run. At an infinite
+    budget or at kappa 0 (every sensitivity zero) nothing is drawn.
+    Otherwise every stream draws each step, and a noise scale that is not
+    positive raises :class:`NonPositiveScale`. numpy computes ``laplace(0,
+    s)`` as ``0 -+ s log(.)`` and ``normal(0, s)`` as ``0 + s z``, so ``0 + s
+    * laplace(0, 1)`` and ``0 + s * normal(0, 1)`` equal them bit for bit:
+    a stream's Laplace or Gaussian noise is one ``(steps, d)`` block of unit
+    draws, scaled at each step. The staircase and one-bit randomizers draw
+    from several distributions per value, so they draw at each step.
+    """
+    if math.isinf(eps_epoch) or kappa == 0:
+        return lambda update, sens: np.add(update, 0.0, out=update)
+    d = shape[-1]
+    if config.mechanism not in ("laplace", "gaussian"):
+        def add_drawn(update: np.ndarray, sens: np.ndarray) -> None:
+            rows = update.reshape(-1, d)
+            row_sens = np.broadcast_to(sens, shape[:-1]).reshape(-1)
+            for j, rng in enumerate(streams):
+                rows[j] += _row_noise(
+                    rows[j], row_sens[j], eps_epoch, config, gamma, h, rng
+                )
+        return add_drawn
+
+    laplace = config.mechanism == "laplace"
+    unit = np.empty((steps, len(streams), d))
+    for j, rng in enumerate(streams):
+        unit[:, j] = (
+            laplace_sample(1.0, rng, size=(steps, d)) if laplace
+            else rng.normal(0.0, 1.0, size=(steps, d))
+        )
+    draws = iter(unit.reshape(steps, *shape))           # one per step
+
+    def add_scaled(update: np.ndarray, sens: np.ndarray) -> None:
+        if laplace:
+            scale = sens / eps_epoch
+            if not scale.min() > 0:
+                raise NonPositiveScale(
+                    f"Laplace scale must be positive, got {scale.min()}"
+                )
+        else:
+            scale = gaussian_sigma(eps_epoch, config.delta, sens)
+        update += 0.0 + scale[..., None] * next(draws)
+
+    return add_scaled
 
 
 def _row_noise(
@@ -565,18 +718,10 @@ def _row_noise(
     h: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Additive noise for one row's mean gradient (or, for the one-bit
-    randomizer, the correction that replaces it entirely)."""
-    d = mean_row.shape[0]
-    if math.isinf(eps_epoch) or sens == 0.0:
-        return np.zeros(d)
-    if config.mechanism == "laplace":
-        return laplace_sample(sens / eps_epoch, rng, size=d)
-    if config.mechanism == "gaussian":
-        sigma = gaussian_sigma(eps_epoch, config.delta, sens)
-        return rng.normal(0.0, sigma, size=d)
+    """Staircase noise for one row's mean gradient, or, for the one-bit
+    randomizer, the correction that replaces the row entirely."""
     if config.mechanism == "staircase":
-        return staircase_sample(eps_epoch, sens, gamma, rng, size=d)
+        return staircase_sample(eps_epoch, sens, gamma, rng, size=mean_row.shape[0])
     # one-bit randomizer: rebuild the row from scaled sign bits; clipping
     # guarantees |coord| <= h up to rounding, so clamp the last ulp away
     scaled = np.clip(mean_row / h, -1.0, 1.0)

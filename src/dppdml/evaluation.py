@@ -30,11 +30,13 @@ METHODS = ("nonpriv", "dpp", "dpp_s", "node_dp", "input_per")
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-run accuracies of one (method, epsilon) cell."""
+    """Per-run accuracies of one (method, epsilon) cell, and whether they
+    were scored in-sample because every individual is in a pair."""
 
     method: str
     epsilon: float
     per_run: tuple[float, ...]
+    in_sample: bool = False
 
     @property
     def mean_accuracy(self) -> float:
@@ -157,6 +159,9 @@ def run_experiment(
     Seeds run ``seed + 0 .. seed + repeats - 1`` so cells are directly
     comparable; the privacy distance is computed once per distance notion
     and the pairs are stacked into one ``PairSet``, both reused across runs.
+    A cell's runs train in one batched ``train`` call; for ``input_per``
+    each run's perturbed pairs are stacked into one ``(repeats, n, d)``
+    array. ``nonpriv`` ignores the budget, so it is trained once.
     Every budget must be positive (an infinite one is allowed); a bad one is
     rejected before any training.
     """
@@ -170,30 +175,34 @@ def run_experiment(
             raise ConfigInvalid(f"epsilon must be positive, got {epsilon}")
     pairs = PairSet.of(pairs)
     train_idx, test_idx = split_by_participation(samples, pairs)
-    if len(test_idx) == 0:
+    in_sample = len(test_idx) == 0
+    if in_sample:
         test_idx = train_idx  # every individual participates; score in-sample
     if kappa_default is None:
         kappa_default = compute_kappa(graph)
     if kappa_node is None:
         kappa_node = kappa_node_dp(graph)
+    train_x, train_y = samples.x[train_idx], samples.labels[train_idx]
+    test_x, test_y = samples.x[test_idx], samples.labels[test_idx]
 
-    def one_run(method: str, epsilon: float, run_seed: int) -> float:
-        run_pairs = pairs
-        kap: KappaReport = kappa_default
-        if method == "node_dp":
-            kap = kappa_node
+    def cell(method: str, epsilon: float) -> tuple[float, ...]:
+        run_pairs = None
         if method == "input_per":
-            rng = np.random.default_rng([1347, run_seed])
-            run_pairs = input_perturb(pairs, epsilon, rng)
-        cfg = _method_config(method, config, epsilon, run_seed)
-        model, _ = train(run_pairs, graph, cfg, kappa_report=kap)
-        return knn_accuracy(
-            model,
-            samples.x[train_idx],
-            samples.labels[train_idx],
-            samples.x[test_idx],
-            samples.labels[test_idx],
-            k,
+            dx = np.empty((repeats, *pairs.dx.shape))
+            y = np.empty((repeats, len(pairs)), dtype=int)
+            for r in range(repeats):
+                rng = np.random.default_rng([1347, seed + r])
+                noisy = input_perturb(pairs, epsilon, rng)
+                dx[r], y[r] = noisy.dx, noisy.y
+            run_pairs = (dx, y)
+        models, _ = train(
+            pairs, graph, _method_config(method, config, epsilon, seed),
+            kappa_report=kappa_node if method == "node_dp" else kappa_default,
+            repeats=repeats, run_pairs=run_pairs,
+        )
+        return tuple(
+            knn_accuracy(model, train_x, train_y, test_x, test_y, k)
+            for model in models
         )
 
     reports = []
@@ -201,12 +210,10 @@ def run_experiment(
     for method in methods:
         for epsilon in epsilons:
             if method == "nonpriv" and nonpriv_cache is not None:
-                reports.append(ExperimentReport(method, epsilon, nonpriv_cache))
-                continue
-            per_run = tuple(
-                one_run(method, epsilon, seed + r) for r in range(repeats)
-            )
+                per_run = nonpriv_cache
+            else:
+                per_run = cell(method, epsilon)
             if method == "nonpriv":
                 nonpriv_cache = per_run
-            reports.append(ExperimentReport(method, epsilon, per_run))
+            reports.append(ExperimentReport(method, epsilon, per_run, in_sample))
     return reports

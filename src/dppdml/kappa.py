@@ -204,11 +204,15 @@ def _edge_key(a: int, b: int) -> tuple[int, int]:
 
 def _exact_isolation(g: PairGraph) -> Callable[[int, frozenset], int]:
     """Exact cycle-isolation cost of a node once the given edges are gone,
-    in O(|V| + |E|) per call: ``k - pieces`` as in
-    :func:`cycle_isolation_count`, where ``k`` counts the node's surviving
-    edges and ``pieces`` the components of the remaining graph without the
-    node that its surviving neighbours reach. Traverses the graph's own
-    adjacency, skipping the removed edges, with no copy.
+    in O(|V| + |E|) per call: ``k - pieces``, where ``k`` counts the node's
+    surviving edges and ``pieces`` the components of the remaining graph
+    without the node that its surviving neighbours reach. Traverses the
+    graph's own adjacency, skipping the removed edges, with no copy.
+
+    No search is needed: keeping one edge of the node into each piece
+    leaves it on no cycle, and any cheaper set would have to delete edges
+    away from the node, each of which splits off at most one more piece, so
+    it never saves more than it costs.
     """
     adj = g.adjacency
 
@@ -233,19 +237,6 @@ def _exact_isolation(g: PairGraph) -> Callable[[int, frozenset], int]:
         return k - pieces
 
     return isolation
-
-
-def cycle_isolation_count(g: PairGraph, s: NodeId) -> int:
-    """Minimum number of edge deletions leaving ``s`` on no cycle.
-
-    Exact, in O(|V| + |E|) and with no search budget: ``degree(s) -
-    pieces``, where ``pieces`` counts the components of ``g - s`` that
-    ``s``'s neighbours reach. Keeping one edge of ``s`` into each piece
-    leaves ``s`` on no cycle; any cheaper set would have to delete edges
-    away from ``s``, and each such deletion splits off at most one more
-    piece, so it never saves more than it costs.
-    """
-    return _exact_isolation(g)(g.node_index(s), frozenset())
 
 
 # --- privacy distance variants ---------------------------------------------
@@ -349,7 +340,7 @@ def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaRe
     deterministic maximum path set, and adds the cheaper cycle-isolation
     cost on the remainder; a pair across components adds the cheaper
     whole-graph cost. Each cost on a remainder is the closed form ``k -
-    pieces`` of :func:`cycle_isolation_count`, one traversal of the
+    pieces`` of :func:`_exact_isolation`, one traversal of the
     remainder without the node, so there is no search and no budget: the
     work is one max flow and at most two traversals per pair. The witness
     is the first maximising pair in the loop's order. Guarded by
@@ -446,7 +437,7 @@ def compute_kappa(
     :func:`kappa_exact` for ``exact``, which raises :class:`GraphTooLarge`
     above ``exact_limit`` nodes, and for ``auto`` up to that size; ``upper``
     and larger ``auto`` runs get :func:`kappa_upper`. Cycle isolation is
-    closed form (``k - pieces``, see :func:`cycle_isolation_count`), so the
+    closed form (``k - pieces``, see :func:`_exact_isolation`), so the
     exact computation has no search budget and never falls back. A negative
     ``exact_limit`` raises :class:`ConfigInvalid`.
     """

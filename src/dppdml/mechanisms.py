@@ -27,7 +27,8 @@ def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
     """Smallest Gaussian noise level for the approximate regime.
 
     sigma = sqrt(2 ln(1.25 / delta)) * sensitivity / epsilon, requiring
-    0 < delta < 1 and positive epsilon and sensitivity.
+    0 < delta < 1 and positive epsilon and sensitivity. ``sensitivity`` may
+    be an array, for one sigma per entry.
     """
     if delta <= 0:
         raise DeltaZero("Gaussian calibration requires delta > 0")
@@ -35,8 +36,10 @@ def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
         raise OutOfRange(f"delta must be below 1, got {delta}")
     if not epsilon > 0:
         raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
-    if not sensitivity > 0:
-        raise NonPositiveScale(f"sensitivity must be positive, got {sensitivity}")
+    positive = np.greater(sensitivity, 0)
+    if not np.all(positive):
+        bad = np.extract(~positive, sensitivity)[0]
+        raise NonPositiveScale(f"sensitivity must be positive, got {bad}")
     return math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / epsilon
 
 
@@ -84,23 +87,6 @@ def staircase_sample(
     )
     out = sign * sensitivity * (period + offset)
     return out if size is not None else float(out)
-
-
-def staircase_variance(epsilon: float, sensitivity: float, gamma: float) -> float:
-    """Closed-form variance of the staircase distribution."""
-    b = _staircase_params(epsilon, sensitivity, gamma)
-    e_g = b / (1.0 - b)
-    e_g2 = b * (1.0 + b) / (1.0 - b) ** 2
-    p_low = (1.0 - gamma) * b / (gamma + (1.0 - gamma) * b)
-    high = e_g2 + gamma * e_g + gamma**2 / 3.0
-    low = (
-        e_g2
-        + (1.0 + gamma) * e_g
-        + gamma**2
-        + gamma * (1.0 - gamma)
-        + (1.0 - gamma) ** 2 / 3.0
-    )
-    return sensitivity**2 * ((1.0 - p_low) * high + p_low * low)
 
 
 def staircase_optimal_gamma(epsilon: float) -> float:
@@ -156,13 +142,6 @@ def duchi_randomize_vector(
 def _keep_probability(epsilon: float) -> float:
     """Randomized response's chance of keeping a label: e^eps / (1 + e^eps)."""
     return 1.0 / (1.0 + math.exp(-epsilon)) if not math.isinf(epsilon) else 1.0
-
-
-def warner_flip(label: int, epsilon: float, rng: np.random.Generator) -> int:
-    """Randomized response: keep the label with probability e^eps/(1+e^eps)."""
-    if label not in (0, 1):
-        raise OutOfRange(f"label must be 0 or 1, got {label!r}")
-    return label if rng.random() < _keep_probability(epsilon) else 1 - label
 
 
 def input_perturb(

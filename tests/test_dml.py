@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dppdml import dataio
+from dppdml import dataio, dml
 from dppdml.dml import (
     NORM_MODES,
     OBJECTIVE_BLOCK,
@@ -26,8 +27,9 @@ from dppdml.errors import (
     DegenerateDistance,
     DimensionMismatch,
     EmptyBatch,
+    NonPositiveScale,
 )
-from dppdml.kappa import compute_kappa
+from dppdml.kappa import KappaReport, compute_kappa
 from dppdml.mechanisms import input_perturb
 from dppdml.pairgraph import PairSet, PairwiseDatum, build_graph
 
@@ -628,6 +630,111 @@ class TestTrainMatchesLoopReferenceAcrossBlocks:
         assert _bits(model, trace) == _bits(
             *oracles.reference_train(pairs, graph, config, report)
         )
+
+
+class TestTrainRepeatsMatchSingleRuns:
+    """``train(..., repeats=R)`` advances R runs as one stack. Each run must
+    equal ``train`` alone at seed ``config.seed + r`` bit for bit, in ``W``
+    and in every column of the batch's trace."""
+
+    R = 3
+
+    @classmethod
+    def check(cls, pairs, graph, config, report, run_pairs=None):
+        models, batch = train(pairs, graph, config, kappa_report=report,
+                              repeats=cls.R, run_pairs=run_pairs)
+        assert len(models) == len(batch.margins) == len(batch.degenerate) == cls.R
+        pairs = PairSet.of(pairs)
+        for r, model in enumerate(models):
+            given = pairs if run_pairs is None else PairSet(
+                pairs.i, pairs.j, run_pairs[0][r], run_pairs[1][r]
+            )
+            single, trace = train(given, graph, replace(config, seed=config.seed + r),
+                                  kappa_report=report)
+            assert model.w.tobytes() == single.w.tobytes()
+            assert batch.margins[r].hex() == trace.margin.hex()
+            assert batch.degenerate[r] == trace.degenerate_events
+            for column in ("kappa", "kappa_method", "iterations"):
+                assert getattr(batch, column) == getattr(trace, column)
+        assert batch.degenerate_events == sum(batch.degenerate)
+        return models, batch
+
+    @pytest.mark.parametrize("batch_mode", ["shuffle", "component"])
+    @pytest.mark.parametrize(
+        "mechanism", list(TestTrainMatchesLoopReference.MECHANISMS)
+    )
+    def test_every_mechanism(self, mechanism, batch_mode):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        config = TestTrainMatchesLoopReference.config(
+            mechanism, "l2" if mechanism == "gaussian" else "l1", batch_mode
+        )
+        models, batch = self.check(pairs, graph, config, compute_kappa(graph))
+        assert len({m.w.tobytes() for m in models}) == self.R
+        assert batch.degenerate_events > 0
+
+    def test_short_last_batch_dropped(self):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        # 153 = 3 * 49 + 6: the six-pair tail is under half a batch
+        config = TestTrainMatchesLoopReference.config(
+            "laplace-reduced", "l1", "shuffle", batch_size=49
+        )
+        _, batch = self.check(pairs, graph, config, compute_kappa(graph))
+        assert len(batch.iterations) == 3 * config.t_max
+
+    @pytest.mark.parametrize("epsilon", [0.5, math.inf])
+    def test_one_pair_set_per_run(self, epsilon):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        pairs = PairSet.of(pairs)
+        config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle")
+        noisy = [input_perturb(pairs, epsilon, np.random.default_rng([1347, r]))
+                 for r in range(self.R)]
+        run_pairs = (np.stack([p.dx for p in noisy]), np.stack([p.y for p in noisy]))
+        _, batch = self.check(pairs, graph, config, compute_kappa(graph), run_pairs)
+        assert len(set(batch.margins)) == (1 if math.isinf(epsilon) else self.R)
+
+    @pytest.mark.parametrize(
+        "mechanism", ["laplace-basic", "gaussian", "staircase", "duchi"]
+    )
+    def test_kappa_zero_draws_no_noise(self, mechanism, monkeypatch):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        config = TestTrainMatchesLoopReference.config(
+            mechanism, "l2" if mechanism == "gaussian" else "l1", "shuffle"
+        )
+        report = KappaReport(kappa=0, method="upper_bound")
+        clean, _ = train(pairs, graph, replace(config, mechanism="none", delta=0.0),
+                         kappa_report=report, repeats=self.R)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("noise drawn at kappa 0")
+
+        for name in ("laplace_sample", "gaussian_sigma", "staircase_sample",
+                     "duchi_randomize_vector"):
+            monkeypatch.setattr(dml, name, no_draw)
+        models, _ = self.check(pairs, graph, config, report)
+        assert [m.w.tobytes() for m in models] == [m.w.tobytes() for m in clean]
+
+    def test_run_pairs_shape_checked(self):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        pairs = PairSet.of(pairs)
+        config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle")
+        with pytest.raises(DimensionMismatch):
+            train(pairs, graph, config, repeats=2,
+                  run_pairs=(np.stack([pairs.dx] * 3), np.stack([pairs.y] * 3)))
+        with pytest.raises(ConfigInvalid):
+            train(pairs, graph, config, repeats=0)
+
+    @pytest.mark.parametrize("repeats", [None, 2])
+    @pytest.mark.parametrize("mechanism", ["laplace-reduced", "gaussian"])
+    def test_non_finite_sensitivity_raises(self, mechanism, repeats):
+        # a finite but huge feature difference overflows its clipped norm
+        pairs = [pair([1e308, 1e308], 0, 0, 1), pair([0.1, 0.2], 1, 1, 2),
+                 pair([0.3, -0.2], 0, 2, 3)]
+        config = TestTrainMatchesLoopReference.config(
+            mechanism, "l2" if mechanism == "gaussian" else "l1", "shuffle",
+            batch_size=3, margin=1.0,
+        )
+        with np.errstate(all="ignore"), pytest.raises(NonPositiveScale):
+            train(pairs, build_graph(pairs), config, repeats=repeats)
 
 
 class TestDefaultMarginMatchesPairSum:

@@ -1,20 +1,24 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dppdml import dataio
-from dppdml.dml import MetricModel, TrainConfig
+from dppdml import dataio, evaluation
+from dppdml.dml import MetricModel, TrainConfig, train
 from dppdml.errors import DimensionMismatch, DppError, EmptyTestSet, EmptyTrainSet
 from dppdml.evaluation import (
+    METHODS,
     ExperimentReport,
     knn_accuracy,
     project,
     run_experiment,
     split_by_participation,
 )
+from dppdml.kappa import compute_kappa
+from dppdml.mechanisms import input_perturb
 from dppdml.pairgraph import build_graph
 
 from . import oracles
@@ -221,3 +225,35 @@ class TestRunExperiment:
         cfg = TrainConfig(d_prime=2, margin=1.0, seed=0)
         with pytest.raises(ValueError):
             run_experiment(samples, pairs, graph, ["magic"], [1.0], 1, cfg)
+
+    def test_one_batched_train_per_cell(self, monkeypatch):
+        samples, pairs, graph = benchmark()
+        cfg = TrainConfig(d_prime=2, batch_size=30, t_max=2, seed=0)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["repeats"])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train", counting)
+        reports = run_experiment(samples, pairs, graph, METHODS, [1.0, 4.0], 3,
+                                 cfg, seed=7)
+        # nonpriv ignores the budget, so it trains once; the rest once a cell
+        assert calls == [3] * (1 + 4 * 2)
+
+        # every run equals one training at its own seed, perturbed for input_per
+        train_idx, test_idx = split_by_participation(samples, pairs)
+        report = compute_kappa(graph)
+        per_run = {(r.method, r.epsilon): r.per_run for r in reports}
+        for r in range(3):
+            noisy = input_perturb(pairs, 4.0, np.random.default_rng([1347, 7 + r]))
+            for method, given, config in (
+                ("input_per", noisy, replace(cfg, mechanism="none")),
+                ("dpp_s", pairs, replace(cfg, epsilon=4.0)),
+            ):
+                model, _ = train(given, graph, replace(config, seed=7 + r),
+                                 kappa_report=report)
+                assert per_run[(method, 4.0)][r] == knn_accuracy(
+                    model, samples.x[train_idx], samples.labels[train_idx],
+                    samples.x[test_idx], samples.labels[test_idx],
+                )

@@ -12,7 +12,6 @@ from dppdml.errors import GraphTooLarge, SameNode, UnknownNode
 from dppdml.kappa import (
     KappaReport,
     compute_kappa,
-    cycle_isolation_count,
     kappa_exact,
     kappa_intransitive,
     kappa_node_dp,
@@ -136,15 +135,15 @@ class TestEdgeDisjointPaths:
 class TestCycleIsolation:
     def test_acyclic_graph_needs_nothing(self):
         g = graph_from_edges([("a", "b"), ("b", "c")])
-        assert cycle_isolation_count(g, "b") == 0
+        assert oracles.cycle_isolation_count(g, "b") == 0
 
     def test_triangle_needs_one(self):
         g = graph_from_edges(TRIANGLE)
-        assert cycle_isolation_count(g, "a") == 1
+        assert oracles.cycle_isolation_count(g, "a") == 1
 
     def test_two_shared_triangles_need_two(self):
         g = graph_from_edges(BOWTIE)
-        assert cycle_isolation_count(g, "x") == 2
+        assert oracles.cycle_isolation_count(g, "x") == 2
 
     def test_matches_subset_search_oracle(self, rng):
         for _ in range(40):
@@ -153,7 +152,7 @@ class TestCycleIsolation:
             cycles = oracles.cycle_masks(n, edges)
             alive = (1 << len(edges)) - 1
             for v in range(n):
-                assert cycle_isolation_count(g, v) == oracles.cycle_isolation(
+                assert oracles.cycle_isolation_count(g, v) == oracles.cycle_isolation(
                     n, edges, cycles, v, alive
                 )
 
@@ -271,7 +270,9 @@ class TestKappaExact:
         assert len(cross) == 14 * 13 // 2 - (10 + 6 + 6)
         for a, b in cross:
             assert report.per_pair_terms[(a, b)] == (
-                0, cycle_isolation_count(g, a), cycle_isolation_count(g, b)
+                0,
+                oracles.cycle_isolation_count(g, a),
+                oracles.cycle_isolation_count(g, b),
             )
         assert report.per_pair_terms[(0, 5)] == (0, 2, 2)
         assert report.kappa == max(
@@ -297,8 +298,8 @@ class TestKappaExact:
                         count, paths = max_edge_disjoint_paths(g, a, b)
                         dropped = [e for p in paths for e in zip(p, p[1:])]
                     sub = oracles.remove_edges(g, dropped)
-                    plain[(a, b)] = (count, cycle_isolation_count(sub, a),
-                                     cycle_isolation_count(sub, b))
+                    plain[(a, b)] = (count, oracles.cycle_isolation_count(sub, a),
+                                     oracles.cycle_isolation_count(sub, b))
                 report = compute_kappa(g, method="exact")
                 terms = report.per_pair_terms
                 assert not isinstance(terms, dict)
@@ -362,8 +363,8 @@ class TestKappaExact:
             for a in range(n):
                 for b in range(a + 1, n):
                     if comp_of[a] != comp_of[b]:
-                        cs = cycle_isolation_count(g, a)
-                        ct = cycle_isolation_count(g, b)
+                        cs = oracles.cycle_isolation_count(g, a)
+                        ct = oracles.cycle_isolation_count(g, b)
                         terms[frozenset((a, b))] = min(cs, ct)
                         continue
                     count, paths = max_edge_disjoint_paths(g, a, b)
@@ -371,8 +372,8 @@ class TestKappaExact:
                         g, [e for p in paths for e in zip(p, p[1:])]
                     )
                     terms[frozenset((a, b))] = count + min(
-                        cycle_isolation_count(sub, a),
-                        cycle_isolation_count(sub, b),
+                        oracles.cycle_isolation_count(sub, a),
+                        oracles.cycle_isolation_count(sub, b),
                     )
             report = kappa_exact(g)
             assert report.kappa == max(terms.values())
@@ -519,7 +520,7 @@ class TestKappaIntransitive:
         self, rng, by_count
     ):
         """The pair loop must match an unpruned sweep over reduced graphs
-        whose isolation costs come from ``cycle_isolation_count`` (by
+        whose isolation costs come from ``oracles.cycle_isolation_count`` (by
         count) or from the oracle's ``degree - increase - 1``. Up to the
         term-recording size every term must match; above it the loop
         prunes and may take the forest shortcut, and value and witness
@@ -527,7 +528,7 @@ class TestKappaIntransitive:
 
         def cost(graph, v):
             if by_count:
-                return cycle_isolation_count(graph, v)
+                return oracles.cycle_isolation_count(graph, v)
             increase = oracles.component_increase(graph, v)
             return max(0, graph.degree(v) - increase - 1)
 
@@ -666,6 +667,6 @@ class TestDominanceAndDispatch:
             sub = oracles.remove_edges(
                 g, [e for p in paths for e in zip(p, p[1:])]
             )
-            c_s = cycle_isolation_count(sub, s)
+            c_s = oracles.cycle_isolation_count(sub, s)
             lhs = oracles.component_increase(g, s)
             assert lhs == g.degree(s) - count - c_s

@@ -18,8 +18,6 @@ from dppdml.mechanisms import (
     laplace_sample,
     staircase_optimal_gamma,
     staircase_sample,
-    staircase_variance,
-    warner_flip,
 )
 from dppdml.pairgraph import PairSet, PairwiseDatum
 
@@ -101,19 +99,19 @@ class TestGaussianSigma:
 class TestStaircase:
     def test_symmetry(self, rng):
         draws = staircase_sample(1.0, 1.0, 0.5, rng, size=N_BIG)
-        sigma = math.sqrt(staircase_variance(1.0, 1.0, 0.5))
+        sigma = math.sqrt(oracles.staircase_variance(1.0, 1.0, 0.5))
         assert abs(draws.mean()) < 5 * sigma / math.sqrt(N_BIG)
 
     @pytest.mark.parametrize("epsilon,gamma", [(0.5, 0.3), (1.0, 0.5), (2.0, 1.0)])
     def test_empirical_variance_matches_closed_form(self, rng, epsilon, gamma):
         draws = staircase_sample(epsilon, 1.0, gamma, rng, size=N_BIG)
-        expected = staircase_variance(epsilon, 1.0, gamma)
+        expected = oracles.staircase_variance(epsilon, 1.0, gamma)
         assert draws.var() == pytest.approx(expected, rel=0.10)
 
     def test_full_width_step_looks_like_discrete_laplace(self, rng):
         # gamma = 1: uniform within each period, geometric across periods
         draws = staircase_sample(1.0, 1.0, 1.0, rng, size=N_BIG)
-        expected = staircase_variance(1.0, 1.0, 1.0)
+        expected = oracles.staircase_variance(1.0, 1.0, 1.0)
         assert draws.var() == pytest.approx(expected, rel=0.10)
         periods = np.floor(np.abs(draws))
         counts = np.bincount(periods.astype(int), minlength=3)[:3]
@@ -122,8 +120,8 @@ class TestStaircase:
         assert counts[2] / counts[1] == pytest.approx(math.exp(-1.0), rel=0.10)
 
     def test_scales_with_sensitivity(self):
-        assert staircase_variance(1.0, 2.0, 0.5) == pytest.approx(
-            4.0 * staircase_variance(1.0, 1.0, 0.5)
+        assert oracles.staircase_variance(1.0, 2.0, 0.5) == pytest.approx(
+            4.0 * oracles.staircase_variance(1.0, 1.0, 0.5)
         )
 
     def test_rejects_bad_gamma(self, rng):
@@ -135,9 +133,9 @@ class TestStaircase:
     def test_optimal_gamma_minimises_variance(self):
         for epsilon in (0.01, 0.5, 1.0, 3.0, 20.0):
             star = staircase_optimal_gamma(epsilon)
-            best = staircase_variance(epsilon, 1.0, star)
+            best = oracles.staircase_variance(epsilon, 1.0, star)
             for gamma in np.geomspace(1e-9, 1.0, 2001):
-                other = staircase_variance(epsilon, 1.0, float(gamma))
+                other = oracles.staircase_variance(epsilon, 1.0, float(gamma))
                 assert best <= other * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("epsilon", [1e-8, 745.0, 800.0, 3000.0, math.inf])
@@ -158,7 +156,9 @@ class TestStaircase:
         # the step shape wastes less budget than the exponential tails,
         # increasingly so at larger budgets
         for epsilon in (1.0, 2.0, 4.0, 8.0):
-            tuned = staircase_variance(epsilon, 1.0, staircase_optimal_gamma(epsilon))
+            tuned = oracles.staircase_variance(
+                epsilon, 1.0, staircase_optimal_gamma(epsilon)
+            )
             laplace_var = 2.0 / epsilon**2
             assert tuned < laplace_var
 
@@ -227,20 +227,22 @@ class TestDuchi:
 
 class TestWarner:
     def test_infinite_budget_keeps_label(self, rng):
-        assert warner_flip(1, math.inf, rng) == 1
-        assert warner_flip(0, math.inf, rng) == 0
+        assert oracles.warner_flip(1, math.inf, rng) == 1
+        assert oracles.warner_flip(0, math.inf, rng) == 0
 
     def test_zero_budget_is_fair_coin(self, rng):
-        draws = np.array([warner_flip(1, 0.0, rng) for _ in range(100_000)])
+        draws = np.array([oracles.warner_flip(1, 0.0, rng) for _ in range(100_000)])
         assert draws.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_ln3_keep_rate(self, rng):
-        draws = np.array([warner_flip(1, math.log(3.0), rng) for _ in range(100_000)])
+        draws = np.array(
+            [oracles.warner_flip(1, math.log(3.0), rng) for _ in range(100_000)]
+        )
         assert draws.mean() == pytest.approx(0.75, abs=0.01)
 
     def test_rejects_bad_label(self, rng):
         with pytest.raises(OutOfRange):
-            warner_flip(2, 1.0, rng)
+            oracles.warner_flip(2, 1.0, rng)
 
 
 class _ZeroPlanting:
@@ -361,7 +363,7 @@ class TestSamplerDeterminism:
             return (
                 staircase_sample(1.0, 1.0, 0.5, gen, size=16),
                 np.array([duchi_randomize(0.3, 1.0, gen) for _ in range(16)]),
-                np.array([warner_flip(1, 1.0, gen) for _ in range(16)]),
+                np.array([oracles.warner_flip(1, 1.0, gen) for _ in range(16)]),
             )
 
         first = stream(11)
