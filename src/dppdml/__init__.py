@@ -10,8 +10,10 @@ from .dataio import (
     toy_pairs,
 )
 from .dml import (
+    Cell,
     MetricModel,
     RepeatTrace,
+    StackTrace,
     TrainConfig,
     TrainTrace,
     clip_gradient,

@@ -12,8 +12,8 @@ counterpart) replaces the fixed bound when sensitivity reduction is on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -248,7 +248,12 @@ def sensitivity_basic(
     as a ``(d_prime,)`` array."""
     if kappa < 0 or not h > 0 or batch_size < 1 or d_prime < 1:
         raise ConfigInvalid("kappa >= 0, h > 0, batch_size >= 1, d_prime >= 1 required")
-    return np.full(d_prime, 2.0 * kappa * h / batch_size)
+    return np.full(d_prime, _basic_bound(kappa, h, batch_size))
+
+
+def _basic_bound(kappa, h: float, batch_size):
+    """``2 kappa h / batch_size`` for a kappa, or for a column of them."""
+    return 2.0 * kappa * h / batch_size
 
 
 def _counterpart_bound(w: np.ndarray, h: float, margin: float, norm_mode: str) -> np.ndarray:
@@ -466,23 +471,101 @@ class RepeatTrace:
         return sum(self.degenerate)
 
 
+class Cell(NamedTuple):
+    """One cell of a stacked :func:`train` call: its configuration and
+    privacy distance (computed from the graph when None), the runs it trains
+    (run ``r`` at seed ``config.seed + r``) and, optionally, each run's own
+    feature differences and labels as arrays ``(len(runs), n, d)`` and
+    ``(len(runs), n)``."""
+
+    config: TrainConfig
+    kappa_report: KappaReport | None
+    runs: Sequence[int]
+    run_pairs: tuple[np.ndarray, np.ndarray] | None = None
+
+
+@dataclass
+class StackTrace:
+    """Record of the cells trained by one stacked :func:`train` call: the
+    steps they share and one :class:`RepeatTrace` per cell."""
+
+    iterations: list[int]
+    cells: tuple[RepeatTrace, ...]
+
+    @property
+    def degenerate_events(self) -> int:
+        """Degenerate hinge events over every run of every cell."""
+        return sum(cell.degenerate_events for cell in self.cells)
+
+
+#: The :class:`TrainConfig` fields in which the cells of one stack may differ.
+CELL_FIELDS = ("mechanism", "epsilon", "sensitivity_mode")
+#: The mechanisms that a stack of several cells may mix.
+STACK_MECHANISMS = ("none", "laplace")
+
+
+def _cells(
+    pairs: PairSet, graph: PairGraph, cells: list[Cell]
+) -> list[Cell]:
+    """Check a stack's cells against each other and the pairs; return them
+    with every kappa report filled in and every ``run_pairs`` as arrays."""
+    cfg = cells[0].config
+    for cell in cells:
+        cell.config.validate()
+        if replace(cell.config, **{f: getattr(cfg, f) for f in CELL_FIELDS}) != cfg:
+            raise ConfigInvalid(
+                f"the cells of a stack may differ only in {', '.join(CELL_FIELDS)}"
+            )
+        if len(cells) > 1 and cell.config.mechanism not in STACK_MECHANISMS:
+            raise ConfigInvalid(
+                f"a stack of several cells takes only the mechanisms {STACK_MECHANISMS}"
+            )
+        if not len(cell.runs):
+            raise ConfigInvalid("every cell needs at least one run")
+    if not pairs:
+        raise ConfigInvalid("cannot train on an empty pair list")
+    n, d = pairs.dx.shape
+    if cfg.d_prime > d:
+        raise ConfigInvalid(f"d_prime={cfg.d_prime} exceeds feature dimension {d}")
+    computed = None
+    checked = []
+    for cell in cells:
+        if cell.run_pairs is not None:
+            dx, y = (np.asarray(a) for a in cell.run_pairs)
+            want = ((len(cell.runs), n, d), (len(cell.runs), n))
+            if (dx.shape, y.shape) != want:
+                raise DimensionMismatch(
+                    f"run_pairs must have shapes {want[0]} and {want[1]}, "
+                    f"got {dx.shape} and {y.shape}"
+                )
+            cell = cell._replace(run_pairs=(dx, y))
+        if cell.kappa_report is None:
+            if computed is None:
+                computed = compute_kappa(graph)
+            cell = cell._replace(kappa_report=computed)
+        checked.append(cell)
+    return checked
+
+
 def train(
     pairs: PairSet | Sequence[PairwiseDatum],
     graph: PairGraph,
-    config: TrainConfig,
+    config: TrainConfig | Sequence[Cell],
     kappa_report: KappaReport | None = None,
     repeats: int | None = None,
     run_pairs: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[MetricModel, TrainTrace] | tuple[tuple[MetricModel, ...], RepeatTrace]:
+) -> (
+    tuple[MetricModel, TrainTrace]
+    | tuple[tuple[MetricModel, ...], RepeatTrace]
+    | tuple[tuple[tuple[MetricModel, ...], ...], StackTrace]
+):
     """Run the private training loop and return the model plus its trace.
 
     The privacy distance comes from ``kappa_report`` when given (so repeated
     runs on one dataset can share it), otherwise it is computed from the
     graph. All randomness derives from ``config.seed``: one stream for the
     initial W, one for the batch order and one per row of W for noise, so
-    identical inputs give a bit-identical trajectory. The batches are fixed
-    for the whole run, so their slices, labels, feature norms and fixed
-    bounds are taken once, before the first step.
+    identical inputs give a bit-identical trajectory.
 
     With ``repeats=R``, the R runs at seeds ``config.seed + r`` advance as
     one ``(R, d_prime, d)`` stack and the call returns a tuple of R models
@@ -492,112 +575,164 @@ def train(
     ``pairs`` (whose endpoints still set the components), and without a
     fixed margin each run derives its own.
 
-    A step computes only what its update needs. A single run stores its
-    ``W`` and its clipped-gradient peaks in arrays sized for the whole run,
-    and the trace's objective and data-dependent bound columns are computed
-    from those stacks after the last step. The reduced bound is computed
-    inside the loop only when it scales the noise.
+    ``config`` may instead be a sequence of :class:`Cell`: every run of
+    every cell then advances in one stack, and the call returns a tuple of
+    each cell's models and a :class:`StackTrace`. A cell's runs equal
+    ``train(..., repeats=R)`` of that cell bit for bit. Cells may differ
+    only in :data:`CELL_FIELDS`, in kappa and in their runs' pairs, and
+    several cells take only :data:`STACK_MECHANISMS`. A run's initial W,
+    pair order and unit noise are drawn once per call, for every cell that
+    trains it; where a cell draws no noise its scale is 0.
+
+    A step computes only what its update needs. A stack gathers each step's
+    batch through each run's pair order; a single run takes its batches
+    once. A single run stores its ``W`` and its clipped-gradient peaks in
+    arrays sized for the whole run, and the trace's objective and
+    data-dependent bound columns are computed from those stacks after the
+    last step.
     """
-    config.validate()
-    pairs = PairSet.of(pairs)
-    if not pairs:
-        raise ConfigInvalid("cannot train on an empty pair list")
-    d = pairs.dim
-    if config.d_prime > d:
-        raise ConfigInvalid(
-            f"d_prime={config.d_prime} exceeds feature dimension {d}"
-        )
-    runs = 1 if repeats is None else repeats
-    if runs < 1:
-        raise ConfigInvalid(f"repeats must be >= 1, got {repeats}")
-    if run_pairs is None:
-        dx_runs, y_runs = pairs.dx[None], pairs.y[None]   # shared by every run
-    else:
-        dx_runs, y_runs = (np.asarray(a) for a in run_pairs)
-        want = ((runs, *pairs.dx.shape), (runs, len(pairs)))
-        if (dx_runs.shape, y_runs.shape) != want:
-            raise DimensionMismatch(
-                f"run_pairs must have shapes {want[0]} and {want[1]}, "
-                f"got {dx_runs.shape} and {y_runs.shape}"
+    stacked = not isinstance(config, TrainConfig)
+    if stacked:
+        if any(a is not None for a in (kappa_report, repeats, run_pairs)):
+            raise ConfigInvalid(
+                "each cell of a stack carries its kappa, runs and pairs"
             )
-    if kappa_report is None:
-        kappa_report = compute_kappa(graph)
-    kappa = kappa_report.kappa
-
-    if config.margin is not None:
-        margins = [config.margin]
-    elif run_pairs is None:
-        margins = [default_margin(pairs, config.margin_ratio, config.norm_mode)]
+        cells = list(config)
+        if not cells:
+            raise ConfigInvalid("a stack needs at least one cell")
     else:
-        margins = [
-            _default_margin(dx, y, config.margin_ratio, config.norm_mode)
-            for dx, y in zip(dx_runs, y_runs)
-        ]
-    # one margin for every run, or one per run as a column over its pairs
-    margin = margins[0] if len(margins) == 1 else np.array(margins)[:, None]
+        if repeats is not None and repeats < 1:
+            raise ConfigInvalid(f"repeats must be >= 1, got {repeats}")
+        runs = range(1 if repeats is None else repeats)
+        cells = [Cell(config, kappa_report, runs, run_pairs)]
+    pairs = PairSet.of(pairs)
+    cells = _cells(pairs, graph, cells)
+    cfg = cells[0].config
+    h = cfg.lipschitz
+    n, d = pairs.dx.shape
 
-    dx_norms = (
-        np.add.reduce(np.abs(dx_runs), axis=-1)
-        if config.norm_mode == "l1"
-        else np.sqrt(np.add.reduce(dx_runs * dx_runs, axis=-1))
+    # the stack holds the runs cell by cell; a single run has no leading
+    # axis, so its arrays keep the shapes of one W and one batch
+    sizes = [len(cell.runs) for cell in cells]
+    single = not stacked and repeats is None
+    lead = () if single else (sum(sizes),)
+
+    def per_run(values) -> np.ndarray:
+        """One value per cell, as a column with one entry per run."""
+        return np.repeat(values, sizes).reshape(*lead, 1)
+
+    # the pair sets, one after another as rows: ``pairs``, then those of
+    # each run that brings its own; run i's pair j is row ``start[i] + j``
+    own = [cell.run_pairs for cell in cells if cell.run_pairs is not None]
+    dx_rows = np.concatenate([pairs.dx, *(dx.reshape(-1, d) for dx, _ in own)])
+    dissimilar_rows = np.concatenate([pairs.y, *(y.ravel() for _, y in own)]) == 1
+    norm_rows = (
+        np.add.reduce(np.abs(dx_rows), axis=-1)
+        if cfg.norm_mode == "l1"
+        else np.sqrt(np.add.reduce(dx_rows * dx_rows, axis=-1))
+    )
+    source, margins, shared = [], [], None
+    for cell, size in zip(cells, sizes):
+        if cell.run_pairs is None:
+            source += [0] * size
+        else:
+            first = max(source, default=0) + 1
+            source += range(first, first + size)
+        if cfg.margin is not None:
+            margins += [cfg.margin] * size
+        elif cell.run_pairs is None:
+            if shared is None:
+                shared = default_margin(pairs, cfg.margin_ratio, cfg.norm_mode)
+            margins += [shared] * size
+        else:
+            margins += [
+                _default_margin(dx, y, cfg.margin_ratio, cfg.norm_mode)
+                for dx, y in zip(*cell.run_pairs)
+            ]
+    start = n * np.array(source).reshape(*lead, 1)
+    # one margin for every run, or one per run as a column over its pairs
+    margin = (
+        margins[0] if len(set(margins)) == 1
+        else np.array(margins).reshape(*lead, 1)
     )
 
+    # each distinct run draws its seeds, initial W and order once
+    offsets = [r for cell in cells for r in cell.runs]
+    distinct = sorted(set(offsets))
+    run_of = np.searchsorted(distinct, offsets)
     seeds = [
-        np.random.SeedSequence(config.seed + r).spawn(2 + config.d_prime)
-        for r in range(runs)
+        np.random.SeedSequence(cfg.seed + r).spawn(2 + cfg.d_prime)
+        for r in distinct
     ]
     components = (
-        _pair_components(pairs, graph) if config.batch_mode == "component" else None
+        _pair_components(pairs, graph) if cfg.batch_mode == "component" else None
     )
     orders = np.stack([
-        _pair_order(len(pairs), components, np.random.default_rng(s[1]))
+        _pair_order(n, components, np.random.default_rng(s[1])) for s in seeds
+    ])
+    # each run's row of ``orders`` and ``w_init``; a single run has one
+    pick = 0 if single else run_of
+    w_init = np.stack([
+        np.random.default_rng(s[0]).uniform(
+            -cfg.init_scale, cfg.init_scale, (cfg.d_prime, d)
+        )
         for s in seeds
     ])
-    source = (
-        np.arange(runs)[:, None] if run_pairs is not None
-        else np.zeros((runs, 1), dtype=np.intp)
-    )
-    # a batch stacks its runs along a leading axis; a single run has none,
-    # so its arrays keep the shapes of one W and one batch
-    lead, pick = ((), 0) if repeats is None else ((runs,), slice(None))
-    h = config.lipschitz
-    batches = []
-    for start, end in _batch_bounds(len(pairs), config.batch_size):
-        taken = (source[pick], orders[pick, start:end])
-        n_b = end - start
-        batches.append((
-            dx_runs[taken], y_runs[taken] == 1, dx_norms[taken][..., None, :],
-            n_b, sensitivity_basic(kappa, h, n_b, config.d_prime),
-        ))
 
-    noisy = config.mechanism != "none"
-    reduced_noise = noisy and config.sensitivity_mode == "reduced"
-    eps_epoch = config.epsilon / config.t_max if noisy else math.inf
-    gamma = config.staircase_gamma
-    if config.mechanism == "staircase" and gamma is None:
-        gamma = staircase_optimal_gamma(eps_epoch)
+    kappas = [cell.kappa_report.kappa for cell in cells]
+    kappa = kappas[0] if len(cells) == 1 else per_run(kappas)
+    eps_cells = [
+        c.config.epsilon / c.config.t_max if c.config.mechanism != "none"
+        else math.inf
+        for c in cells
+    ]
+    eps_epoch = eps_cells[0] if len(cells) == 1 else per_run(eps_cells)
+    # the runs whose noise scale is positive; the rest add noise at scale 0
+    drawing = [math.isfinite(e) and k > 0 for e, k in zip(eps_cells, kappas)]
+    drawn = np.repeat(drawing, sizes)
+    reduced = per_run([
+        c.config.sensitivity_mode == "reduced" and drawn_c
+        for c, drawn_c in zip(cells, drawing)
+    ])
+    any_reduced, all_reduced = reduced.any(), reduced.all()
 
-    schedule = batches * config.t_max
+    bounds = _batch_bounds(n, cfg.batch_size)
+    schedule = bounds * cfg.t_max
+    basic = {
+        hi - lo: np.broadcast_to(_basic_bound(kappa, h, hi - lo), (*lead, cfg.d_prime))
+        for lo, hi in bounds
+    }
     steps = len(schedule)
-    shape = (*lead, config.d_prime, d)
-    if noisy:
-        add_noise = _noise(
-            config, kappa, eps_epoch, gamma, h,
-            [np.random.default_rng(s) for run in seeds for s in run[2:]],
-            steps, shape,
-        )
-    # a single run keeps every step's W for its trace; a batch keeps two
-    ws = np.empty((steps + 1 if repeats is None else 2, *shape))
-    w0 = ws[0].reshape(runs, config.d_prime, d)
-    for r, run in enumerate(seeds):
-        w0[r] = np.random.default_rng(run[0]).uniform(
-            -config.init_scale, config.init_scale, (config.d_prime, d)
-        )
-    peaks = np.empty((steps, *lead, config.d_prime))
+    shape = (*lead, cfg.d_prime, d)
+    add_noise = None
+    if any(drawing):
+        # several cells draw only Laplace noise, so any drawing cell's
+        # config names the mechanism
+        noisy = cells[drawing.index(True)].config
+        add_noise = _noise(noisy, eps_epoch, drawn, h, seeds, run_of, steps, shape)
+    # a single run keeps every step's W and peaks for its trace; a stack
+    # keeps two W and one step's peaks
+    ws = np.empty((steps + 1 if single else 2, *shape))
+    ws[0] = w_init[pick]
+    peaks = np.empty((steps if single else 1, *lead, cfg.d_prime))
     etas = [step_size(tau) for tau in range(1, steps + 1)]
     degenerate_events = np.zeros(lead, dtype=int)
 
-    for k, (dx, dissimilar, norms, n_b, basic) in enumerate(schedule):
+    def gather(lo: int, hi: int):
+        """A batch's feature differences, dissimilar marks and feature norms."""
+        rows = start + orders[pick, lo:hi]                  # (..., n_b)
+        return (dx_rows.take(rows, axis=0), dissimilar_rows.take(rows),
+                norm_rows.take(rows)[..., None, :])
+
+    # a single run takes its batches once for every epoch, which spares it
+    # three gathers a step; a stack gathers each step's batch, so it holds
+    # one batch at a time
+    batches = [gather(lo, hi) for lo, hi in bounds] if single else None
+    for k, (lo, hi) in enumerate(schedule):
+        dx, dissimilar, norms = (
+            batches[k % len(bounds)] if single else gather(lo, hi)
+        )
+        n_b = hi - lo
         w = ws[k % len(ws)]
         amat, degenerate = _coefficients(w, dx, dissimilar, margin)
         if degenerate is not None:
@@ -606,44 +741,59 @@ def train(
         clip = np.maximum(1.0, raw_norms / h)
         # the temporaries are divided in place: same values, fewer copies
         g_peaks = np.maximum.reduce(
-            np.divide(raw_norms, clip, out=raw_norms), axis=-1, out=peaks[k]
+            np.divide(raw_norms, clip, out=raw_norms), axis=-1,
+            out=peaks[k % len(peaks)],
         )
         update = np.divide(amat, clip, out=amat) @ dx
         update /= n_b                                       # mean gradient
 
-        if noisy:
-            sens = (
-                _reduced_bound(g_peaks, w, h, margin, kappa, n_b, config.norm_mode)
-                if reduced_noise else basic
-            )
+        if add_noise is not None:
+            sens = basic[n_b]
+            if any_reduced:
+                sens = _reduced_bound(g_peaks, w, h, margin, kappa, n_b, cfg.norm_mode)
+                if not all_reduced:
+                    sens = np.where(reduced, sens, basic[n_b])
             add_noise(update, sens)
         np.subtract(w, etas[k] * update, out=ws[(k + 1) % len(ws)])
 
-    if repeats is not None:
-        return tuple(MetricModel(w) for w in ws[steps % 2]), RepeatTrace(
-            kappa=kappa,
-            kappa_method=kappa_report.method,
-            margins=tuple(np.broadcast_to(margins, runs).tolist()),
-            iterations=list(range(1, steps + 1)),
-            degenerate=tuple(degenerate_events.tolist()),
+    iterations = list(range(1, steps + 1))
+    if not single:
+        final = ws[steps % 2]
+        ends = np.cumsum(sizes).tolist()
+        parts = [slice(end - size, end) for size, end in zip(sizes, ends)]
+        models = tuple(tuple(MetricModel(w) for w in final[p]) for p in parts)
+        traces = tuple(
+            RepeatTrace(
+                kappa=cell.kappa_report.kappa,
+                kappa_method=cell.kappa_report.method,
+                margins=tuple(float(m) for m in margins[p]),
+                iterations=iterations,
+                degenerate=tuple(degenerate_events[p].tolist()),
+            )
+            for cell, p in zip(cells, parts)
         )
+        if stacked:
+            return models, StackTrace(iterations, traces)
+        return models[0], traces[0]
 
-    objectives = _objectives(ws, dx_runs[0], y_runs[0], margin)
-    sizes = np.array([n_b for _, _, _, n_b, _ in schedule])
-    reduced = _reduced_bound(
-        peaks, ws[:-1], h, margin, kappa, sizes[:, None], config.norm_mode
-    )
+    report = cells[0].kappa_report
+    rows = slice(start[0], start[0] + n)
+    labels = dissimilar_rows[rows].astype(int)
+    objectives = _objectives(ws, dx_rows[rows], labels, margin)
+    sizes = np.array([hi - lo for lo, hi in schedule])
     trace = TrainTrace(
         kappa=kappa,
-        kappa_method=kappa_report.method,
+        kappa_method=report.method,
         margin=margin,
         initial_objective=float(objectives[0]),
-        iterations=list(range(1, steps + 1)),
-        epochs=[e for e in range(1, config.t_max + 1) for _ in batches],
+        iterations=iterations,
+        epochs=[e for e in range(1, cfg.t_max + 1) for _ in bounds],
         objectives=objectives[1:].tolist(),
         etas=etas,
-        sens_basic=[float(basic[0]) for _, _, _, _, basic in schedule],
-        sens_reduced=list(reduced),
+        sens_basic=[_basic_bound(kappa, h, n_b) for n_b in sizes.tolist()],
+        sens_reduced=list(_reduced_bound(
+            peaks, ws[:-1], h, margin, kappa, sizes[:, None], cfg.norm_mode
+        )),
         degenerate_events=int(degenerate_events),
     )
     return MetricModel(ws[-1]), trace
@@ -651,32 +801,36 @@ def train(
 
 def _noise(
     config: TrainConfig,
-    kappa: int,
-    eps_epoch: float,
-    gamma: float | None,
+    eps_epoch: float | np.ndarray,
+    drawn: np.ndarray,
     h: float,
-    streams: list[np.random.Generator],
+    seeds: list[list[np.random.SeedSequence]],
+    run_of: np.ndarray,
     steps: int,
     shape: tuple[int, ...],
 ):
     """``add(update, sens)``, called once per step: adds to each row of the
-    mean gradient ``update`` (``shape``: ``(d_prime, d)``, or ``(R,
-    d_prime, d)`` for a batch) its noise at that row's sensitivity, in place.
+    mean gradient ``update`` (``shape``: ``(d_prime, d)``, or ``(runs,
+    d_prime, d)`` for a stack) its noise at that row's sensitivity, in place.
 
-    ``streams`` holds one generator per row, run by run. At an infinite
-    budget or at kappa 0 (every sensitivity zero) nothing is drawn.
-    Otherwise every stream draws each step, and a noise scale that is not
-    positive raises :class:`NonPositiveScale`. numpy computes ``laplace(0,
-    s)`` as ``0 -+ s log(.)`` and ``normal(0, s)`` as ``0 + s z``, so ``0 + s
-    * laplace(0, 1)`` and ``0 + s * normal(0, 1)`` equal them bit for bit:
-    a stream's Laplace or Gaussian noise is one ``(steps, d)`` block of unit
-    draws, scaled at each step. The staircase and one-bit randomizers draw
-    from several distributions per value, so they draw at each step.
+    ``eps_epoch`` is the per-epoch budget, or a column with one per run;
+    ``drawn`` marks the runs at a finite budget and kappa >= 1, and a noise
+    scale of theirs that is not positive raises :class:`NonPositiveScale`.
+    Run ``i`` draws from the noise streams of ``seeds[run_of[i]]``, one per
+    row. numpy computes ``laplace(0, s)`` as ``0 -+ s log(.)`` and ``normal(0,
+    s)`` as ``0 + s z``, so ``0 + s * laplace(0, 1)`` and ``0 + s * normal(0,
+    1)`` equal them bit for bit: a stream's Laplace or Gaussian noise is one
+    ``(steps, d)`` block of unit draws, scaled at each step, and a run at
+    scale 0 adds ``0.0``. The staircase and one-bit randomizers draw from
+    several distributions per value, so they draw at each step.
     """
-    if math.isinf(eps_epoch) or kappa == 0:
-        return lambda update, sens: np.add(update, 0.0, out=update)
     d = shape[-1]
     if config.mechanism not in ("laplace", "gaussian"):
+        gamma = config.staircase_gamma
+        if config.mechanism == "staircase" and gamma is None:
+            gamma = staircase_optimal_gamma(eps_epoch)
+        streams = [np.random.default_rng(s) for u in run_of for s in seeds[u][2:]]
+
         def add_drawn(update: np.ndarray, sens: np.ndarray) -> None:
             rows = update.reshape(-1, d)
             row_sens = np.broadcast_to(sens, shape[:-1]).reshape(-1)
@@ -687,20 +841,26 @@ def _noise(
         return add_drawn
 
     laplace = config.mechanism == "laplace"
-    unit = np.empty((steps, len(streams), d))
-    for j, rng in enumerate(streams):
-        unit[:, j] = (
-            laplace_sample(1.0, rng, size=(steps, d)) if laplace
-            else rng.normal(0.0, 1.0, size=(steps, d))
-        )
-    draws = iter(unit.reshape(steps, *shape))           # one per step
+    unit = np.empty((steps, len(seeds), shape[-2], d))
+    for u, run in enumerate(seeds):
+        for row, s in enumerate(run[2:]):
+            rng = np.random.default_rng(s)
+            unit[:, u, row] = (
+                laplace_sample(1.0, rng, size=(steps, d)) if laplace
+                else rng.normal(0.0, 1.0, size=(steps, d))
+            )
+    if np.array_equal(run_of, np.arange(len(seeds))):
+        draws = iter(unit.reshape(steps, *shape))           # one per step
+    else:   # runs shared by several cells take their draws at each step
+        draws = (u.take(run_of, axis=0) for u in unit)
+    checked = slice(None) if drawn.all() else drawn
 
     def add_scaled(update: np.ndarray, sens: np.ndarray) -> None:
         if laplace:
             scale = sens / eps_epoch
-            if not scale.min() > 0:
+            if not scale[checked].min() > 0:
                 raise NonPositiveScale(
-                    f"Laplace scale must be positive, got {scale.min()}"
+                    f"Laplace scale must be positive, got {scale[checked].min()}"
                 )
         else:
             scale = gaussian_sigma(eps_epoch, config.delta, sens)

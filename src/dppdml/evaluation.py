@@ -8,11 +8,15 @@ private-training runs into accuracy-versus-budget comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
-from .dml import MetricModel, TrainConfig, train
+from .dml import OBJECTIVE_BLOCK, Cell, MetricModel, TrainConfig, train
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -58,18 +62,22 @@ def project(model: MetricModel, x: np.ndarray) -> np.ndarray:
 
 
 def knn_accuracy(
-    model: MetricModel,
+    model: MetricModel | Sequence[MetricModel],
     train_x: np.ndarray,
     train_labels,
     test_x: np.ndarray,
     test_labels,
     k: int = 5,
-) -> float:
+) -> float | tuple[float, ...]:
     """Fraction of test points classified correctly by projected-space kNN.
 
-    Vote ties fall back to the nearest neighbour's label; equal distances
-    prefer the lower training index.
+    ``model`` is one model, scored as a float, or a sequence of models,
+    scored in one pass as a tuple with one accuracy each. Vote ties fall
+    back to the nearest neighbour's label; equal distances prefer the lower
+    training index.
     """
+    single = isinstance(model, MetricModel)
+    models = [model] if single else list(model)
     train_x = np.asarray(train_x, dtype=float)
     test_x = np.asarray(test_x, dtype=float)
     if len(train_x) == 0:
@@ -87,25 +95,38 @@ def knn_accuracy(
     labels = np.concatenate([np.asarray(train_labels), np.asarray(test_labels)])
     classes, codes = np.unique(labels, return_inverse=True)
     y_train, y_test = codes[: len(train_x)], codes[len(train_x) :]
-    p_train = project(model, train_x)
-    p_test = project(model, test_x)
-    # squared distances suffice for ranking
-    d2 = (
-        np.add.reduce(p_test**2, axis=1)[:, None]
-        + np.add.reduce(p_train**2, axis=1)[None, :]
-        - 2.0 * p_test @ p_train.T
-    )
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]     # (n_test, k)
-    neighbour_labels = y_train[nearest]
+    ws = np.stack([m.w for m in models])                  # (models, d_prime, d)
+    for x in (train_x, test_x):
+        if x.ndim != 2 or x.shape[1] != ws.shape[-1]:
+            raise DimensionMismatch(
+                f"expected an n x {ws.shape[-1]} matrix, got shape {x.shape}"
+            )
+    # each model's projections, as ``project`` computes them
+    p_train = train_x @ ws.swapaxes(-1, -2)               # (models, n_train, d_prime)
+    p_test = test_x @ ws.swapaxes(-1, -2)
+    sq_train = np.add.reduce(p_train**2, axis=-1)[..., None, :]
+    sq_test = np.add.reduce(p_test**2, axis=-1)[..., :, None]
     n_test, n_classes = len(test_x), len(classes)
-    cells = np.arange(n_test)[:, None] * n_classes + neighbour_labels
-    votes = np.bincount(cells.ravel(), minlength=n_test * n_classes).reshape(
-        n_test, n_classes
-    )
-    top = np.maximum.reduce(votes, axis=1)
-    tied = np.add.reduce(votes == top[:, None], axis=1) > 1
-    pred = np.where(tied, neighbour_labels[:, 0], votes.argmax(axis=1))
-    return np.count_nonzero(pred == y_test) / n_test
+    # the models are scored in chunks whose distance matrices hold at most
+    # OBJECTIVE_BLOCK elements, or one model's where that alone is more
+    chunk = max(1, OBJECTIVE_BLOCK // (n_test * len(train_x)))
+    correct = []
+    for part in (slice(m, m + chunk) for m in range(0, len(models), chunk)):
+        # squared distances suffice for ranking
+        d2 = sq_test[part] + sq_train[part] - 2.0 * p_test[part] @ p_train[part].swapaxes(-1, -2)
+        nearest = np.argsort(d2, axis=-1, kind="stable")[..., :k]
+        neighbour_labels = y_train[nearest]                 # (chunk, n_test, k)
+        rows = len(d2) * n_test
+        cells = np.arange(rows).reshape(len(d2), n_test, 1) * n_classes + neighbour_labels
+        votes = np.bincount(cells.ravel(), minlength=rows * n_classes).reshape(
+            len(d2), n_test, n_classes
+        )
+        top = np.maximum.reduce(votes, axis=-1)
+        tied = np.add.reduce(votes == top[..., None], axis=-1) > 1
+        pred = np.where(tied, neighbour_labels[..., 0], votes.argmax(axis=-1))
+        correct += np.count_nonzero(pred == y_test, axis=-1).tolist()
+    accuracy = [c / n_test for c in correct]
+    return accuracy[0] if single else tuple(accuracy)
 
 
 def split_by_participation(
@@ -157,13 +178,17 @@ def run_experiment(
     """Train ``repeats`` models per (method, epsilon) cell and score each.
 
     Seeds run ``seed + 0 .. seed + repeats - 1`` so cells are directly
-    comparable; the privacy distance is computed once per distance notion
+    comparable; the privacy distance is computed once per distinct notion
     and the pairs are stacked into one ``PairSet``, both reused across runs.
-    A cell's runs train in one batched ``train`` call; for ``input_per``
-    each run's perturbed pairs are stacked into one ``(repeats, n, d)``
-    array. ``nonpriv`` ignores the budget, so it is trained once.
-    Every budget must be positive (an infinite one is allowed); a bad one is
-    rejected before any training.
+    ``nonpriv`` ignores the budget, so it is trained once. Every run of
+    every cell advances in one stacked ``train`` loop, taken in blocks of
+    runs whose per-step temporaries hold at most ``OBJECTIVE_BLOCK``
+    elements. A block holds at most ``repeats`` ``input_per`` runs, whose
+    perturbed pairs are drawn with it, so it holds no more perturbed pair
+    sets than one cell. A cell's models are scored in one ``knn_accuracy`` call. Every
+    budget must be positive (an infinite one is allowed) and ``k`` must lie
+    between 1 and the number of training individuals; a bad one is rejected
+    before any training.
     """
     if repeats < 1:
         raise ConfigInvalid(f"repeats must be >= 1, got {repeats}")
@@ -175,6 +200,8 @@ def run_experiment(
             raise ConfigInvalid(f"epsilon must be positive, got {epsilon}")
     pairs = PairSet.of(pairs)
     train_idx, test_idx = split_by_participation(samples, pairs)
+    if not 1 <= k <= len(train_idx):
+        raise ConfigInvalid(f"k must lie in [1, {len(train_idx)}], got {k}")
     in_sample = len(test_idx) == 0
     if in_sample:
         test_idx = train_idx  # every individual participates; score in-sample
@@ -185,35 +212,58 @@ def run_experiment(
     train_x, train_y = samples.x[train_idx], samples.labels[train_idx]
     test_x, test_y = samples.x[test_idx], samples.labels[test_idx]
 
-    def cell(method: str, epsilon: float) -> tuple[float, ...]:
-        run_pairs = None
-        if method == "input_per":
-            dx = np.empty((repeats, *pairs.dx.shape))
-            y = np.empty((repeats, len(pairs)), dtype=int)
-            for r in range(repeats):
-                rng = np.random.default_rng([1347, seed + r])
-                noisy = input_perturb(pairs, epsilon, rng)
-                dx[r], y[r] = noisy.dx, noisy.y
-            run_pairs = (dx, y)
-        models, _ = train(
-            pairs, graph, _method_config(method, config, epsilon, seed),
-            kappa_report=kappa_node if method == "node_dp" else kappa_default,
-            repeats=repeats, run_pairs=run_pairs,
-        )
-        return tuple(
-            knn_accuracy(model, train_x, train_y, test_x, test_y, k)
-            for model in models
-        )
+    keys = [(m, e) for m in methods for e in epsilons]
+    # the cell each report reads: nonpriv ignores the budget, so it trains once
+    cell_of = [(m, math.inf if m == "nonpriv" else e) for m, e in keys]
+    grid = list(dict.fromkeys(cell_of))
 
-    reports = []
-    nonpriv_cache: tuple[float, ...] | None = None
-    for method in methods:
-        for epsilon in epsilons:
-            if method == "nonpriv" and nonpriv_cache is not None:
-                per_run = nonpriv_cache
-            else:
-                per_run = cell(method, epsilon)
-            if method == "nonpriv":
-                nonpriv_cache = per_run
-            reports.append(ExperimentReport(method, epsilon, per_run, in_sample))
-    return reports
+    models: list[list[MetricModel]] = [[] for _ in grid]
+    runs = [(c, r) for c in range(len(grid)) for r in range(repeats)]
+    own = [run for run in runs if grid[run[0]][0] == "input_per"]
+    shared = [run for run in runs if grid[run[0]][0] != "input_per"]
+    block = max(1, OBJECTIVE_BLOCK // (config.d_prime * config.batch_size))
+    while own or shared:
+        # a block takes at most as many runs with their own pairs as one
+        # cell has, then fills up with runs on the shared pairs
+        cut = min(repeats, block)
+        taken, own = own[:cut], own[cut:]
+        cut = block - len(taken)
+        taken, shared = sorted(taken + shared[:cut]), shared[cut:]
+        owners, stack = [], []
+        for c, group in groupby(taken, key=itemgetter(0)):
+            method, epsilon = grid[c]
+            taken = [r for _, r in group]
+            owners.append(c)
+            stack.append(Cell(
+                _method_config(method, config, epsilon, seed),
+                kappa_node if method == "node_dp" else kappa_default,
+                taken,
+                _perturbed(pairs, epsilon, seed, taken)
+                if method == "input_per" else None,
+            ))
+        trained, _ = train(pairs, graph, stack)
+        for c, cell_models in zip(owners, trained):
+            models[c].extend(cell_models)
+
+    accuracy = {
+        key: knn_accuracy(cell_models, train_x, train_y, test_x, test_y, k)
+        for key, cell_models in zip(grid, models)
+    }
+    return [
+        ExperimentReport(method, epsilon, accuracy[key], in_sample)
+        for (method, epsilon), key in zip(keys, cell_of)
+    ]
+
+
+def _perturbed(
+    pairs: PairSet, epsilon: float, seed: int, runs: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The input-perturbed feature differences and labels of each run in
+    ``runs``, stacked as ``(len(runs), n, d)`` and ``(len(runs), n)``; run
+    ``r`` perturbs with the stream ``[1347, seed + r]``."""
+    dx = np.empty((len(runs), *pairs.dx.shape))
+    y = np.empty((len(runs), len(pairs)), dtype=int)
+    for i, r in enumerate(runs):
+        noisy = input_perturb(pairs, epsilon, np.random.default_rng([1347, seed + r]))
+        dx[i], y[i] = noisy.dx, noisy.y
+    return dx, y

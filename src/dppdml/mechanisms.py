@@ -157,10 +157,12 @@ def input_perturb(
     the l1 normalisation); the rest drives randomized response on labels.
     The stream is that of drawing, pair by pair, the pair's ``d`` Laplace
     values (none at an infinite budget) and then one uniform for its label.
-    It is taken as one ``(n, d + 1)`` block of uniforms, and each Laplace
-    uniform is turned into noise as ``Generator.laplace`` does. That sampler
-    redraws a uniform of exactly 0, so if the block holds one, the
-    generator is rewound and the pairs are drawn one at a time instead.
+    It is taken as one ``(n, d + 1)`` block of uniforms. ``Generator.laplace``
+    turns each uniform into one value, except that it redraws a uniform of
+    exactly 0. So when the block holds no 0, the generator is rewound and
+    the noise is ``laplace`` over the same ``(n, d + 1)`` doubles, without
+    the label column, after which the generator resumes past the block. If
+    the block holds a 0, the pairs are drawn one at a time instead.
     """
     if not epsilon > 0:
         raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
@@ -174,8 +176,13 @@ def input_perturb(
     k = d if scale > 0 else 0
     state = rng.bit_generator.state
     draws = rng.random((n, k + 1))
-    if draws[:, :k].all():
-        noise = _laplace_noise(draws[:, :k], scale) if k else np.zeros((n, d))
+    if draws.all():
+        noise = np.zeros((n, d))
+        if k:
+            after = rng.bit_generator.state
+            rng.bit_generator.state = state
+            noise = laplace_sample(scale, rng, size=(n, k + 1))[:, :k]
+            rng.bit_generator.state = after
         label_draw = draws[:, k]
     else:
         rng.bit_generator.state = state
@@ -189,13 +196,3 @@ def input_perturb(
     y = np.where(flipped, 1 - pairs.y, pairs.y)
     return PairSet(pairs.i, pairs.j, pairs.dx + noise, y)
 
-
-def _laplace_noise(uniforms: np.ndarray, scale: float) -> np.ndarray:
-    """Zero-mean Laplace noise from uniforms in (0, 1), computed as numpy's
-    ``random_laplace`` does; ``math.log`` is the C library's ``log`` that it
-    calls, where ``np.log`` can differ in the last place."""
-    return np.array([
-        0.0 - scale * math.log(2.0 - u - u) if u >= 0.5
-        else 0.0 + scale * math.log(u + u)
-        for u in uniforms.ravel().tolist()
-    ]).reshape(uniforms.shape)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dppdml import dataio
+from dppdml import dataio, evaluation
 from dppdml.cli import main
 from dppdml.pairgraph import PairSet, PairwiseDatum, read_pairs_file, write_pairs_file
 
@@ -513,6 +513,19 @@ class TestExitCodes:
         assert run(argv + ["--out-dir", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "pairs.csv").exists()
+
+    @pytest.mark.parametrize("k", [0, 100_000])
+    def test_sweep_rejects_bad_k_before_training(self, k, toy_files, tmp_path,
+                                                 monkeypatch, capsys):
+        samples_path, pairs_path = toy_files
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before k was checked")
+
+        monkeypatch.setattr(evaluation, "train", no_training)
+        assert run(["sweep", "--data", samples_path, "--pairs", pairs_path,
+                    "--out-dir", tmp_path / "s", "--repeats", 1, "--k", k]) == 2
+        assert "k must lie in" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert run(["analyze-kappa", "--pairs", tmp_path / "ghost.csv"]) == 2

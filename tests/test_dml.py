@@ -10,6 +10,7 @@ from dppdml import dataio, dml
 from dppdml.dml import (
     NORM_MODES,
     OBJECTIVE_BLOCK,
+    Cell,
     MetricModel,
     TrainConfig,
     clip_gradient,
@@ -735,6 +736,152 @@ class TestTrainRepeatsMatchSingleRuns:
         )
         with np.errstate(all="ignore"), pytest.raises(NonPositiveScale):
             train(pairs, build_graph(pairs), config, repeats=repeats)
+
+
+class TestTrainCellsMatchPerCellBatches:
+    """``train`` on a sequence of cells advances every run of every cell in
+    one stack. Each cell's models, margins and degenerate counts must equal
+    ``train(..., repeats=R)`` of that cell alone, bit for bit."""
+
+    R = 3
+
+    @classmethod
+    def grid(cls, config, report):
+        """None, basic and reduced Laplace cells at finite and infinite
+        budgets, and a kappa-0 cell next to cells at a larger kappa."""
+        runs = range(cls.R)
+        zero = KappaReport(kappa=0, method="upper_bound")
+        larger = KappaReport(kappa=report.kappa + 3, method="upper_bound")
+        cells = [
+            ("none", "reduced", 2.0, report),
+            ("laplace", "basic", 1.0, report),
+            ("laplace", "reduced", 2.0, report),
+            ("laplace", "reduced", math.inf, report),
+            ("laplace", "basic", 0.5, zero),
+            ("laplace", "reduced", 3.0, larger),
+        ]
+        return [
+            Cell(replace(config, mechanism=m, sensitivity_mode=s, epsilon=e), r, runs)
+            for m, s, e, r in cells
+        ]
+
+    @staticmethod
+    def check(pairs, graph, cells):
+        models, trace = train(pairs, graph, cells)
+        assert len(models) == len(trace.cells) == len(cells)
+        for cell, got, got_trace in zip(cells, models, trace.cells):
+            first = cell.runs[0]
+            want, want_trace = train(
+                pairs, graph, replace(cell.config, seed=cell.config.seed + first),
+                kappa_report=cell.kappa_report, repeats=len(cell.runs),
+                run_pairs=cell.run_pairs,
+            )
+            assert [m.w.tobytes() for m in got] == [m.w.tobytes() for m in want]
+            assert got_trace == want_trace
+            assert got_trace.iterations == trace.iterations
+        assert trace.degenerate_events == sum(c.degenerate_events for c in trace.cells)
+        return models, trace
+
+    @staticmethod
+    def perturbed(pairs, epsilon, runs):
+        noisy = [input_perturb(pairs, epsilon, np.random.default_rng([1347, r]))
+                 for r in runs]
+        return np.stack([p.dx for p in noisy]), np.stack([p.y for p in noisy])
+
+    @pytest.mark.parametrize("batch_mode", ["shuffle", "component"])
+    @pytest.mark.parametrize("norm_mode", NORM_MODES)
+    def test_mixed_grid(self, batch_mode, norm_mode):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        config = TestTrainMatchesLoopReference.config("none", norm_mode, batch_mode)
+        models, trace = self.check(pairs, graph, self.grid(config, compute_kappa(graph)))
+        assert trace.degenerate_events > 0
+        # the clean, infinite-budget and kappa-0 cells take the same steps
+        clean = [[m.w.tobytes() for m in models[c]] for c in (0, 3, 4)]
+        assert clean[0] == clean[1] == clean[2]
+        assert len({m.w.tobytes() for cell in models for m in cell}) == 4 * self.R
+
+    def test_fixed_margin(self):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle",
+                                                      margin=0.3)
+        _, trace = self.check(pairs, graph, self.grid(config, compute_kappa(graph)))
+        assert {m for c in trace.cells for m in c.margins} == {0.3}
+
+    def test_input_perturbed_cells(self):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        pairs = PairSet.of(pairs)
+        config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle")
+        report = compute_kappa(graph)
+        runs = range(self.R)
+        cells = self.grid(config, report)[:3] + [
+            Cell(config, report, runs, self.perturbed(pairs, epsilon, runs))
+            for epsilon in (0.5, math.inf)
+        ]
+        _, trace = self.check(pairs, graph, cells)
+        assert len(set(trace.cells[3].margins)) == self.R
+        assert trace.cells[4].margins == trace.cells[0].margins
+
+    def test_cell_split_across_two_stacks(self):
+        # a grid in two blocks: the input-perturbed cell's runs 0-1 train in
+        # the first stack and run 2 in the second
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        pairs = PairSet.of(pairs)
+        config = TestTrainMatchesLoopReference.config("none", "l2", "component")
+        report = compute_kappa(graph)
+        clean, basic, reduced = self.grid(config, report)[:3]
+        split = [range(0, 2), range(2, 3)]
+        first = [clean, Cell(config, report, split[0], self.perturbed(pairs, 1.0, split[0]))]
+        second = [Cell(config, report, split[1], self.perturbed(pairs, 1.0, split[1])),
+                  basic, reduced]
+        head, _ = self.check(pairs, graph, first)
+        tail, _ = self.check(pairs, graph, second)
+        whole, _ = train(pairs, graph, config, kappa_report=report, repeats=self.R,
+                         run_pairs=self.perturbed(pairs, 1.0, range(self.R)))
+        assert [m.w.tobytes() for m in head[1] + tail[0]] == [
+            m.w.tobytes() for m in whole
+        ]
+
+    def test_cells_checked(self):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle")
+        report = compute_kappa(graph)
+        runs = range(2)
+        bad_stacks = [
+            [Cell(config, report, runs), Cell(replace(config, lipschitz=0.2), report, runs)],
+            [Cell(config, report, runs), Cell(replace(config, seed=1), report, runs)],
+            [Cell(config, report, runs),
+             Cell(replace(config, mechanism="staircase"), report, runs)],
+            [Cell(config, report, range(0))],
+            [],
+        ]
+        for cells in bad_stacks:
+            with pytest.raises(ConfigInvalid):
+                train(pairs, graph, cells)
+        with pytest.raises(ConfigInvalid):
+            train(pairs, graph, [Cell(config, report, runs)], kappa_report=report)
+        with pytest.raises(DimensionMismatch):
+            train(pairs, graph, [Cell(config, report, runs, (np.zeros((2, 3, 2)),
+                                                             np.zeros((2, 3))))])
+
+    def test_non_positive_scale_raises_next_to_a_clean_cell(self):
+        # a finite but huge feature difference overflows its clipped norm
+        pairs = [pair([1e308, 1e308], 0, 0, 1), pair([0.1, 0.2], 1, 1, 2),
+                 pair([0.3, -0.2], 0, 2, 3)]
+        config = TestTrainMatchesLoopReference.config(
+            "none", "l1", "shuffle", batch_size=3, margin=1.0
+        )
+        graph = build_graph(pairs)
+        report = compute_kappa(graph)
+        clean = Cell(config, report, range(2))
+        with np.errstate(all="ignore"):
+            models, _ = train(pairs, graph, [clean, Cell(
+                replace(config, mechanism="laplace", epsilon=math.inf), report, range(2)
+            )])
+            assert models[0][0].w.tobytes() == models[1][0].w.tobytes()
+            with pytest.raises(NonPositiveScale):
+                train(pairs, graph, [clean, Cell(
+                    replace(config, mechanism="laplace"), report, range(2)
+                )])
 
 
 class TestDefaultMarginMatchesPairSum:

@@ -164,6 +164,66 @@ class TestKnnMatchesRowReference:
         assert knn_accuracy(*args) == oracles.reference_knn_accuracy(*args)
 
 
+class TestStackedKnnMatchesPerModelLoop:
+    """``knn_accuracy`` on a sequence of models scores them in one pass and
+    returns what one call per model returns, and what the row-at-a-time
+    reference returns, for each model."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties_three_string_classes(self, k, seed):
+        gen = np.random.default_rng(seed)
+        grid = gen.integers(-2, 3, (12, 2)).astype(float)
+        train_x = grid[gen.integers(0, 12, 40)]
+        test_x = np.vstack([grid[gen.integers(0, 12, 15)],
+                            gen.normal(0, 1.5, (15, 2))])
+        names = np.array(["ant", "bee", "cat"])
+        train_labels = names[gen.integers(0, 3, 40)]
+        test_labels = names[gen.integers(0, 3, 30)]
+        # the identity map keeps the grid's exact distance ties
+        models = [MetricModel(np.eye(2))] + [
+            MetricModel(gen.normal(0, 1, (2, 2))) for _ in range(4)
+        ]
+        data = (train_x, train_labels, test_x, test_labels, k)
+        stacked = knn_accuracy(models, *data)
+        assert isinstance(stacked, tuple)
+        assert stacked == tuple(knn_accuracy(m, *data) for m in models)
+        assert stacked == tuple(oracles.reference_knn_accuracy(m, *data)
+                                for m in models)
+
+    def test_one_model_in_a_sequence(self, rng):
+        x = rng.normal(0, 1, (60, 3))
+        labels = rng.integers(0, 2, 60)
+        model = MetricModel(rng.normal(0, 1, (2, 3)))
+        data = (x[:40], labels[:40], x[40:], labels[40:], 3)
+        assert knn_accuracy([model], *data) == (knn_accuracy(model, *data),)
+
+    def test_models_scored_in_bounded_chunks(self, rng, monkeypatch):
+        x = rng.normal(0, 1, (70, 3))
+        labels = rng.integers(0, 3, 70)
+        models = [MetricModel(rng.normal(0, 1, (2, 3))) for _ in range(7)]
+        data = (x[:40], labels[:40], x[40:], labels[40:], 4)
+        per_model = tuple(knn_accuracy(m, *data) for m in models)
+        # 30 test x 40 train distances: two models' matrices fit 2,500 elements
+        monkeypatch.setattr(evaluation, "OBJECTIVE_BLOCK", 2500)
+        sorted_shapes = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            sorted_shapes.append(a.shape)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation.np, "argsort", spy)
+        assert knn_accuracy(models, *data) == per_model
+        assert sorted_shapes == [(2, 30, 40)] * 3 + [(1, 30, 40)]
+
+    def test_dimension_checked(self, rng):
+        models = [MetricModel(np.eye(2)), MetricModel(np.eye(2))]
+        with pytest.raises(DimensionMismatch):
+            knn_accuracy(models, rng.normal(0, 1, (5, 3)), [0] * 5,
+                         rng.normal(0, 1, (2, 3)), [0, 1], 1)
+
+
 class TestSplit:
     def test_non_participants_form_test_set(self):
         samples, pairs, _ = benchmark(n_per_class=40)
@@ -226,20 +286,71 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(samples, pairs, graph, ["magic"], [1.0], 1, cfg)
 
+    @pytest.mark.parametrize("k", [0, 10_000])
+    def test_k_checked_before_training(self, k, monkeypatch):
+        samples, pairs, graph = benchmark()
+        cfg = TrainConfig(d_prime=2, batch_size=30, t_max=1, seed=0)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before k was checked")
+
+        monkeypatch.setattr(evaluation, "train", no_training)
+        with pytest.raises(DppError, match="k must lie in"):
+            run_experiment(samples, pairs, graph, METHODS, [1.0], 2, cfg, k=k)
+
+    def test_blocks_split_cells(self, monkeypatch):
+        samples, pairs, graph = benchmark()
+        # a nominal batch of 1,640 pairs (every pair, in one batch) at
+        # d_prime 2: a block holds 16384 // 3280 = 4 runs, at most 3 of them
+        # input_per runs
+        cfg = TrainConfig(d_prime=2, batch_size=1640, t_max=2, seed=0)
+        calls = []
+
+        def counting(pairs, graph, cells):
+            calls.append([list(cell.runs) for cell in cells])
+            return train(pairs, graph, cells)
+
+        monkeypatch.setattr(evaluation, "train", counting)
+        reports = run_experiment(samples, pairs, graph, ["input_per", "dpp_s"],
+                                 [1.0, 4.0], 3, cfg, seed=7)
+        assert calls == [
+            [[0, 1, 2], [0]], [[0, 1, 2], [1]], [[2], [0, 1, 2]],
+        ]
+
+        # each cell equals its own batched training and scoring
+        train_idx, test_idx = split_by_participation(samples, pairs)
+        data = (samples.x[train_idx], samples.labels[train_idx],
+                samples.x[test_idx], samples.labels[test_idx])
+        report = compute_kappa(graph)
+        for rep in reports:
+            config, run_pairs = replace(cfg, epsilon=rep.epsilon), None
+            if rep.method == "input_per":
+                config = replace(cfg, mechanism="none")
+                noisy = [input_perturb(pairs, rep.epsilon,
+                                       np.random.default_rng([1347, 7 + r]))
+                         for r in range(3)]
+                run_pairs = (np.stack([p.dx for p in noisy]),
+                             np.stack([p.y for p in noisy]))
+            models, _ = train(pairs, graph, replace(config, seed=7),
+                              kappa_report=report, repeats=3, run_pairs=run_pairs)
+            assert rep.per_run == knn_accuracy(models, *data)
+
     def test_one_batched_train_per_cell(self, monkeypatch):
         samples, pairs, graph = benchmark()
         cfg = TrainConfig(d_prime=2, batch_size=30, t_max=2, seed=0)
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["repeats"])
-            return train(*args, **kwargs)
+        def counting(pairs, graph, cells):
+            calls.append([len(cell.runs) for cell in cells])
+            return train(pairs, graph, cells)
 
         monkeypatch.setattr(evaluation, "train", counting)
         reports = run_experiment(samples, pairs, graph, METHODS, [1.0, 4.0], 3,
                                  cfg, seed=7)
-        # nonpriv ignores the budget, so it trains once; the rest once a cell
-        assert calls == [3] * (1 + 4 * 2)
+        # nonpriv ignores the budget, so it trains once; the rest once a
+        # cell. One train call per block, and a block takes the runs of at
+        # most one input_per cell: 24 runs, then the last input_per cell
+        assert calls == [[3] * (1 + 3 * 2 + 1), [3]]
 
         # every run equals one training at its own seed, perturbed for input_per
         train_idx, test_idx = split_by_participation(samples, pairs)

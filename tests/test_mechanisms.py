@@ -246,10 +246,11 @@ class TestWarner:
 
 
 class _ZeroPlanting:
-    """A generator whose first block of uniforms has a 0.0 planted at ``at``;
-    every other draw is the wrapped generator's own."""
+    """A generator whose first block of uniforms has a 0.0 planted at ``at``
+    (nothing when ``at`` is None); every other draw is the wrapped
+    generator's own."""
 
-    def __init__(self, gen: np.random.Generator, at: tuple[int, int]):
+    def __init__(self, gen: np.random.Generator, at: tuple[int, int] | None):
         self._gen = gen
         self._at = at
         self.bit_generator = gen.bit_generator
@@ -258,7 +259,7 @@ class _ZeroPlanting:
 
     def random(self, size=None):
         out = self._gen.random(size)
-        if size is not None and not self.planted:
+        if size is not None and self._at is not None and not self.planted:
             out[self._at] = 0.0
             self.planted = True
         return out
@@ -343,6 +344,34 @@ class TestInputPerturb:
         out = input_perturb(pairs, epsilon, gen)
         ref = oracles.reference_input_perturb(pairs, epsilon, ref_gen)
         assert gen.planted and gen.laplace_calls == (0 if math.isinf(epsilon) else 50)
+        assert out.dx.tobytes() == np.stack([p.delta_x for p in ref]).tobytes()
+        assert out.y.tolist() == [p.y for p in ref]
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("epsilon", [0.3, 1.0, 4.0, math.inf])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_block_laplace_matches_the_reference_stream(self, epsilon, seed):
+        # without a zero uniform the noise is one ``laplace`` call over the
+        # block, and the generator resumes where the reference leaves it
+        pairs = self._pairs(60, dim=3, seed=seed)
+        gen = _ZeroPlanting(np.random.default_rng(seed), at=None)
+        ref_gen = np.random.default_rng(seed)
+        out = input_perturb(pairs, epsilon, gen)
+        ref = oracles.reference_input_perturb(pairs, epsilon, ref_gen)
+        assert gen.laplace_calls == (0 if math.isinf(epsilon) else 1)
+        assert out.dx.tobytes() == np.stack([p.delta_x for p in ref]).tobytes()
+        assert out.y.tolist() == [p.y for p in ref]
+        assert gen.random() == ref_gen.random()
+
+    def test_zero_label_uniform_falls_back_at_a_finite_budget(self):
+        # ``laplace`` over the block would redraw the label column's 0.0 and
+        # shift every later value, so the pairs are drawn one at a time
+        pairs = self._pairs(50, dim=2, seed=1)
+        gen = _ZeroPlanting(np.random.default_rng(8), at=(3, 2))
+        ref_gen = np.random.default_rng(8)
+        out = input_perturb(pairs, 1.0, gen)
+        ref = oracles.reference_input_perturb(pairs, 1.0, ref_gen)
+        assert gen.planted and gen.laplace_calls == 50
         assert out.dx.tobytes() == np.stack([p.delta_x for p in ref]).tobytes()
         assert out.y.tolist() == [p.y for p in ref]
         assert gen.bit_generator.state == ref_gen.bit_generator.state
