@@ -33,6 +33,7 @@ from .kappa import (
     kappa_node_dp,
     kappa_upper,
     max_edge_disjoint_paths,
+    pair_terms,
 )
 from .mechanisms import (
     duchi_randomize,

@@ -18,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import dataio, evaluation, kappa as kappa_mod
@@ -217,6 +217,9 @@ def cmd_analyze_kappa(args: argparse.Namespace) -> int:
     report = kappa_mod.compute_kappa(
         graph, method=cfg["method"], exact_limit=cfg["exact_limit"]
     )
+    if (report.method in ("exact", "intransitive") and graph.num_edges
+            and graph.num_nodes <= kappa_mod.TERMS_NODE_LIMIT):
+        report = replace(report, per_pair_terms=kappa_mod.pair_terms(graph))
     print(json.dumps(report.to_dict(), sort_keys=True))
     if cfg.get("out_dir"):
         _write_json(Path(cfg["out_dir"]) / "kappa.json", report.to_dict())

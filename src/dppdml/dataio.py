@@ -38,6 +38,9 @@ TOY_SEPARATION_RATIO = (TOY_MEAN_B[1] - TOY_MEAN_A[1]) / TOY_STD[1]
 #: Per-sample l1 cap after normalisation (kept strictly below 1).
 L1_CAP = 1.0 - 1e-6
 
+#: Endpoint indices :func:`sample_pairs` draws at a time, two per pair.
+_DRAW_BLOCK = 1024
+
 
 @dataclass
 class SampleSet:
@@ -147,6 +150,7 @@ def sample_pairs(
     if not density > 0:
         raise InfeasibleDensity(f"density must be positive, got {density}")
     rng = np.random.default_rng(seed)
+    labels = samples.labels.tolist()
     total_possible = n * (n - 1) // 2
     seen: set[tuple[int, int]] = set()
     skipped: set[tuple[int, int]] = set()
@@ -161,6 +165,14 @@ def sample_pairs(
             return False
         return len(chosen) >= round(density * len(nodes))
 
+    def draws():
+        # ``rng.integers(n, size=k)`` returns the values of k scalar calls,
+        # so a block of draws, read two at a time, gives the same pairs
+        while True:
+            block = rng.integers(n, size=_DRAW_BLOCK).tolist()
+            yield from zip(block[::2], block[1::2])
+
+    candidates = draws()
     while not satisfied():
         if len(seen) + len(skipped) >= total_possible:
             if balance and counts[0] != counts[1]:
@@ -171,14 +183,13 @@ def sample_pairs(
                 f"exhausted all {total_possible} pairs before reaching "
                 f"density {density}"
             )
-        a = int(rng.integers(n))
-        b = int(rng.integers(n))
+        a, b = next(candidates)
         if a == b:
             continue
         key = (a, b) if a < b else (b, a)
         if key in seen or key in skipped:
             continue
-        y = 0 if samples.labels[key[0]] == samples.labels[key[1]] else 1
+        y = 0 if labels[key[0]] == labels[key[1]] else 1
         if balance and counts[y] > counts[1 - y]:
             skipped.add(key)
             continue

@@ -507,8 +507,10 @@ STACK_MECHANISMS = ("none", "laplace")
 def _cells(
     pairs: PairSet, graph: PairGraph, cells: list[Cell]
 ) -> list[Cell]:
-    """Check a stack's cells against each other and the pairs; return them
-    with every kappa report filled in and every ``run_pairs`` as arrays."""
+    """Check a stack's cells against each other and the pairs, and each
+    run's own pairs as ``PairSet`` checks pairs (a label outside {0, 1} or a
+    non-finite feature raises its error); return the cells with every kappa
+    report filled in and every ``run_pairs`` as arrays."""
     cfg = cells[0].config
     for cell in cells:
         cell.config.validate()
@@ -538,6 +540,9 @@ def _cells(
                     f"run_pairs must have shapes {want[0]} and {want[1]}, "
                     f"got {dx.shape} and {y.shape}"
                 )
+            if not (np.isfinite(dx).all() and ((y == 0) | (y == 1)).all()):
+                for r in range(len(dx)):
+                    PairSet(pairs.i, pairs.j, dx[r], y[r])  # a faulty run raises
             cell = cell._replace(run_pairs=(dx, y))
         if cell.kappa_report is None:
             if computed is None:
@@ -572,8 +577,9 @@ def train(
     and a :class:`RepeatTrace`; each run equals the single run at its seed
     bit for bit. ``run_pairs``, arrays ``(R, n, d)`` and ``(R, n)``, gives
     each run its own feature differences and labels in place of those of
-    ``pairs`` (whose endpoints still set the components), and without a
-    fixed margin each run derives its own.
+    ``pairs`` (whose endpoints still set the components), checked as
+    ``PairSet`` checks them, and without a fixed margin each run derives
+    its own.
 
     ``config`` may instead be a sequence of :class:`Cell`: every run of
     every cell then advances in one stack, and the call returns a tuple of

@@ -13,20 +13,24 @@ path count and isolation costs are found. A node's cycle-isolation cost is
 a closed form, ``k - pieces``: its ``k`` surviving edges minus the pieces
 of the remaining graph without the node that they reach. With no edge
 removed that is ``degree - component_increase - 1``, read for every node
-from one articulation-point DFS. When labels compose, each pair runs one
-max flow and each cost one O(|V| + |E|) traversal, so the exact value is
-guarded by a node-count limit; larger graphs get ``max_s degree(s) -
-component_increase(s)``, an upper bound from the same DFS. When they do
-not, the loop removes at most the pair's own edge, which lowers a cost by
-one unless it is a bridge, so every cost is O(1) and the value is exact at
-any size. The node-privacy baseline (maximum degree) is also provided.
+from one articulation-point DFS. The loop visits pairs from the highest
+``min(degree)`` bound down and stops once no later pair can beat the
+best term, so it scores only the pairs near the top. When labels compose,
+a pair it scores runs one max flow and each cost one O(|V| + |E|)
+traversal, so the exact value is guarded by a node-count limit; larger
+graphs get ``max_s degree(s) - component_increase(s)``, an upper bound from
+the same DFS. When they do not, the loop removes at most the pair's own
+edge, which lowers a cost by one unless it is a bridge, so every cost is
+O(1) and the value is exact at any size. :func:`pair_terms` scores every
+pair of a small graph for reports. The node-privacy baseline (maximum
+degree) is also provided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterator, Mapping
+from itertools import chain, combinations
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigInvalid, GraphTooLarge, SameNode
 from .pairgraph import NodeId, PairGraph
@@ -37,18 +41,19 @@ KAPPA_METHODS = ("auto", "exact", "upper", "node-dp")
 #: Node-count guard for the exact computation.
 DEFAULT_EXACT_LIMIT = 64
 
-#: Record per-pair terms only while the pair loop stays this small.
-_TERMS_NODE_LIMIT = 24
+#: Largest graph whose per-pair terms :func:`pair_terms` tabulates.
+TERMS_NODE_LIMIT = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KappaReport:
     """Result of a privacy-distance computation.
 
     ``method`` records which variant produced the value; ``witness_pair``
-    is a pair achieving the maximum (exact methods only) and
-    ``per_pair_terms`` maps pairs to their (path count, c_s, c_t) triples
-    on small graphs, as a :class:`PairTerms`.
+    is a pair achieving the maximum (exact methods only). The computation
+    leaves ``per_pair_terms`` None; a caller may attach the
+    :func:`pair_terms` table, which maps pairs to their (path count, c_s,
+    c_t) triples, with :func:`dataclasses.replace`.
     """
 
     kappa: int
@@ -80,9 +85,9 @@ class KappaReport:
 
 
 class PairTerms(Mapping):
-    """Read-only per-pair terms of a graph of at most 24 nodes, 3 bytes per
-    pair, keyed through the graph's own node index (the graph is shared,
-    not copied).
+    """Read-only per-pair terms of a graph of at most 24 nodes, as
+    :func:`pair_terms` builds them: 3 bytes per pair, keyed through the
+    graph's own node index (the graph is shared, not copied).
 
     Keys are the node-id pairs ``(a, b)`` with ``a`` before ``b`` in index
     order, iterated in ``combinations`` order; a reversed or unknown key
@@ -254,23 +259,49 @@ def _whole_graph_costs(g: PairGraph) -> tuple[list[int], set[tuple[int, int]]]:
     return c_full, bridges
 
 
-def _pair_loop(
-    g: PairGraph,
-    method: str,
-    c_full: list[int],
-    linked: Callable[[int, int], bool],
-    paths: Callable[[int, int], tuple[int, frozenset[tuple[int, int]]]],
-    isolation: Callable[[int, frozenset[tuple[int, int]]], int],
-) -> KappaReport:
+class _PairRule(NamedTuple):
+    """How one relation kind scores a pair: whether it is linked, its path
+    count with the edges those paths use, and a node's isolation cost once
+    given edges are gone; ``c_full`` holds every cost with no edge gone."""
+
+    c_full: list[int]
+    linked: Callable[[int, int], bool]
+    paths: Callable[[int, int], tuple[int, frozenset[tuple[int, int]]]]
+    isolation: Callable[[int, frozenset[tuple[int, int]]], int]
+
+    def triple(self, a: int, b: int) -> tuple[int, int, int]:
+        """The pair's (path count, c_s, c_t). A linked pair removes its
+        paths' edges before both costs; any other pair reads ``c_full``."""
+        if not self.linked(a, b):
+            return 0, self.c_full[a], self.c_full[b]
+        n_paths, removed = self.paths(a, b)
+        return n_paths, self.isolation(a, removed), self.isolation(b, removed)
+
+    def term(self, a: int, b: int, floor: int) -> int:
+        """The pair's term ``paths + min(c_s, c_t)``, computed as
+        :meth:`triple` does, or an upper bound of it of at most ``floor`` as
+        soon as the term cannot exceed ``floor``."""
+        if not self.linked(a, b):
+            return min(self.c_full[a], self.c_full[b])
+        n_paths, removed = self.paths(a, b)
+        bound = n_paths + min(self.c_full[a], self.c_full[b])
+        if bound <= floor:
+            return bound  # removal only lowers isolation costs
+        bound = n_paths + self.isolation(a, removed)
+        if bound <= floor:
+            return bound  # min(cs, ct) cannot exceed cs
+        return min(bound, n_paths + self.isolation(b, removed))
+
+
+def _pair_loop(g: PairGraph, method: str, rule: _PairRule) -> KappaReport:
     """Largest pair term of a graph with edges, with its witness.
 
-    A linked pair's term is its path count plus the cheaper isolation cost
-    once ``paths``' edges are removed; any other pair's term is the cheaper
-    whole-graph cost ``c_full``. Up to the term-recording size, pairs run in
-    index order and every term is recorded. Above it, a forest returns 1 at
-    once; otherwise pairs run from the highest bound down and the loop stops
-    once no later pair can exceed the maximum. The witness is the first
-    maximising pair in the loop's order.
+    A forest returns 1 at once. Otherwise pairs run from the highest bound
+    down, and the loop stops once no later pair can beat the witness. The
+    witness is the first maximising pair in the loop's order; up to
+    :data:`TERMS_NODE_LIMIT` nodes a tie goes to the pair earlier in index
+    order instead, so the witness is the first maximiser of
+    :func:`pair_terms`.
 
     The bound is ``min(degree[a], degree[b])``. Each of a linked pair's
     paths takes one edge from each endpoint, and an isolation cost is at
@@ -279,10 +310,10 @@ def _pair_loop(
     min(degree)``.
     """
     n = g.num_nodes
-    record_terms = n <= _TERMS_NODE_LIMIT
-    if not record_terms and g.num_edges == n - g.component_count():
-        # forest: no cycles, and every linked pair has exactly one path;
-        # nodes 0 and 1 are the first pair's endpoints, so linked and first
+    if not any(rule.c_full):
+        # no node lies on a cycle, so a forest: every linked pair has exactly
+        # one path; nodes 0 and 1 are the first pair's endpoints, so linked
+        # and first
         return KappaReport(1, method, witness_pair=(g.node_id(0), g.node_id(1)))
 
     degree = [len(nbrs) for nbrs in g.adjacency]
@@ -300,37 +331,83 @@ def _pair_loop(
                 if bound(a, b) == level:
                     yield a, b
 
-    best = -1
-    witness: tuple[int, int] | None = None
-    terms = bytearray()  # (n_paths, cs, ct) per pair, in loop order
-    for a, b in combinations(range(n), 2) if record_terms else high_bounds_first():
-        if not record_terms and bound(a, b) <= best:
-            break  # nothing later can exceed the current maximum
-        if linked(a, b):
-            n_paths, removed = paths(a, b)
-            if not record_terms and n_paths + min(c_full[a], c_full[b]) <= best:
-                continue  # removal only lowers isolation costs
-            cs = isolation(a, removed)
-            if not record_terms and n_paths + cs <= best:
-                continue  # min(cs, ct) cannot exceed cs
-            ct = isolation(b, removed)
-        else:
-            n_paths, cs, ct = 0, c_full[a], c_full[b]
-        term = n_paths + min(cs, ct)
-        if record_terms:
-            terms += bytes((n_paths, cs, ct))
-        if term > best:
-            best = term
-            witness = (a, b)
-    assert witness is not None
+    index_ties = n <= TERMS_NODE_LIMIT
+    best, witness = -1, (n, n)  # (n, n) comes after every pair
+    for a, b in high_bounds_first():
+        # a pair must beat the witness's term, or tie it from earlier in index
+        # order; within a bound level pairs come in index order, so once one
+        # cannot, no later one can
+        floor = best - (index_ties and (a, b) < witness)
+        if bound(a, b) <= floor:
+            break
+        term = rule.term(a, b, floor)
+        if term > floor:
+            best, witness = term, (a, b)
     return KappaReport(
-        best,
-        method,
-        witness_pair=(g.node_id(witness[0]), g.node_id(witness[1])),
-        per_pair_terms=(
-            PairTerms(g, bytes(terms)) if record_terms else None
-        ),
+        best, method, witness_pair=(g.node_id(witness[0]), g.node_id(witness[1]))
     )
+
+
+def _transitive_rule(g: PairGraph) -> _PairRule:
+    """A pair in one component runs one max flow and removes its path set;
+    every cost is the closed form of :func:`_exact_isolation`."""
+    comp_of = {v: ci for ci, comp in enumerate(g.components()) for v in comp}
+
+    def flow_paths(a: int, b: int) -> tuple[int, frozenset[tuple[int, int]]]:
+        n_paths, paths = max_edge_disjoint_paths(g, g.node_id(a), g.node_id(b))
+        return n_paths, frozenset(
+            _edge_key(g.node_index(x), g.node_index(y))
+            for p in paths
+            for x, y in zip(p, p[1:])
+        )
+
+    return _PairRule(
+        _whole_graph_costs(g)[0],
+        lambda a, b: comp_of[a] == comp_of[b],
+        flow_paths,
+        _exact_isolation(g),
+    )
+
+
+def _intransitive_rule(g: PairGraph) -> _PairRule:
+    """Only an adjacent pair is linked, by its own edge. Deleting a node's
+    edge to ``w`` takes ``w``'s piece away from the node only when the edge
+    is a bridge; otherwise ``w`` stays joined to another neighbour. So a
+    bridge leaves a whole-graph cost as it was and any other edge lowers it
+    by one: one DFS, then O(1) per cost."""
+    c_full, bridges = _whole_graph_costs(g)
+
+    def isolation(v: int, removed: frozenset[tuple[int, int]]) -> int:
+        return max(0, c_full[v] - (not removed <= bridges))
+
+    return _PairRule(
+        c_full,
+        lambda a, b: b in g.adjacency[a],
+        lambda a, b: (1, frozenset({(a, b)})),
+        isolation,
+    )
+
+
+def pair_terms(g: PairGraph) -> PairTerms:
+    """Every pair's (path count, c_s, c_t) on a graph of at most
+    :data:`TERMS_NODE_LIMIT` nodes, in index order, by the rule of the
+    graph's relation kind: the terms whose maximum :func:`kappa_exact` or
+    :func:`kappa_intransitive` returns. ``analyze-kappa`` reports them; no
+    privacy distance needs them. Raises :class:`GraphTooLarge` above the
+    limit."""
+    n = g.num_nodes
+    if n > TERMS_NODE_LIMIT:
+        raise GraphTooLarge(
+            f"graph has {n} nodes, the per-pair table is built up to "
+            f"{TERMS_NODE_LIMIT}"
+        )
+    rule = (
+        _transitive_rule(g) if g.relation_kind == "transitive"
+        else _intransitive_rule(g)
+    )
+    return PairTerms(g, bytes(chain.from_iterable(
+        rule.triple(a, b) for a, b in combinations(range(n), 2)
+    )))
 
 
 def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaReport:
@@ -342,9 +419,9 @@ def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaRe
     whole-graph cost. Each cost on a remainder is the closed form ``k -
     pieces`` of :func:`_exact_isolation`, one traversal of the
     remainder without the node, so there is no search and no budget: the
-    work is one max flow and at most two traversals per pair. The witness
-    is the first maximising pair in the loop's order. Guarded by
-    ``exact_limit`` nodes (:class:`GraphTooLarge` past it).
+    work is one max flow and at most two traversals per pair the loop
+    visits. Guarded by ``exact_limit`` nodes (:class:`GraphTooLarge` past
+    it).
     """
     if g.num_nodes > exact_limit:
         raise GraphTooLarge(
@@ -353,24 +430,7 @@ def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaRe
         )
     if g.num_edges == 0:
         return KappaReport(0, "exact")
-    comp_of = {v: ci for ci, comp in enumerate(g.components()) for v in comp}
-
-    def flow_paths(a: int, b: int) -> tuple[int, frozenset[tuple[int, int]]]:
-        n_paths, paths = max_edge_disjoint_paths(g, g.node_id(a), g.node_id(b))
-        return n_paths, frozenset(
-            _edge_key(g.node_index(x), g.node_index(y))
-            for p in paths
-            for x, y in zip(p, p[1:])
-        )
-
-    return _pair_loop(
-        g,
-        "exact",
-        _whole_graph_costs(g)[0],
-        lambda a, b: comp_of[a] == comp_of[b],
-        flow_paths,
-        _exact_isolation(g),
-    )
+    return _pair_loop(g, "exact", _transitive_rule(g))
 
 
 def kappa_upper(g: PairGraph) -> KappaReport:
@@ -401,28 +461,11 @@ def kappa_intransitive(g: PairGraph) -> KappaReport:
     Runs the pair loop of :func:`kappa_exact` with only the pair's own edge
     as a path: adjacent pairs cost one for that edge plus the cheaper cycle
     isolation after deleting it; non-adjacent pairs cost the cheaper cycle
-    isolation on the whole graph. Deleting a node's edge to ``w`` takes
-    ``w``'s piece away from the node only when the edge is a bridge;
-    otherwise ``w`` stays joined to another neighbour. So a bridge leaves a
-    whole-graph cost as it was and any other edge lowers it by one: one
-    O(|V| + |E|) DFS, then O(1) per cost. The witness is the first
-    maximising pair in the loop's order.
+    isolation on the whole graph. Each cost is O(1) after one DFS.
     """
     if g.num_edges == 0:
         return KappaReport(0, "intransitive")
-    c_full, bridges = _whole_graph_costs(g)
-
-    def isolation(v: int, removed: frozenset[tuple[int, int]]) -> int:
-        return max(0, c_full[v] - (not removed <= bridges))
-
-    return _pair_loop(
-        g,
-        "intransitive",
-        c_full,
-        lambda a, b: b in g.adjacency[a],
-        lambda a, b: (1, frozenset({(a, b)})),
-        isolation,
-    )
+    return _pair_loop(g, "intransitive", _intransitive_rule(g))
 
 
 def compute_kappa(

@@ -21,7 +21,14 @@ import numpy as np
 
 from dppdml.dataio import SampleSet
 from dppdml.dml import MetricModel, TrainTrace, sensitivity_basic, step_size
-from dppdml.errors import OutOfRange, ParseError, SelfLoop, SingleClass
+from dppdml.errors import (
+    InfeasibleBalance,
+    InfeasibleDensity,
+    OutOfRange,
+    ParseError,
+    SelfLoop,
+    SingleClass,
+)
 from dppdml.kappa import _exact_isolation, compute_kappa
 from dppdml.mechanisms import (
     duchi_randomize_vector,
@@ -486,6 +493,51 @@ def reference_pair_datum(samples, a: int, b: int) -> PairwiseDatum:
         samples.x[a] - samples.x[b],
         y,
     )
+
+
+def reference_sample_pairs(
+    samples, density: float, balance: bool = False, seed: int = 0
+) -> list[tuple[int, int]]:
+    """Row pairs ``dataio.sample_pairs`` chooses, in order, as it drew them
+    before its draws came in blocks: two scalar ``rng.integers(n)`` calls
+    per candidate pair. Raises the same errors when the pairs run out."""
+    n = len(samples)
+    rng = np.random.default_rng(seed)
+    total_possible = n * (n - 1) // 2
+    seen, skipped, chosen, nodes, counts = set(), set(), [], set(), [0, 0]
+
+    def satisfied() -> bool:
+        if not chosen or (balance and counts[0] != counts[1]):
+            return False
+        return len(chosen) >= round(density * len(nodes))
+
+    while not satisfied():
+        if len(seen) + len(skipped) >= total_possible:
+            if balance and counts[0] != counts[1]:
+                raise InfeasibleBalance(
+                    f"ran out of pairs at counts {counts[0]}/{counts[1]}"
+                )
+            raise InfeasibleDensity(
+                f"exhausted all {total_possible} pairs before reaching "
+                f"density {density}"
+            )
+        a = int(rng.integers(n))
+        b = int(rng.integers(n))
+        if a == b:
+            continue
+        key = (a, b) if a < b else (b, a)
+        if key in seen or key in skipped:
+            continue
+        y = 0 if samples.labels[key[0]] == samples.labels[key[1]] else 1
+        if balance and counts[y] > counts[1 - y]:
+            skipped.add(key)
+            continue
+        seen.add(key)
+        chosen.append(key)
+        counts[y] += 1
+        nodes.update(key)
+        skipped.clear()
+    return chosen
 
 
 def _reference_looks_like_header(row) -> bool:

@@ -122,6 +122,56 @@ class TestAnalyzeKappa:
         assert run(["analyze-kappa"]) == 2
         assert "pairs" in capsys.readouterr().err
 
+    # (pair, paths, c_s, c_t) rows in kappa.json's order. On both graphs the
+    # first maximising pair in index order has a smaller minimum degree
+    # than another maximising pair: (0, 6) and ("q", "x") respectively.
+    TABLES = {
+        "transitive": (
+            [(0, 3), (0, 4), (0, 6), (3, 6), (4, 2), (4, 5), (6, 1)],
+            {"kappa": 2, "method": "exact", "witness_pair": [0, 3]},
+            [(0, 1, 1, 0, 0), (0, 2, 1, 1, 0), (0, 3, 2, 0, 0), (0, 4, 1, 1, 0),
+             (0, 5, 1, 1, 0), (0, 6, 2, 0, 0), (2, 1, 1, 0, 0), (2, 5, 1, 0, 0),
+             (3, 1, 1, 0, 0), (3, 2, 1, 0, 0), (3, 4, 1, 0, 0), (3, 5, 1, 0, 0),
+             (3, 6, 2, 0, 0), (4, 1, 1, 0, 0), (4, 2, 1, 0, 0), (4, 5, 1, 0, 0),
+             (4, 6, 1, 0, 0), (5, 1, 1, 0, 0), (6, 1, 1, 1, 0), (6, 2, 1, 0, 0),
+             (6, 5, 1, 0, 0)],
+        ),
+        "intransitive": (
+            [("p", "q"), ("q", "x"), ("x", "a"), ("a", "b"), ("b", "x"),
+             ("x", "c"), ("c", "d"), ("d", "x")],
+            {"kappa": 1, "method": "intransitive", "witness_pair": ["p", "q"]},
+            [("a", "b", 1, 0, 0), ("a", "c", 0, 1, 1), ("a", "d", 0, 1, 1),
+             ("b", "c", 0, 1, 1), ("b", "d", 0, 1, 1), ("c", "d", 1, 0, 0),
+             ("p", "a", 0, 0, 1), ("p", "b", 0, 0, 1), ("p", "c", 0, 0, 1),
+             ("p", "d", 0, 0, 1), ("p", "q", 1, 0, 0), ("p", "x", 0, 0, 2),
+             ("q", "a", 0, 0, 1), ("q", "b", 0, 0, 1), ("q", "c", 0, 0, 1),
+             ("q", "d", 0, 0, 1), ("q", "x", 1, 0, 2), ("x", "a", 1, 1, 0),
+             ("x", "b", 1, 1, 0), ("x", "c", 1, 1, 0), ("x", "d", 1, 1, 0)],
+        ),
+    }
+
+    @pytest.mark.parametrize("relation", sorted(TABLES))
+    def test_small_graph_report_carries_the_pair_table(
+        self, relation, tmp_path, capsys
+    ):
+        """Up to 24 nodes, kappa.json lists every pair's terms, and the
+        witness is the first maximising pair in index order."""
+        edges, head, rows = self.TABLES[relation]
+        path = tmp_path / "pairs.csv"
+        write_pairs_file(path, [
+            PairwiseDatum(a, b, np.array([0.1 * (k + 1)]), k % 2)
+            for k, (a, b) in enumerate(edges)
+        ])
+        out = tmp_path / "kappa"
+        assert run(["analyze-kappa", "--pairs", path, "--relation", relation,
+                    "--out-dir", out]) == 0
+        want = {**head, "per_pair_terms": [
+            {"pair": [a, b], "paths": p, "c_s": cs, "c_t": ct}
+            for a, b, p, cs, ct in rows
+        ]}
+        assert json.loads((out / "kappa.json").read_text()) == want
+        assert json.loads(capsys.readouterr().out) == want
+
 
 class TestTrainEvaluate:
     def test_artifacts_written(self, toy_files, tmp_path, capsys):

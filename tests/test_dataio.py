@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from dppdml.dataio import (
     toy_pairs,
 )
 from dppdml.errors import (
+    InfeasibleBalance,
     InfeasibleDensity,
     MissingLabelColumn,
     ParseError,
@@ -208,6 +212,30 @@ class TestPairsMatchReference:
         ps = sample_pairs(samples, 2.0, balance=balance, seed=9)
         self.assert_matches(samples, ps, ascending=True)
         assert type(ps.i[0]) is (int if ids == "int" else str)
+
+    @pytest.mark.parametrize("balance", [False, True])
+    def test_block_draws_choose_the_scalar_draws_pairs(self, balance):
+        """Drawing endpoints in blocks chooses the pairs, in order, that two
+        scalar draws per candidate chose, and runs out of pairs with the
+        same error."""
+        # every pair of 4 samples, which cannot balance: 2 same, 4 different
+        cases = [(2, 1.5), (3, 1.0), (5, 1.5), (12, 2.0), (60, 2.0), (350, 2.0)]
+        ran_out = 0
+        for (n_per_class, density), seed in itertools.product(cases, range(8)):
+            samples = normalize(synth_two_gaussians(n_per_class, seed=seed))
+            try:
+                want = oracles.reference_sample_pairs(samples, density, balance, seed)
+            except (InfeasibleDensity, InfeasibleBalance) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    sample_pairs(samples, density, balance=balance, seed=seed)
+                ran_out += 1
+                continue
+            ps = sample_pairs(samples, density, balance=balance, seed=seed)
+            index = samples.index_of()
+            assert [(index[i], index[j]) for i, j in zip(ps.i, ps.j)] == want
+        # the largest case needs more candidates than one block holds
+        assert 2 * len(want) > dataio._DRAW_BLOCK
+        assert ran_out == (8 if balance else 0)
 
     @pytest.mark.parametrize("ids", ["int", "str"])
     def test_toy_pairs(self, tmp_path, ids):

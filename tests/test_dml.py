@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -723,6 +724,29 @@ class TestTrainRepeatsMatchSingleRuns:
                   run_pairs=(np.stack([pairs.dx] * 3), np.stack([pairs.y] * 3)))
         with pytest.raises(ConfigInvalid):
             train(pairs, graph, config, repeats=0)
+
+    @pytest.mark.parametrize("mechanism", ["none", "laplace-reduced"])
+    @pytest.mark.parametrize("fault", ["label", "nan"])
+    def test_run_pairs_checked_like_pairs(self, fault, mechanism):
+        """A run's own label outside {0, 1}, or its non-finite feature
+        difference, raises the error ``PairSet`` raises for that pair, given
+        through ``repeats`` and through a ``Cell``."""
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        pairs = PairSet.of(pairs)
+        config = TestTrainMatchesLoopReference.config(mechanism, "l1", "shuffle")
+        dx, y = np.stack([pairs.dx] * 2), np.stack([pairs.y] * 2)
+        if fault == "label":
+            y[1, 3] = 2
+        else:
+            dx[1, 3, 0] = np.nan
+        with pytest.raises(ValueError) as want:
+            PairSet(pairs.i, pairs.j, dx[1], y[1])
+        for call in (
+            lambda: train(pairs, graph, config, repeats=2, run_pairs=(dx, y)),
+            lambda: train(pairs, graph, [Cell(config, None, range(2), (dx, y))]),
+        ):
+            with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                call()
 
     @pytest.mark.parametrize("repeats", [None, 2])
     @pytest.mark.parametrize("mechanism", ["laplace-reduced", "gaussian"])

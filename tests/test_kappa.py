@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import gc
 import logging
+import os
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -17,6 +19,7 @@ from dppdml.kappa import (
     kappa_node_dp,
     kappa_upper,
     max_edge_disjoint_paths,
+    pair_terms,
 )
 from dppdml.pairgraph import build_graph
 
@@ -28,6 +31,31 @@ logger = logging.getLogger(__name__)
 TRIANGLE = [("a", "b"), ("b", "c"), ("c", "a")]
 K4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 BOWTIE = [("x", "a"), ("a", "b"), ("b", "x"), ("x", "c"), ("c", "d"), ("d", "x")]
+
+
+#: 16 nodes, each on two cycles of the circulant graph C16(1, 5).
+CIRCULANT_16 = graph_from_edges(
+    [(k, (k + 1) % 16) for k in range(16)]
+    + [(k, (k + 5) % 16) for k in range(16)]
+)
+
+
+def kept_bytes(make):
+    """What ``make()`` returns, and the bytes that lines of ``dppdml``
+    allocated during the call and still hold, as tracemalloc counts them.
+    Only the package's own lines count: other libraries' garbage-collector
+    callbacks allocate during the call too."""
+    own = [tracemalloc.Filter(True, os.path.join(os.path.dirname(kappa.__file__), "*"))]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(own)
+        made = make()
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(own)
+    finally:
+        tracemalloc.stop()
+    return made, sum(d.size_diff for d in after.compare_to(before, "filename"))
 
 
 def witness_paths_for(g):
@@ -204,7 +232,7 @@ class TestKappaExact:
         g = graph_from_edges([("a", "b")])
         report = kappa_exact(g)
         assert report.kappa == 1
-        assert report.per_pair_terms[("a", "b")] == (1, 0, 0)
+        assert pair_terms(g)[("a", "b")] == (1, 0, 0)
 
     def test_edgeless_graph_is_zero(self):
         g = graph_from_edges([], n_nodes=3)
@@ -236,7 +264,7 @@ class TestKappaExact:
             ))
         assert sorted(terms) == [1, 1, 2]  # the choice genuinely matters
         report = kappa_exact(g)
-        n_paths, c_s, c_t = report.per_pair_terms[(0, 4)]
+        n_paths, c_s, c_t = pair_terms(g)[(0, 4)]
         assert n_paths + min(c_s, c_t) in terms
         oracle = oracles.kappa_oracle(8, edges, witness_paths_for(g))
         assert report.kappa == oracle["kappa"] == 3
@@ -249,7 +277,7 @@ class TestKappaExact:
         g = graph_from_edges(edges)
         report = kappa_exact(g)
         assert report.kappa == 2
-        assert report.per_pair_terms[(0, 3)] == (0, 1, 1)
+        assert pair_terms(g)[(0, 3)] == (0, 1, 1)
         oracle = oracles.kappa_oracle(6, edges, witness_paths_for(g))
         assert report.kappa == oracle["kappa"]
 
@@ -260,29 +288,30 @@ class TestKappaExact:
                  + [(9, 10), (10, 11), (10, 12)])
         g = graph_from_edges(edges, n_nodes=14)
         report = kappa_exact(g)
+        terms = pair_terms(g)
         comp_of = {}
         for ci, comp in enumerate(g.components()):
             for v in comp:
                 comp_of[g.node_id(v)] = ci
         assert len(set(comp_of.values())) == 4
-        cross = [(a, b) for (a, b) in report.per_pair_terms
-                 if comp_of[a] != comp_of[b]]
+        cross = [(a, b) for (a, b) in terms if comp_of[a] != comp_of[b]]
         assert len(cross) == 14 * 13 // 2 - (10 + 6 + 6)
         for a, b in cross:
-            assert report.per_pair_terms[(a, b)] == (
+            assert terms[(a, b)] == (
                 0,
                 oracles.cycle_isolation_count(g, a),
                 oracles.cycle_isolation_count(g, b),
             )
-        assert report.per_pair_terms[(0, 5)] == (0, 2, 2)
+        assert terms[(0, 5)] == (0, 2, 2)
         assert report.kappa == max(
-            n + min(cs, ct) for n, cs, ct in report.per_pair_terms.values()
+            n + min(cs, ct) for n, cs, ct in terms.values()
         )
 
     def test_compact_terms_behave_like_the_plain_dict(self, rng):
-        """The report's terms equal a plain dict built by the same loop:
-        same keys in the same order, values, ``len``, ``==`` both ways and
-        ``to_dict()``; a reversed or unknown key raises ``KeyError``."""
+        """``pair_terms`` equals a plain dict built by the same loop: same
+        keys in the same order, values, ``len``, ``==`` both ways and a
+        report's ``to_dict()``; a reversed or unknown key raises
+        ``KeyError``."""
         for relation in ("transitive", "intransitive"):
             for _ in range(40):
                 n, edges = oracles.random_graph(rng, max_nodes=12, max_edges=20)
@@ -301,7 +330,7 @@ class TestKappaExact:
                     plain[(a, b)] = (count, oracles.cycle_isolation_count(sub, a),
                                      oracles.cycle_isolation_count(sub, b))
                 report = compute_kappa(g, method="exact")
-                terms = report.per_pair_terms
+                terms = pair_terms(g)
                 assert not isinstance(terms, dict)
                 assert list(terms) == list(plain)
                 assert list(terms.items()) == list(plain.items())
@@ -313,7 +342,9 @@ class TestKappaExact:
                     report.kappa, report.method, report.witness_pair, plain,
                     report.detail,
                 )
-                assert report.to_dict() == with_dict.to_dict()
+                assert replace(report, per_pair_terms=terms).to_dict() == (
+                    with_dict.to_dict()
+                )
                 a, b = next(iter(plain))
                 assert (a, b) in terms and (b, a) not in terms
                 for bad in [(b, a), (a, n + 5), (n + 5, a), (a, a), (a,), a]:
@@ -321,21 +352,14 @@ class TestKappaExact:
                         terms[bad]
 
     def test_report_of_16_nodes_keeps_about_2kb(self):
-        g = graph_from_edges(
-            [(k, (k + 1) % 16) for k in range(16)]
-            + [(k, (k + 5) % 16) for k in range(16)]
-        )
-        assert g.num_nodes == 16
-        kappa_exact(g)  # warm any lazily built module state
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            report = kappa_exact(g)
-            gc.collect()
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        """With its table attached, as ``analyze-kappa`` reports it."""
+        g = CIRCULANT_16
+
+        def report_with_table():
+            return replace(kappa_exact(g), per_pair_terms=pair_terms(g))
+
+        report_with_table()  # warm any lazily built module state
+        report, kept = kept_bytes(report_with_table)
         assert len(report.per_pair_terms) == 120
         assert kept <= 2048, kept
 
@@ -351,8 +375,9 @@ class TestKappaExact:
         assert first == second
 
     def test_pruned_pair_loop_matches_plain_loop_on_midsize_graphs(self, rng):
-        """Above the term-recording size the pair loop prunes and may take
-        the forest shortcut; the value must match an unpruned sweep."""
+        """The pair loop prunes and may take the forest shortcut; above the
+        table size, where ``TestPairTerms`` does not reach, the value must
+        match an unpruned sweep."""
         for g in midsize_graphs(rng, 30, 61):
             n = g.num_nodes
             comp_of = {}
@@ -493,20 +518,21 @@ class TestKappaIntransitive:
                 continue
             g = graph_from_edges(edges, relation="intransitive", n_nodes=n)
             report = kappa_intransitive(g)
+            terms = pair_terms(g)
             assert report.kappa == oracles.kappa_intransitive_oracle(n, edges)
             # each isolation cost is degree - increase - 1 on the graph
             # without the pair's own edge
-            for (a, b), triple in report.per_pair_terms.items():
+            for (a, b), triple in terms.items():
                 linked = g.node_index(b) in g.adjacency[g.node_index(a)]
                 sub = oracles.remove_edges(g, [(a, b)]) if linked else g
                 assert triple == (int(linked),) + tuple(
                     max(0, sub.degree(v) - oracles.component_increase(sub, v) - 1)
                     for v in (a, b)
                 )
-            # up to the term-recording size the witness is the first
-            # maximising pair in index order
+            # up to the table size the witness is the first maximising pair
+            # in index order
             maximisers = [
-                k for k, (p, cs, ct) in report.per_pair_terms.items()
+                k for k, (p, cs, ct) in terms.items()
                 if p + min(cs, ct) == report.kappa
             ]
             assert report.witness_pair == min(
@@ -521,10 +547,10 @@ class TestKappaIntransitive:
     ):
         """The pair loop must match an unpruned sweep over reduced graphs
         whose isolation costs come from ``oracles.cycle_isolation_count`` (by
-        count) or from the oracle's ``degree - increase - 1``. Up to the
-        term-recording size every term must match; above it the loop
-        prunes and may take the forest shortcut, and value and witness
-        term must match."""
+        count) or from the oracle's ``degree - increase - 1``: value and
+        witness term at every size, and up to the table size every term of
+        ``pair_terms``. The loop prunes and may take the forest
+        shortcut."""
 
         def cost(graph, v):
             if by_count:
@@ -539,7 +565,7 @@ class TestKappaIntransitive:
         ]:
             n = g.num_nodes
             full = {v: cost(g, v) for v in range(n)}
-            terms = {}  # keyed like per_pair_terms: ids in index order
+            terms = {}  # keyed like pair_terms: ids in index order
             for a, b in combinations(sorted(range(n), key=g.node_index), 2):
                 if g.node_index(b) in g.adjacency[g.node_index(a)]:
                     sub = oracles.remove_edges(g, [(a, b)])
@@ -550,14 +576,14 @@ class TestKappaIntransitive:
             report = kappa_intransitive(g)
             assert report.kappa == max(term.values())
             assert term[report.witness_pair] == report.kappa
-            if report.per_pair_terms is not None:
-                assert dict(report.per_pair_terms) == terms
+            if n <= kappa.TERMS_NODE_LIMIT:
+                assert dict(pair_terms(g)) == terms
             if g.num_edges == n - g.component_count():
                 assert report.kappa == 1
                 a, b = map(g.node_index, report.witness_pair)
                 assert b in g.adjacency[a]
             sizes.append(n)
-        assert min(sizes) <= kappa._TERMS_NODE_LIMIT < max(sizes)
+        assert min(sizes) <= kappa.TERMS_NODE_LIMIT < max(sizes)
 
     def test_exact_method_has_no_size_guard(self):
         """The intransitive engine is exact at any size, so ``exact``
@@ -577,10 +603,11 @@ class TestPairLoopBound:
     @pytest.mark.parametrize("dispatched", [True, False])
     @pytest.mark.parametrize("relation", ["transitive", "intransitive"])
     def test_every_term_within_smaller_degree(self, rng, relation, dispatched):
-        """The pair loop prunes by ``min(degree)``: no pair's term exceeds
-        it, and some pairs reach it, so no smaller bound holds. Checked on
-        the report of ``compute_kappa(method="exact")`` (dispatched) and
-        of the relation's engine called directly."""
+        """The pair loop prunes by ``min(degree)``: no term of
+        ``pair_terms`` exceeds it, and some pairs reach it, so no smaller
+        bound holds. The table's maximum is the value of
+        ``compute_kappa(method="exact")`` (dispatched) or of the relation's
+        engine called directly."""
         engine = kappa_exact if relation == "transitive" else kappa_intransitive
         reached = 0
         for _ in range(150):
@@ -592,11 +619,58 @@ class TestPairLoopBound:
                 report = compute_kappa(g, method="exact")
             else:
                 report = engine(g)
-            for (a, b), (p, cs, ct) in report.per_pair_terms.items():
+            terms = pair_terms(g)
+            assert report.kappa == max(p + min(cs, ct) for p, cs, ct in terms.values())
+            for (a, b), (p, cs, ct) in terms.items():
                 smaller = min(g.degree(a), g.degree(b))
                 assert p + min(cs, ct) <= smaller
                 reached += p + min(cs, ct) == smaller
         assert reached > 0
+
+
+class TestPairTerms:
+    @pytest.mark.parametrize("relation", ["transitive", "intransitive"])
+    def test_kappa_is_the_table_maximum_at_its_first_maximiser(
+        self, rng, relation
+    ):
+        """Up to the table size, the pruned loop's value is the maximum of
+        ``pair_terms`` and its witness the table's first maximiser in index
+        order, also where a later maximiser has a larger minimum degree and
+        so comes first in the loop's own order."""
+        later_first = 0
+        for _ in range(150):
+            n, edges = oracles.random_graph(
+                rng, max_nodes=kappa.TERMS_NODE_LIMIT, max_edges=40
+            )
+            if not edges:
+                continue
+            g = graph_from_edges(edges, relation=relation, n_nodes=n)
+            terms = {k: p + min(cs, ct) for k, (p, cs, ct) in pair_terms(g).items()}
+            report = compute_kappa(g)
+            assert report.kappa == max(terms.values())
+            maximisers = [k for k, term in terms.items() if term == report.kappa]
+            assert report.witness_pair == maximisers[0]  # iterated in index order
+            bounds = [min(g.degree(a), g.degree(b)) for a, b in maximisers]
+            later_first += max(bounds) > bounds[0]
+        assert later_first > 10
+
+    def test_guard_rejects_graphs_above_the_limit(self):
+        limit = kappa.TERMS_NODE_LIMIT
+        path = [(k, k + 1) for k in range(limit - 1)]
+        assert len(pair_terms(graph_from_edges(path))) == limit * (limit - 1) // 2
+        with pytest.raises(GraphTooLarge):
+            pair_terms(graph_from_edges(path + [(limit - 1, limit)]))
+
+    @pytest.mark.parametrize("relation", ["transitive", "intransitive"])
+    def test_report_of_16_nodes_keeps_no_table(self, relation):
+        """A report holds the value, the method and the witness: no table
+        and no closure over the graph, in fixed slots."""
+        g = graph_from_edges(CIRCULANT_16.edge_keys(), relation=relation)
+        compute_kappa(g)  # warm any lazily built module state
+        report, kept = kept_bytes(lambda: compute_kappa(g))
+        assert report.per_pair_terms is None
+        assert report.kappa >= 3
+        assert kept <= 256, kept
 
 
 class TestDominanceAndDispatch:
