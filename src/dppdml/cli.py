@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import dataio, evaluation, kappa as kappa_mod
 from .dml import (
@@ -55,15 +58,14 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, fieldnames, rows) -> None:
+def _write_csv(path: Path, fieldnames, columns) -> None:
+    """A header, then ``columns`` side by side; numpy turns each column into
+    Python scalars, so every float is written as its ``repr``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow(
-                [repr(float(v)) if isinstance(v, float) else v for v in row]
-            )
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def _str_list(cfg: dict, key: str) -> list:
@@ -268,8 +270,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         }
     )
     _write_json(model_path, payload)
-    rows = [[r[c] for c in TRACE_COLUMNS] for r in trace.rows()]
-    _write_csv(trace_path, TRACE_COLUMNS, rows)
+    _write_csv(trace_path, TRACE_COLUMNS, trace.columns())
     _emit_resolved(cfg, "train")
     print(f"wrote {model_path} and {trace_path} "
           f"(final objective {trace.objectives[-1]:.6f})")
@@ -361,11 +362,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     out = Path(cfg["out_dir"])
     sweep_path = Path(cfg["sweep_out"]) if cfg["sweep_out"] else out / "sweep.csv"
-    rows = []
-    for rep in reports:
-        for run, acc in enumerate(rep.per_run):
-            rows.append((rep.method, rep.epsilon, run, acc))
-    _write_csv(sweep_path, ["method", "epsilon", "run", "accuracy"], rows)
+    rows = [(rep.method, rep.epsilon, run, acc)
+            for rep in reports for run, acc in enumerate(rep.per_run)]
+    _write_csv(sweep_path, ["method", "epsilon", "run", "accuracy"], zip(*rows))
     _emit_resolved(cfg, "sweep")
     if any(rep.in_sample for rep in reports):
         print("every sample is in a pair: accuracies are scored in-sample, "
@@ -412,11 +411,9 @@ def cmd_compare_mechanisms(args: argparse.Namespace) -> int:
     n_iter = min(len(v) for v in columns.values())
     out = Path(cfg["out_dir"])
     path = Path(cfg["compare_out"]) if cfg["compare_out"] else out / "mechanisms.csv"
-    rows = [
-        tuple([it + 1] + [columns[name][it] for name in names])
-        for it in range(n_iter)
-    ]
-    _write_csv(path, ["iter"] + names, rows)
+    _write_csv(path, ["iter"] + names, [range(1, n_iter + 1)] + [
+        columns[name][:n_iter] for name in names
+    ])
     _emit_resolved(cfg, "compare-mechanisms")
     print(f"wrote {path}")
     return 0
@@ -449,7 +446,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-mode", dest="batch_mode", choices=BATCH_MODES)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once; each subcommand names its handler, which ``main`` looks up."""
     parser = argparse.ArgumentParser(
         prog="dppdml",
         description="Differentially pairwise-private distance metric learning",
@@ -467,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intra", type=int)
     p.add_argument("--inter", type=int)
     p.add_argument("--norm-mode", dest="norm_mode", choices=NORM_MODES)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func="cmd_synth")
 
     p = sub.add_parser("analyze-kappa", help="privacy distance of a pairs file",
                        argument_default=argparse.SUPPRESS)
@@ -476,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", choices=RELATION_KINDS)
     p.add_argument("--method", choices=kappa_mod.KAPPA_METHODS)
     p.add_argument("--exact-limit", dest="exact_limit", type=int)
-    p.set_defaults(func=cmd_analyze_kappa)
+    p.set_defaults(func="cmd_analyze_kappa")
 
     p = sub.add_parser("train", help="train a private metric",
                        argument_default=argparse.SUPPRESS)
@@ -489,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="model_out", help="model file path")
     p.add_argument("--trace", dest="trace_out", help="trace CSV path")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func="cmd_train")
 
     p = sub.add_parser("evaluate", help="kNN accuracy of a saved model",
                        argument_default=argparse.SUPPRESS)
@@ -498,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--pairs", help="training pairs defining the split")
     p.add_argument("--k", type=int)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func="cmd_evaluate")
 
     p = sub.add_parser("sweep", help="accuracy sweep over methods and budgets",
                        argument_default=argparse.SUPPRESS)
@@ -512,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--out", dest="sweep_out", help="sweep CSV path")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func="cmd_sweep")
 
     p = sub.add_parser("compare-mechanisms",
                        help="one-epoch objective traces per mechanism",
@@ -523,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanisms")
     p.add_argument("--out", dest="compare_out", help="comparison CSV path")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_compare_mechanisms)
+    p.set_defaults(func="cmd_compare_mechanisms")
 
     return parser
 
@@ -535,7 +534,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (DppError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,8 @@ from .errors import (
     MissingLabelColumn,
     ParseError,
 )
-from .pairgraph import PairSet, _parse_features, _parse_node_id
+from .pairgraph import (PairSet, _float_matrix, _node_ids, _nonblank, _parse_features,
+                        _parse_node_id)
 
 logger = logging.getLogger(__name__)
 
@@ -257,57 +258,50 @@ def load_csv(
     id_col: str = "id",
     delimiter: str = ",",
 ) -> SampleSet:
-    """Load samples from delimited text with a header row.
-
-    Raises :class:`ParseError` at the first row whose id an earlier row
-    already gave.
+    """Load samples from delimited text with a header row, a whole column at
+    a time. Blank rows are skipped; in a faulty file the earliest faulty row
+    raises :class:`ParseError` (a repeated id names the row that first gave it).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty samples file", row=1) from None
-        header = [c.strip() for c in header]
-        if label_col not in header:
-            raise MissingLabelColumn(
-                f"samples file lacks label column {label_col!r} "
-                f"(columns: {header})"
-            )
-        label_idx = header.index(label_col)
-        id_idx = header.index(id_col) if id_col in header else None
-        feat_idx = [
-            k for k in range(len(header)) if k != label_idx and k != id_idx
-        ]
-        rows, labels, ids = [], [], []
-        first_row: dict = {}  # id -> the row that first gave it
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            rows.append(_parse_features(row, rownum, len(header), feat_idx))
-            labels.append(_parse_label(row[label_idx], rownum, label_idx + 1))
-            if id_idx is not None:
-                node_id = _parse_node_id(row[id_idx])
-                if node_id in first_row:
-                    raise ParseError(
-                        f"row {rownum}, col {id_idx + 1}: id {node_id!r} "
-                        f"repeats row {first_row[node_id]}",
-                        row=rownum,
-                        col=id_idx + 1,
-                    )
-                first_row[node_id] = rownum
-                ids.append(node_id)
-            else:
-                ids.append(rownum - 2)
+        rows = list(csv.reader(fh, delimiter=delimiter))
     if not rows:
+        raise ParseError("empty samples file", row=1)
+    header = [c.strip() for c in rows[0]]
+    if label_col not in header:
+        raise MissingLabelColumn(f"samples file lacks label column {label_col!r} "
+                                 f"(columns: {header})")
+    label_idx = header.index(label_col)
+    id_idx = header.index(id_col) if id_col in header else None
+    feat_idx = [k for k in range(len(header)) if k != label_idx and k != id_idx]
+    kept = _nonblank(rows, start=1)
+    if not kept:
         raise ParseError("samples file has a header but no data rows", row=2)
+    body = list(map(rows.__getitem__, kept))
+    try:
+        if set(map(len, body)) != {len(header)}:
+            raise ValueError("a row of the wrong width")
+        cols = list(zip(*body))
+        x = _float_matrix([cols[k] for k in feat_idx], len(kept))
+        try:
+            labels = list(map(float, cols[label_idx]))
+            if not all(map(float.is_integer, labels)):
+                raise ValueError("a label is not an integer")
+            labels = list(map(int, labels))
+        except ValueError:  # text, or a number that is not an integer
+            labels = list(map(_parse_label, cols[label_idx]))
+        # without an id column a row's id is its line number less 2
+        ids = [k - 1 for k in kept] if id_idx is None else _node_ids(cols[id_idx])
+        if len(set(ids)) < len(ids):
+            raise ValueError("an id repeats")
+    except ValueError:
+        _raise_faulty_row(rows, header, label_idx, id_idx, feat_idx)
+        raise
     # mixed int and str ids stay as parsed: numpy would make them all str
     mixed = len(set(map(type, ids))) > 1
-    return SampleSet(np.array(rows), np.array(labels),
-                     np.array(ids, dtype=object if mixed else None))
+    return SampleSet(x, np.array(labels), np.array(ids, dtype=object if mixed else None))
 
 
-def _parse_label(cell: str, rownum: int, col: int):
+def _parse_label(cell: str, rownum: int = 0, col: int = 0):
     """Integer class label, or the stripped text of a non-numeric one."""
     cell = cell.strip()
     try:
@@ -315,12 +309,26 @@ def _parse_label(cell: str, rownum: int, col: int):
     except ValueError:
         return cell
     if not value.is_integer():
-        raise ParseError(
-            f"row {rownum}, col {col}: label {cell!r} is not an integer",
-            row=rownum,
-            col=col,
-        )
+        raise ParseError(f"row {rownum}, col {col}: label {cell!r} is not an integer",
+                         row=rownum, col=col)
     return int(value)
+
+
+def _raise_faulty_row(rows, header, label_idx, id_idx, feat_idx) -> None:
+    """Raise the :class:`ParseError` of a samples file's earliest faulty row."""
+    first_row: dict = {}  # id -> the row that first gave it
+    for rownum, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        _parse_features(row, rownum, len(header), feat_idx)
+        _parse_label(row[label_idx], rownum, label_idx + 1)
+        if id_idx is not None:
+            node_id = _parse_node_id(row[id_idx])
+            if node_id in first_row:
+                raise ParseError(f"row {rownum}, col {id_idx + 1}: id {node_id!r} "
+                                 f"repeats row {first_row[node_id]}",
+                                 row=rownum, col=id_idx + 1)
+            first_row[node_id] = rownum
 
 
 def save_samples_csv(path, samples: SampleSet, delimiter: str = ",") -> None:
@@ -329,9 +337,6 @@ def save_samples_csv(path, samples: SampleSet, delimiter: str = ",") -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(["id", "label"] + [f"f{k + 1}" for k in range(d)])
-        writer.writerows(
-            [i, label] + [repr(v) for v in row]
-            for i, label, row in zip(
-                samples.ids.tolist(), samples.labels.tolist(), samples.x.tolist()
-            )
-        )
+        writer.writerows(zip(
+            samples.ids.tolist(), samples.labels.tolist(), *samples.x.T.tolist()
+        ))

@@ -166,16 +166,16 @@ class TrainTrace:
     sens_reduced: list[np.ndarray] = field(default_factory=list)
     degenerate_events: int = 0
 
+    def columns(self) -> tuple[list, ...]:
+        """The :data:`TRACE_COLUMNS` in order, one list each, a value per step."""
+        reduced = np.array(self.sens_reduced or np.empty((0, 1)))
+        return (self.iterations, self.epochs, self.objectives, self.etas,
+                self.sens_basic, reduced.min(axis=-1).tolist(),
+                reduced.max(axis=-1).tolist())
+
     def rows(self) -> list[dict]:
         """One dict per step, keyed by :data:`TRACE_COLUMNS` in order."""
-        return [
-            dict(zip(TRACE_COLUMNS, (
-                self.iterations[k], self.epochs[k], self.objectives[k],
-                self.etas[k], self.sens_basic[k],
-                float(np.min(reduced)), float(np.max(reduced)),
-            )))
-            for k, reduced in enumerate(self.sens_reduced)
-        ]
+        return [dict(zip(TRACE_COLUMNS, row)) for row in zip(*self.columns())]
 
 
 # --- loss and gradients -----------------------------------------------------

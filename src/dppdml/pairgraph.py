@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -347,6 +347,26 @@ def _parse_node_id(cell: str) -> NodeId:
         return cell
 
 
+def _node_ids(cells: Sequence[str]) -> list[NodeId]:
+    """A column of ids: ints if every cell is one, else :func:`_parse_node_id`'s."""
+    try:
+        return list(map(int, cells))
+    except ValueError:
+        return list(map(_parse_node_id, cells))
+
+
+def _nonblank(rows: list[list[str]], start: int = 0) -> list[int]:
+    """Indices, from ``start`` on, of the rows with a cell that is not blank."""
+    nonblank = map(str.strip, map("".join, rows[start:]))
+    return list(compress(range(start, len(rows)), nonblank))
+
+
+def _float_matrix(columns: Sequence[Sequence[str]], n: int) -> np.ndarray:
+    """The C-ordered ``(n, len(columns))`` matrix of the cells read by ``float``."""
+    flat = np.fromiter(map(float, chain.from_iterable(columns)), float, n * len(columns))
+    return np.ascontiguousarray(flat.reshape(len(columns), n).T)
+
+
 def _parse_features(row: Sequence[str], rownum: int, width: int, cols) -> list[float]:
     """The numbers in the 0-based columns ``cols`` of data row ``rownum``,
     which must have ``width`` cells; ``ParseError`` names what fails."""
@@ -363,50 +383,67 @@ def _parse_features(row: Sequence[str], rownum: int, width: int, cols) -> list[f
 
 def read_pairs_file(path, delimiter: str = ",") -> PairSet:
     """Read delimited text (``i, j, y, dx_1, ..., dx_d``) into one ``PairSet``,
-    built from column lists with no per-row ``PairwiseDatum``.
+    a whole column at a time.
 
     Row 1 is a header when none of its cells from column 3 on is a number;
-    every data row must be as wide as the first. The earliest faulty row
-    raises ``ParseError`` naming it (and the column of a cell that does not
-    parse)."""
+    blank rows are skipped, and every data row must be as wide as the first.
+    In a faulty file the earliest faulty row raises ``ParseError`` naming it
+    (and the column of a cell that does not parse)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh, delimiter=delimiter))
+    start = 1 if rows and _looks_like_header(rows[0]) else 0
+    body = list(map(rows.__getitem__, _nonblank(rows, start)))
+    try:
+        if len(set(map(len, body))) > 1 or body and len(body[0]) < 4:
+            raise ValueError("rows of different widths, or under 4 columns")
+        cols = list(zip(*body)) or [()] * 3
+        y = np.fromiter(map(float, cols[2]), float, len(body))
+        dx = _float_matrix(cols[3:], len(body))
+        return PairSet(_node_ids(cols[0]), _node_ids(cols[1]), dx, y)
+    except ValueError:
+        _raise_faulty_row(rows)
+        raise
+
+
+def _raise_faulty_row(rows: list[list[str]]) -> None:
+    """Raise the ``ParseError`` of a pairs file's earliest faulty row."""
     i, j, y, dx, rownums = [], [], [], [], []
 
-    def pair_set() -> PairSet:
+    def check_pairs() -> None:
         feats = np.array(dx, dtype=float) if dx else np.empty((0, 0))
         try:
-            return PairSet(i, j, feats, y)
+            PairSet(i, j, feats, y)
         except ValueError as exc:  # self-loop, label not 0 or 1, non-finite dx
             row = rownums[_first_fault(i, j, feats, np.array(y))]
             raise ParseError(f"row {row}: {exc}", row=row) from exc
 
     width = 0
     try:
-        with open(path, newline="") as fh:
-            for rownum, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if rownum == 1 and _looks_like_header(row):
-                    continue
-                if len(row) < 4:
-                    raise ParseError(
-                        f"row {rownum}: expected at least 4 columns, got {len(row)}",
-                        row=rownum,
-                    )
-                label = _number(row[2])
-                if label is None or not label.is_integer():
-                    what = "not numeric" if label is None else "not an integer"
-                    raise ParseError(f"row {rownum}, col 3: label {row[2]!r} is {what}",
-                                     row=rownum, col=3)
-                width = width or len(row)
-                dx.append(_parse_features(row, rownum, width, range(3, width)))
-                i.append(_parse_node_id(row[0]))
-                j.append(_parse_node_id(row[1]))
-                y.append(int(label))
-                rownums.append(rownum)
+        for rownum, row in enumerate(rows, start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if rownum == 1 and _looks_like_header(row):
+                continue
+            if len(row) < 4:
+                raise ParseError(
+                    f"row {rownum}: expected at least 4 columns, got {len(row)}",
+                    row=rownum,
+                )
+            label = _number(row[2])
+            if label is None or not label.is_integer():
+                what = "not numeric" if label is None else "not an integer"
+                raise ParseError(f"row {rownum}, col 3: label {row[2]!r} is {what}",
+                                 row=rownum, col=3)
+            width = width or len(row)
+            dx.append(_parse_features(row, rownum, width, range(3, width)))
+            i.append(_parse_node_id(row[0]))
+            j.append(_parse_node_id(row[1]))
+            y.append(int(label))
+            rownums.append(rownum)
     except ParseError:
-        pair_set()  # a faulty pair in an earlier row is reported first
+        check_pairs()  # a faulty pair in an earlier row is reported first
         raise
-    return pair_set()
+    check_pairs()
 
 
 def write_pairs_file(path, pairs: PairSet | Sequence[PairwiseDatum],
@@ -417,7 +454,4 @@ def write_pairs_file(path, pairs: PairSet | Sequence[PairwiseDatum],
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(["i", "j", "y"] + [f"dx_{k + 1}" for k in range(ps.dim)])
-        writer.writerows(
-            [i, j, y] + [repr(v) for v in dx]
-            for i, j, y, dx in zip(ps.i, ps.j, ps.y.tolist(), ps.dx.tolist())
-        )
+        writer.writerows(zip(ps.i, ps.j, ps.y.tolist(), *ps.dx.T.tolist()))

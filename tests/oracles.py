@@ -8,7 +8,9 @@ with the library is meaningful. The derived-graph helpers rebuild a
 ``PairGraph`` without some edges or a node, so that what a removal does can
 be recounted from scratch. The pair-data and training references at the
 end replay, pair by pair (and step by step), the per-datum code that the
-columnar code replaced, so that code can be held to them bit for bit.
+columnar code replaced, so that code can be held to them bit for bit; the
+text references read and write CSV one row at a time, as the column-wise
+readers and writers must match byte for byte and error for error.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dppdml.dml import MetricModel, TrainTrace, sensitivity_basic, step_size
 from dppdml.errors import (
     InfeasibleBalance,
     InfeasibleDensity,
+    MissingLabelColumn,
     OutOfRange,
     ParseError,
     SelfLoop,
@@ -37,7 +40,7 @@ from dppdml.mechanisms import (
     staircase_optimal_gamma,
     staircase_sample,
 )
-from dppdml.pairgraph import NodeId, PairGraph, PairwiseDatum
+from dppdml.pairgraph import NodeId, PairGraph, PairSet, PairwiseDatum
 
 Edge = tuple[int, int]
 
@@ -607,6 +610,122 @@ def reference_read_pairs_file(path, delimiter: str = ",") -> list[PairwiseDatum]
             except (SelfLoop, ValueError) as exc:
                 raise ParseError(f"row {rownum}: {exc}", row=rownum) from exc
     return pairs
+
+
+def _reference_label(cell: str, rownum: int, col: int):
+    cell = cell.strip()
+    try:
+        value = float(cell)
+    except ValueError:
+        return cell
+    if not value.is_integer():
+        raise ParseError(
+            f"row {rownum}, col {col}: label {cell!r} is not an integer",
+            row=rownum,
+            col=col,
+        )
+    return int(value)
+
+
+def _reference_features(row, rownum: int, width: int, cols) -> list[float]:
+    if len(row) != width:
+        raise ParseError(f"row {rownum}: expected {width} columns, got {len(row)}",
+                         row=rownum)
+    feats = []
+    for c in cols:
+        try:
+            feats.append(float(row[c]))
+        except ValueError:
+            raise ParseError(f"row {rownum}, col {c + 1}: feature {row[c]!r} is not "
+                             "numeric", row=rownum, col=c + 1) from None
+    return feats
+
+
+def reference_load_csv(path, label_col: str = "label", id_col: str = "id",
+                       delimiter: str = ",") -> SampleSet:
+    """The per-row samples reader: header, then one parsed row at a time,
+    blank rows skipped; without an id column a row's id is its line number
+    less 2."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty samples file", row=1) from None
+        header = [c.strip() for c in header]
+        if label_col not in header:
+            raise MissingLabelColumn(
+                f"samples file lacks label column {label_col!r} "
+                f"(columns: {header})"
+            )
+        label_idx = header.index(label_col)
+        id_idx = header.index(id_col) if id_col in header else None
+        feat_idx = [
+            k for k in range(len(header)) if k != label_idx and k != id_idx
+        ]
+        rows, labels, ids = [], [], []
+        first_row: dict = {}
+        for rownum, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            rows.append(_reference_features(row, rownum, len(header), feat_idx))
+            labels.append(_reference_label(row[label_idx], rownum, label_idx + 1))
+            if id_idx is not None:
+                node_id = _reference_node_id(row[id_idx])
+                if node_id in first_row:
+                    raise ParseError(
+                        f"row {rownum}, col {id_idx + 1}: id {node_id!r} "
+                        f"repeats row {first_row[node_id]}",
+                        row=rownum,
+                        col=id_idx + 1,
+                    )
+                first_row[node_id] = rownum
+                ids.append(node_id)
+            else:
+                ids.append(rownum - 2)
+    if not rows:
+        raise ParseError("samples file has a header but no data rows", row=2)
+    mixed = len(set(map(type, ids))) > 1
+    return SampleSet(np.array(rows), np.array(labels),
+                     np.array(ids, dtype=object if mixed else None))
+
+
+# --- writer references ----------------------------------------------------------
+#
+# The row-by-row writers: every float cell is formatted with ``repr`` before
+# the csv module sees it.
+
+
+def reference_write_pairs_file(path, pairs, delimiter: str = ",") -> None:
+    ps = PairSet.of(pairs)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow(["i", "j", "y"] + [f"dx_{k + 1}" for k in range(ps.dim)])
+        for i, j, y, dx in zip(ps.i, ps.j, ps.y.tolist(), ps.dx.tolist()):
+            writer.writerow([i, j, y] + [repr(v) for v in dx])
+
+
+def reference_save_samples_csv(path, samples: SampleSet, delimiter: str = ",") -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow(["id", "label"] + [f"f{k + 1}" for k in range(samples.dim)])
+        for i, label, row in zip(
+            samples.ids.tolist(), samples.labels.tolist(), samples.x.tolist()
+        ):
+            writer.writerow([i, label] + [repr(v) for v in row])
+
+
+def reference_write_csv(path, fieldnames, rows) -> None:
+    """A header, then each row with its floats (numpy's too) as ``repr`` of
+    a Python float."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, float) else v for v in row]
+            )
 
 
 # --- training reference -------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dppdml import dataio, evaluation
+from dppdml import cli, dataio, evaluation
 from dppdml.cli import main
 from dppdml.pairgraph import PairSet, PairwiseDatum, read_pairs_file, write_pairs_file
 
@@ -431,6 +431,39 @@ class TestCompareMechanisms:
             "--out-dir", tmp_path / "z", "--mechanisms", "lap,warp",
         ]) == 2
         assert "warp" in capsys.readouterr().err
+
+
+class TestParserCache:
+    """``main`` builds its parser once per process, looks each handler up
+    by name at call time, and carries nothing from one call to the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_patched_handler_runs_after_a_first_call(self, toy_files, tmp_path,
+                                                     monkeypatch):
+        _, pairs = toy_files
+        assert run(["train", "--pairs", pairs, "--t-max", 1,
+                    "--out-dir", tmp_path / "a"]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_train", lambda args: calls.append(args) or 0)
+        assert run(["train", "--pairs", pairs, "--out-dir", tmp_path / "b"]) == 0
+        assert [(a.command, a.pairs) for a in calls] == [("train", str(pairs))]
+        assert not (tmp_path / "b").exists()
+
+    def test_flags_do_not_leak_into_the_next_call(self, toy_files, tmp_path):
+        _, pairs = toy_files
+        common = ["train", "--pairs", pairs, "--t-max", 1]
+        assert run(common + ["--epsilon", 1, "--out-dir", tmp_path / "a"]) == 0
+        assert run(common + ["--out-dir", tmp_path / "b"]) == 0
+        first, second = (
+            json.loads((tmp_path / d / "resolved_config.json").read_text())
+            for d in "ab"
+        )
+        assert first["epsilon"] == 1.0
+        assert second["epsilon"] == cli.TRAIN_DEFAULTS["epsilon"] != 1.0
+        assert {**first, "epsilon": second["epsilon"],
+                "out_dir": second["out_dir"]} == second
 
 
 class TestResolvedConfig:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dppdml import dataio
+from dppdml.cli import _write_csv
 from dppdml.dataio import (
     SampleSet,
     load_csv,
@@ -26,7 +27,7 @@ from dppdml.errors import (
     SingleClass,
 )
 from dppdml.kappa import compute_kappa
-from dppdml.pairgraph import PairSet, build_graph
+from dppdml.pairgraph import PairSet, build_graph, write_pairs_file
 
 from . import oracles
 
@@ -376,3 +377,177 @@ class TestCsv:
         assert np.array_equal(back.x, samples.x)
         assert back.labels.tolist() == samples.labels.tolist()
         assert back.ids.tolist() == samples.ids.tolist()
+
+
+def _samples_text(seed, ids, labels, blank, delimiter, pad, n=12, d=3):
+    """A valid samples file: id column of the given kind (or none), label
+    column of the given kind, columns in a seeded order, blank lines,
+    padding, and numbers in several spellings."""
+    rng = np.random.default_rng(seed)
+    name = {
+        "int": str,
+        "str": lambda k: f"u{k}",
+        "mixed": lambda k: str(k) if k % 2 else f"u{k}",
+    }.get(ids)
+    spellings = {
+        "int": ["0", "1", "1.0", "-2", "3e0"],
+        "text": ["cat", "dog", "0x1"],
+        "mixed": ["0", "cat", "1.0"],
+    }[labels]
+    spell = [repr, lambda v: f"{v:.3e}", lambda v: f"{v:.6f}"]
+    header = ["label"] + [f"f{k + 1}" for k in range(d)] + (["id"] if name else [])
+    order = rng.permutation(len(header))
+    lines = [delimiter.join(header[c] for c in order)]
+    for r, k in enumerate(rng.permutation(100)[:n].tolist()):
+        cells = [spellings[rng.integers(len(spellings))]]
+        cells += [spell[rng.integers(3)](float(v)) for v in rng.normal(size=d)]
+        cells += [name(k)] if name else []
+        cells = [cells[c] for c in order]
+        if pad:
+            cells = [f" {c}  " for c in cells]
+        lines.append(delimiter.join(cells))
+        if blank and r % 5 == 1:
+            lines += ["", delimiter.join(["  "] * len(header))]
+    return "\n".join(lines) + "\n"
+
+
+def _sample_columns(s):
+    """Every column of a ``SampleSet`` with its dtype and value types, and
+    the bytes, shape and layout of ``x``."""
+    typed = lambda a: (a.dtype.str, [(type(v), v) for v in a.tolist()])
+    return (s.x.tobytes(), s.x.shape, s.x.dtype.str, s.x.flags.c_contiguous,
+            typed(s.labels), typed(s.ids))
+
+
+def _failure(read, path, **kwargs):
+    """The type, row, column and message of the error ``read`` raises."""
+    with pytest.raises((ParseError, MissingLabelColumn)) as err:
+        read(path, **kwargs)
+    e = err.value
+    return type(e), getattr(e, "row", None), getattr(e, "col", None), str(e)
+
+
+class TestLoadCsvMatchesReference:
+    """``load_csv`` against the per-row reader of
+    ``oracles.reference_load_csv``."""
+
+    @pytest.mark.parametrize("ids", ["int", "str", "mixed", None])
+    @pytest.mark.parametrize("labels", ["int", "text", "mixed"])
+    @pytest.mark.parametrize("blank, delimiter, pad", [
+        (False, ",", False),
+        (True, ";", False),
+        (True, ",", True),
+        (False, "\t", True),
+    ])
+    def test_valid_files(self, tmp_path, ids, labels, blank, delimiter, pad):
+        path = tmp_path / "samples.txt"
+        for seed in range(3):
+            path.write_text(_samples_text(seed, ids, labels, blank, delimiter, pad))
+            got = load_csv(path, delimiter=delimiter)
+            want = oracles.reference_load_csv(path, delimiter=delimiter)
+            assert _sample_columns(got) == _sample_columns(want)
+
+    def test_other_column_names(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("key,x,cls,y\n7,0.5,1,2\n3,0.25,0,-1\n")
+        for kwargs in ({"label_col": "cls", "id_col": "key"},
+                       {"label_col": "cls"}, {"label_col": "cls", "id_col": "y"}):
+            assert _sample_columns(load_csv(path, **kwargs)) == _sample_columns(
+                oracles.reference_load_csv(path, **kwargs))
+
+    MALFORMED = {
+        "empty file": "",
+        "blank header": "\nid,label,f1\n",
+        "no label column": "id,target,f1\n0,0,0.1\n",
+        "header only": "id,label,f1\n",
+        "header and blank rows only": "id,label,f1\n\n , , \n",
+        "repeated id": "id,label,f1\n1,0,0.1\n2,1,0.2\n 1 ,0,0.3\n",
+        "repeated text id": "id,label,f1\na,0,0.1\nb,1,0.2\na,0,0.3\n",
+        "non-integer label": "id,label,f1\n0,0,0.1\n1,1.5,0.2\n",
+        "NaN label": "id,label,f1\n0,0,0.1\n1,nan,0.2\n",
+        "infinite label": "id,label,f1\n0,cat,0.1\n1,-inf,0.2\n",
+        "non-integer label among text": "id,label,f1\n0,cat,0.1\n1,0.5,0.2\n",
+        "bad feature": "id,label,f1\n0,0,0.1\n1,1,abc\n",
+        "ragged row": "id,label,f1\n0,0,0.1\n1,1,0.2,0.3\n",
+        "short row": "id,label,f1,f2\n0,0,0.1,0.2\n1,1,0.2\n",
+        "short row after blanks": "id,label,f1\n\n0,0,0.1\n , , \n2,0\n",
+        "short row without ids": "label,f1\n0,0.1\n\n1\n",
+        "bad feature, then repeated id": "id,label,f1\n1,0,0.1\n2,0,x\n1,1,0.2\n",
+        "repeated id, then bad label": "id,label,f1\n1,0,0.1\n1,0,0.2\n2,0.5,0.3\n",
+        "bad label, then ragged row": "id,label,f1\n1,0.5,0.1\n2,0,0.2,9\n",
+        "bad label and bad feature in one row": "id,label,f1\n1,0.5,x\n",
+        "bad label and repeated id in one row": "id,label,f1\n1,0,0.1\n1,0.5,0.2\n",
+    }
+
+    @pytest.mark.parametrize("delimiter", [",", ";"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_files_fail_alike(self, tmp_path, case, delimiter):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.MALFORMED[case].replace(",", delimiter))
+        assert _failure(load_csv, path, delimiter=delimiter) == _failure(
+            oracles.reference_load_csv, path, delimiter=delimiter)
+
+
+#: Floats at the edges of ``repr``: the switch to exponent notation, signed
+#: zero, the smallest subnormal and the largest finite value.
+EDGE_FLOATS = [1e16, 1e-05, -0.0, 5e-324, 1.7976931348623157e308,
+               0.1, -2.5, 123456789.125, 9999999999999998.0, 0.0001]
+
+
+class TestWritersMatchReference:
+    """The column writers write the bytes of the row-by-row writers of
+    ``oracles``."""
+
+    IDS = {
+        "int": [3, 1, 4, 15, 9, 2, 6, 5, 35, 8],
+        "quoted str": ["a,b", 'q"t', "plain", "x y", "a;b", "t\tab", "1.5",
+                       "", "e", "z"],
+        "mixed": [7, "a,b", 0, 'q"t', -3, "u", 12, "v", 2, "w"],
+    }
+
+    @staticmethod
+    def pair_set(ids):
+        n = len(ids)
+        dx = np.array(EDGE_FLOATS)[:, None] * np.array([1.0, -1.0, 0.5])
+        return PairSet(ids, ids[1:] + ids[:1], dx[:n], [k % 2 for k in range(n)])
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "."])
+    @pytest.mark.parametrize("ids", sorted(IDS))
+    def test_pairs_file(self, tmp_path, ids, delimiter):
+        pairs = self.pair_set(self.IDS[ids])
+        write_pairs_file(tmp_path / "got.csv", pairs, delimiter=delimiter)
+        oracles.reference_write_pairs_file(tmp_path / "want.csv", pairs,
+                                           delimiter=delimiter)
+        assert (tmp_path / "got.csv").read_bytes() == (
+            tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "."])
+    @pytest.mark.parametrize("ids", sorted(IDS))
+    @pytest.mark.parametrize("labels", [[0, 1] * 5, ["cat", "a,b"] * 5])
+    def test_samples_file(self, tmp_path, ids, labels, delimiter):
+        x = np.array(EDGE_FLOATS)[:, None] * np.array([[1.0, -1.0]])
+        mixed = len(set(map(type, self.IDS[ids]))) > 1
+        samples = SampleSet(x, labels, np.array(self.IDS[ids],
+                                                dtype=object if mixed else None))
+        save_samples_csv(tmp_path / "got.csv", samples, delimiter=delimiter)
+        oracles.reference_save_samples_csv(tmp_path / "want.csv", samples,
+                                           delimiter=delimiter)
+        assert (tmp_path / "got.csv").read_bytes() == (
+            tmp_path / "want.csv").read_bytes()
+
+    def test_empty_pairs_file(self, tmp_path):
+        write_pairs_file(tmp_path / "got.csv", [])
+        oracles.reference_write_pairs_file(tmp_path / "want.csv", [])
+        assert (tmp_path / "got.csv").read_bytes() == (
+            tmp_path / "want.csv").read_bytes()
+
+    def test_cli_csv(self, tmp_path):
+        rows = [
+            (name, np.float64(v), k, v, np.float64(-v), np.int64(k), k % 2 == 0)
+            for k, (name, v) in enumerate(zip(self.IDS["mixed"], EDGE_FLOATS))
+        ]
+        names = ["name", "np", "run", "py", "neg", "npint", "flag"]
+        _write_csv(tmp_path / "got.csv", names, list(zip(*rows)))
+        oracles.reference_write_csv(tmp_path / "want.csv", names, rows)
+        assert (tmp_path / "got.csv").read_bytes() == (
+            tmp_path / "want.csv").read_bytes()
