@@ -12,18 +12,18 @@ Both relation kinds run one pair loop, which differs only in how a pair's
 path count and isolation costs are found. A node's cycle-isolation cost is
 a closed form, ``k - pieces``: its ``k`` surviving edges minus the pieces
 of the remaining graph without the node that they reach. With no edge
-removed that is ``degree - component_increase - 1``, read for every node
-from one articulation-point DFS. The loop visits pairs from the highest
-``min(degree)`` bound down and stops once no later pair can beat the
-best term, so it scores only the pairs near the top. When labels compose,
-a pair it scores runs one max flow and each cost one O(|V| + |E|)
-traversal, so the exact value is guarded by a node-count limit; larger
-graphs get ``max_s degree(s) - component_increase(s)``, an upper bound from
-the same DFS. When they do not, the loop removes at most the pair's own
-edge, which lowers a cost by one unless it is a bridge, so every cost is
-O(1) and the value is exact at any size. :func:`pair_terms` scores every
-pair of a small graph for reports. The node-privacy baseline (maximum
-degree) is also provided.
+removed that is ``u - 1`` for a node with edges, where the cut bound ``u =
+degree - component_increase`` is read for every node from one
+articulation-point DFS. No pair's term exceeds either endpoint's ``u``, so
+the loop visits pairs from the highest ``min(u)`` down and stops once no
+later pair can beat the best term: it scores only the pairs near the top.
+When labels compose, a pair it scores runs one max flow and each cost one
+O(|V| + |E|) traversal, so the exact value is guarded by a node-count
+limit; larger graphs get ``max u``, an upper bound from the same DFS. When
+they do not, the loop removes at most the pair's own edge, which lowers a
+cost by one unless it is a bridge, so every cost is O(1) and the value is
+exact at any size. :func:`pair_terms` scores every pair of a small graph
+for reports. The node-privacy baseline (maximum degree) is also provided.
 """
 
 from __future__ import annotations
@@ -145,24 +145,25 @@ def _unit_max_flow(g: PairGraph, s: int, t: int) -> tuple[int, list[set[int]]]:
     """Value and flow of a unit-capacity max flow, the flow held as each
     node's successor set: one unit runs v -> w iff ``w in used[v]``, so
     v -> w has residual capacity iff it carries no flow, and pushing a unit
-    against a flow cancels it."""
+    against a flow cancels it. A flow of ``min(deg(s), deg(t))`` fills a cut
+    and is returned without the search that would fail to augment it."""
     n = g.num_nodes
     adj = g.adjacency
     used: list[set[int]] = [set() for _ in range(n)]
     value = 0
-    while True:
+    cap = min(len(adj[s]), len(adj[t]))
+    while value < cap:
         parent = [-1] * n
         parent[s] = s
         queue = [s]
-        head = 0
-        while head < len(queue) and parent[t] == -1:
-            v = queue[head]
-            head += 1
+        for v in queue:  # breadth-first: the queue grows as it is read
             for w in adj[v]:
                 if parent[w] == -1 and w not in used[v]:
                     parent[w] = v
                     queue.append(w)
-        if parent[t] == -1:
+            if parent[t] != -1:
+                break
+        else:
             return value, used
         v = t
         while v != s:
@@ -173,6 +174,7 @@ def _unit_max_flow(g: PairGraph, s: int, t: int) -> tuple[int, list[set[int]]]:
                 used[u].add(v)
             v = u
         value += 1
+    return value, used
 
 
 def _decompose_paths(
@@ -203,16 +205,13 @@ def _decompose_paths(
 # --- cycle isolation --------------------------------------------------------
 
 
-def _edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def _exact_isolation(g: PairGraph) -> Callable[[int, frozenset], int]:
     """Exact cycle-isolation cost of a node once the given edges are gone,
     in O(|V| + |E|) per call: ``k - pieces``, where ``k`` counts the node's
     surviving edges and ``pieces`` the components of the remaining graph
     without the node that its surviving neighbours reach. Traverses the
-    graph's own adjacency, skipping the removed edges, with no copy.
+    graph's own adjacency, skipping the removed edges, with no copy; an
+    edge is removed when its index key ``(a, b)``, ``a < b``, is in the set.
 
     No search is needed: keeping one edge of the node into each piece
     leaves it on no cycle, and any cheaper set would have to delete edges
@@ -225,7 +224,7 @@ def _exact_isolation(g: PairGraph) -> Callable[[int, frozenset], int]:
         seen = {si}
         k = pieces = 0
         for w in adj[si]:
-            if _edge_key(si, w) in removed:
+            if ((si, w) if si < w else (w, si)) in removed:
                 continue
             k += 1
             if w in seen:
@@ -236,7 +235,7 @@ def _exact_isolation(g: PairGraph) -> Callable[[int, frozenset], int]:
             while stack:
                 v = stack.pop()
                 for x in adj[v]:
-                    if x not in seen and _edge_key(v, x) not in removed:
+                    if x not in seen and ((v, x) if v < x else (x, v)) not in removed:
                         seen.add(x)
                         stack.append(x)
         return k - pieces
@@ -247,23 +246,24 @@ def _exact_isolation(g: PairGraph) -> Callable[[int, frozenset], int]:
 # --- privacy distance variants ---------------------------------------------
 
 
-def _whole_graph_costs(g: PairGraph) -> tuple[list[int], set[tuple[int, int]]]:
-    """Every node's cycle-isolation cost with no edge removed, ``max(0,
-    degree - component_increase - 1)`` (``k - pieces`` with ``pieces =
-    component_increase + 1``; 0 for an isolated node), and the bridges, both
-    from one articulation-point DFS."""
-    increase, bridges = g.removal_effects()
-    c_full = [
-        max(0, len(nbrs) - inc - 1) for nbrs, inc in zip(g.adjacency, increase)
-    ]
-    return c_full, bridges
+def _cut_bounds(
+    g: PairGraph,
+) -> tuple[list[int], list[int], set[tuple[int, int]], list[int]]:
+    """From one articulation-point DFS: every node's cut bound ``u = degree
+    - component_increase``; its cycle-isolation cost with no edge removed,
+    ``max(0, u - 1)`` (``k - pieces`` with ``pieces = component_increase +
+    1``; 0 for an isolated node); the bridges; and each node's component."""
+    increase, bridges, root_of = g._articulation_dfs()
+    u = [len(nbrs) - inc for nbrs, inc in zip(g.adjacency, increase)]
+    return u, [x - 1 if x else 0 for x in u], bridges, root_of  # u >= 0: no max()
 
 
 class _PairRule(NamedTuple):
     """How one relation kind scores a pair: whether it is linked, its path
     count with the edges those paths use, and a node's isolation cost once
-    given edges are gone; ``c_full`` holds every cost with no edge gone."""
+    given edges are gone; ``u`` and ``c_full`` are :func:`_cut_bounds`'."""
 
+    u: list[int]
     c_full: list[int]
     linked: Callable[[int, int], bool]
     paths: Callable[[int, int], tuple[int, frozenset[tuple[int, int]]]]
@@ -303,11 +303,15 @@ def _pair_loop(g: PairGraph, method: str, rule: _PairRule) -> KappaReport:
     order instead, so the witness is the first maximiser of
     :func:`pair_terms`.
 
-    The bound is ``min(degree[a], degree[b])``. Each of a linked pair's
-    paths takes one edge from each endpoint, and an isolation cost is at
-    most the edges its node has left, so the term is at most ``paths +
-    min(degree) - paths``; any other pair scores ``min(c_full) <=
-    min(degree)``.
+    The bound is ``min(u[a], u[b])``, each node's ``degree -
+    component_increase``. A linked pair's paths are simple, so each leaves
+    ``s`` once, into the piece of ``G - s`` that holds ``t``: the removed
+    edges lie in that piece or join ``s`` to it. So ``s`` keeps its edges
+    into the other ``component_increase`` pieces, which stay apart, and
+    ``c_s = k - pieces <= (degree - paths) - component_increase``, which is
+    ``paths + c_s <= u[s]``; likewise for ``t``. An intransitive pair's
+    one path is its own edge, and any other pair scores ``min(c_full) <=
+    min(u)``.
     """
     n = g.num_nodes
     if not any(rule.c_full):
@@ -316,17 +320,17 @@ def _pair_loop(g: PairGraph, method: str, rule: _PairRule) -> KappaReport:
         # and first
         return KappaReport(1, method, witness_pair=(g.node_id(0), g.node_id(1)))
 
-    degree = [len(nbrs) for nbrs in g.adjacency]
+    u = rule.u
 
     def bound(a: int, b: int) -> int:
-        return min(degree[a], degree[b])
+        return min(u[a], u[b])
 
     def high_bounds_first():
         # descending bound, ties in index order, one bound level at a time:
         # the loop stops within the top levels, and a large graph's pairs
         # need not all be held in memory
-        for level in range(max(degree), -1, -1):
-            live = [v for v in range(n) if degree[v] >= level]
+        for level in range(max(u), -1, -1):
+            live = [v for v in range(n) if u[v] >= level]
             for a, b in combinations(live, 2):
                 if bound(a, b) == level:
                     yield a, b
@@ -351,20 +355,18 @@ def _pair_loop(g: PairGraph, method: str, rule: _PairRule) -> KappaReport:
 def _transitive_rule(g: PairGraph) -> _PairRule:
     """A pair in one component runs one max flow and removes its path set;
     every cost is the closed form of :func:`_exact_isolation`."""
-    comp_of = {v: ci for ci, comp in enumerate(g.components()) for v in comp}
+    u, c_full, _, root_of = _cut_bounds(g)
+    index = g._index  # node id -> index, with no call per node
 
     def flow_paths(a: int, b: int) -> tuple[int, frozenset[tuple[int, int]]]:
         n_paths, paths = max_edge_disjoint_paths(g, g.node_id(a), g.node_id(b))
+        at = [[index[x] for x in p] for p in paths]
         return n_paths, frozenset(
-            _edge_key(g.node_index(x), g.node_index(y))
-            for p in paths
-            for x, y in zip(p, p[1:])
+            (x, y) if x < y else (y, x) for p in at for x, y in zip(p, p[1:])
         )
 
     return _PairRule(
-        _whole_graph_costs(g)[0],
-        lambda a, b: comp_of[a] == comp_of[b],
-        flow_paths,
+        u, c_full, lambda a, b: root_of[a] == root_of[b], flow_paths,
         _exact_isolation(g),
     )
 
@@ -375,12 +377,13 @@ def _intransitive_rule(g: PairGraph) -> _PairRule:
     is a bridge; otherwise ``w`` stays joined to another neighbour. So a
     bridge leaves a whole-graph cost as it was and any other edge lowers it
     by one: one DFS, then O(1) per cost."""
-    c_full, bridges = _whole_graph_costs(g)
+    u, c_full, bridges, _ = _cut_bounds(g)
 
     def isolation(v: int, removed: frozenset[tuple[int, int]]) -> int:
         return max(0, c_full[v] - (not removed <= bridges))
 
     return _PairRule(
+        u,
         c_full,
         lambda a, b: b in g.adjacency[a],
         lambda a, b: (1, frozenset({(a, b)})),
@@ -435,17 +438,12 @@ def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaRe
 
 def kappa_upper(g: PairGraph) -> KappaReport:
     """Efficient upper bound: max over nodes of degree minus the component
-    increase caused by deleting the node. Runs in O(|V| + |E|): one
-    articulation-point DFS gives every node's increase."""
-    best = 0
-    witness_node = None
-    increases, _ = g.removal_effects()
-    for v, (nbrs, increase) in enumerate(zip(g.adjacency, increases)):
-        term = len(nbrs) - increase
-        if term > best:
-            best = term
-            witness_node = g.node_id(v)
-    detail = None if witness_node is None else f"witness_node={witness_node!r}"
+    increase caused by deleting the node, the cut bound ``u`` of
+    :func:`_cut_bounds`, with its first maximiser as witness. Runs in
+    O(|V| + |E|): one articulation-point DFS gives every node's increase."""
+    u = _cut_bounds(g)[0]
+    best = max(u, default=0)
+    detail = f"witness_node={g.node_id(u.index(best))!r}" if best else None
     return KappaReport(best, "upper_bound", detail=detail)
 
 

@@ -257,6 +257,12 @@ class PairGraph:
         Returns, by node index, how many components deleting each node (with
         its edges) adds, and the bridges: the edges, as index keys ``(a, b)``
         with ``a < b``, whose deletion splits their component.
+        """
+        return self._articulation_dfs()[:2]
+
+    def _articulation_dfs(self) -> tuple[list[int], set[tuple[int, int]], list[int]]:
+        """:meth:`removal_effects`, plus each node's component, named by the
+        index of its DFS root (its smallest member).
 
         A non-root node splits off one piece per DFS child ``c`` with
         ``low[c] >= disc[v]``: nothing below ``c`` reaches above ``v``. A
@@ -272,6 +278,7 @@ class PairGraph:
         low = [0] * n
         parent = [-1] * n
         increase = [0] * n
+        root_of = list(range(n))
         bridges: set[tuple[int, int]] = set()
         time = 0
         for root in range(n):
@@ -287,6 +294,7 @@ class PairGraph:
                         time += 1
                         disc[w] = low[w] = time
                         parent[w] = v
+                        root_of[w] = root
                         stack.append((w, iter(adj[w])))
                         break
                     if w != parent[v] and disc[w] < low[v]:
@@ -303,7 +311,7 @@ class PairGraph:
                                 bridges.add((u, v) if u < v else (v, u))
             # every child of the root passes the test above: one piece each
             increase[root] = max(0, increase[root] - 1)
-        return increase, bridges
+        return increase, bridges, root_of
 
 
 def build_graph(

@@ -58,6 +58,33 @@ def kept_bytes(make):
     return made, sum(d.size_diff for d in after.compare_to(before, "filename"))
 
 
+def caterpillar(hubs):
+    """A path of ``hubs`` hubs with 5 leaves each, plus a separate triangle
+    ``t0``, ``t1``, ``t2``. A hub has degree up to 7 but cut bound ``u`` 1,
+    so only the triangle's pairs can score 2."""
+    edges = [(f"h{k}", f"h{k + 1}") for k in range(hubs - 1)]
+    edges += [(f"h{k}", f"l{k}.{j}") for k in range(hubs) for j in range(5)]
+    return graph_from_edges(edges + [("t0", "t1"), ("t1", "t2"), ("t2", "t0")])
+
+
+def flow_calls(monkeypatch):
+    """Counts the calls the pair loop makes to ``max_edge_disjoint_paths``."""
+    calls = []
+    real = kappa.max_edge_disjoint_paths
+
+    def spy(g, s, t):
+        calls.append((s, t))
+        return real(g, s, t)
+
+    monkeypatch.setattr(kappa, "max_edge_disjoint_paths", spy)
+    return calls
+
+
+def edge_key(g, a, b):
+    """The index key ``(i, j)``, ``i < j``, by which removed edges are named."""
+    return tuple(sorted((g.node_index(a), g.node_index(b))))
+
+
 def witness_paths_for(g):
     """Library witness path sets keyed by integer node-id pairs."""
     ids = sorted(g.nodes())
@@ -160,6 +187,22 @@ class TestEdgeDisjointPaths:
                 pairs += value > 1
         assert pairs > 300
 
+    def test_capped_flow_keeps_the_uncapped_paths_on_a_saturated_graph(self):
+        """On the 4-regular, 4-edge-connected ``CIRCULANT_16`` every pair's
+        flow reaches ``min(deg(s), deg(t))``, where it stops without a last
+        search; value and paths equal those of the uncapped reference."""
+        g = CIRCULANT_16
+        for s, t in combinations(g.nodes(), 2):
+            si, ti = g.node_index(s), g.node_index(t)
+            value, used = oracles.reference_unit_max_flow(g, si, ti)
+            assert value == 4 == min(g.degree(s), g.degree(t))
+            want = [
+                [g.node_id(i) for i in p]
+                for p in kappa._decompose_paths(used, si, ti, value)
+            ]
+            assert max_edge_disjoint_paths(g, s, t) == (value, want)
+
+
 class TestCycleIsolation:
     def test_acyclic_graph_needs_nothing(self):
         g = graph_from_edges([("a", "b"), ("b", "c")])
@@ -195,16 +238,14 @@ class TestCycleIsolation:
             isolation = kappa._exact_isolation(g)
             cycles = oracles.cycle_masks(n, edges)
             key_bit = {
-                kappa._edge_key(g.node_index(a), g.node_index(b)): 1 << k
-                for k, (a, b) in enumerate(edges)
+                edge_key(g, a, b): 1 << k for k, (a, b) in enumerate(edges)
             }
             removed_sets = [frozenset()]
             removed_sets += [frozenset({k}) for k in key_bit]
             a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
             _, paths = max_edge_disjoint_paths(g, a, b)
             removed_sets.append(frozenset(
-                kappa._edge_key(g.node_index(x), g.node_index(y))
-                for p in paths for x, y in zip(p, p[1:])
+                edge_key(g, x, y) for p in paths for x, y in zip(p, p[1:])
             ))
             for _ in range(3):
                 removed_sets.append(frozenset(
@@ -403,6 +444,26 @@ class TestKappaExact:
             report = kappa_exact(g)
             assert report.kappa == max(terms.values())
             assert terms[frozenset(report.witness_pair)] == report.kappa
+
+    def test_caterpillar_runs_one_flow(self, monkeypatch):
+        """1,203 nodes, most of them hubs of degree up to 7 and leaves: the
+        cut bound leaves only the triangle's pairs above 1, and the first
+        of them, a term of 2, ends the loop."""
+        g = caterpillar(200)
+        assert g.num_nodes == 1203
+        calls = flow_calls(monkeypatch)
+        report = compute_kappa(g, method="exact", exact_limit=2000)
+        assert (report.kappa, report.witness_pair) == (2, ("t0", "t1"))
+        assert len(calls) <= 2
+
+    def test_auto_on_a_63_node_caterpillar_runs_one_flow(self, monkeypatch):
+        """The same shape at the size ``auto`` still computes exactly."""
+        g = caterpillar(10)
+        assert g.num_nodes == 63
+        calls = flow_calls(monkeypatch)
+        report = compute_kappa(g)
+        assert (report.kappa, report.method) == (2, "exact")
+        assert len(calls) <= 2
 
 
 class TestKappaUpper:
@@ -603,9 +664,9 @@ class TestPairLoopBound:
     @pytest.mark.parametrize("dispatched", [True, False])
     @pytest.mark.parametrize("relation", ["transitive", "intransitive"])
     def test_every_term_within_smaller_degree(self, rng, relation, dispatched):
-        """The pair loop prunes by ``min(degree)``: no term of
-        ``pair_terms`` exceeds it, and some pairs reach it, so no smaller
-        bound holds. The table's maximum is the value of
+        """No term of ``pair_terms`` exceeds ``min(degree)``, the looser
+        bound above the cut bound the loop prunes by, and some pairs reach
+        it. The table's maximum is the value of
         ``compute_kappa(method="exact")`` (dispatched) or of the relation's
         engine called directly."""
         engine = kappa_exact if relation == "transitive" else kappa_intransitive
@@ -626,6 +687,26 @@ class TestPairLoopBound:
                 assert p + min(cs, ct) <= smaller
                 reached += p + min(cs, ct) == smaller
         assert reached > 0
+
+    @pytest.mark.parametrize("relation", ["transitive", "intransitive"])
+    def test_every_term_within_smaller_cut_bound(self, rng, relation):
+        """The pair loop prunes by ``min(u(a), u(b))``, ``u(v) = degree(v) -
+        component_increase(v)`` recounted by the oracle: no term of
+        ``pair_terms`` exceeds it, some reach it, and ``kappa_upper`` is
+        ``max(u)``."""
+        checked = reached = 0
+        for _ in range(150):
+            n, edges = oracles.random_graph(
+                rng, max_nodes=kappa.TERMS_NODE_LIMIT, max_edges=40
+            )
+            g = graph_from_edges(edges, relation=relation, n_nodes=n)
+            u = {v: g.degree(v) - oracles.component_increase(g, v) for v in g.nodes()}
+            assert kappa_upper(g).kappa == max(u.values(), default=0)
+            for (a, b), (p, cs, ct) in pair_terms(g).items():
+                assert p + min(cs, ct) <= min(u[a], u[b]), (edges, a, b)
+                reached += p + min(cs, ct) == min(u[a], u[b]) > 0
+                checked += 1
+        assert checked > 10_000 and reached > 0
 
 
 class TestPairTerms:

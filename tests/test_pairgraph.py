@@ -277,6 +277,9 @@ class TestQueries:
                 if oracles.remove_edges(g, [(a, b)]).component_count()
                 > g.component_count()
             }
+            assert g._articulation_dfs()[2] == [
+                c[0] for v in range(n) for c in g.components() if v in c
+            ]
             split += sum(len(c) > 1 for c in g.components()) > 1
             for v in range(n):
                 isolated += g.degree(v) == 0
