@@ -12,7 +12,6 @@ from .dataio import (
 from .dml import (
     Cell,
     MetricModel,
-    RepeatTrace,
     StackTrace,
     TrainConfig,
     TrainTrace,

@@ -133,6 +133,9 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
         if key in ("command", "func"):
             continue
         merged[key] = value
+    # every command takes a seed; a negative one is rejected before any work
+    if merged["seed"] < 0:
+        raise ConfigInvalid(f"seed must be >= 0, got {merged['seed']}")
     return merged
 
 

@@ -148,6 +148,8 @@ class TrainConfig:
             )
         if not self.init_scale > 0:
             raise ConfigInvalid(f"init_scale must be positive, got {self.init_scale}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -452,25 +454,6 @@ def dataset_objective(
     return float(_objectives(np.asarray(w)[None], dx, y, margin)[0])
 
 
-@dataclass
-class RepeatTrace:
-    """Record of ``R`` runs trained as one batch by ``train(..., repeats=R)``:
-    the steps the runs share, and each run's margin and count of degenerate
-    hinge events. The per-step columns of :class:`TrainTrace` are not
-    computed for a batch."""
-
-    kappa: int
-    kappa_method: str
-    margins: tuple[float, ...]
-    iterations: list[int]
-    degenerate: tuple[int, ...]
-
-    @property
-    def degenerate_events(self) -> int:
-        """Degenerate hinge events over every run of the batch."""
-        return sum(self.degenerate)
-
-
 class Cell(NamedTuple):
     """One cell of a stacked :func:`train` call: its configuration and
     privacy distance (computed from the graph when None), the runs it trains
@@ -487,15 +470,18 @@ class Cell(NamedTuple):
 @dataclass
 class StackTrace:
     """Record of the cells trained by one stacked :func:`train` call: the
-    steps they share and one :class:`RepeatTrace` per cell."""
+    steps they share and, per cell, each run's margin and count of
+    degenerate hinge events. The per-step columns of :class:`TrainTrace`
+    are not computed for a stack."""
 
     iterations: list[int]
-    cells: tuple[RepeatTrace, ...]
+    margins: tuple[tuple[float, ...], ...]
+    degenerate: tuple[tuple[int, ...], ...]
 
     @property
     def degenerate_events(self) -> int:
         """Degenerate hinge events over every run of every cell."""
-        return sum(cell.degenerate_events for cell in self.cells)
+        return sum(map(sum, self.degenerate))
 
 
 #: The :class:`TrainConfig` fields in which the cells of one stack may differ.
@@ -557,11 +543,8 @@ def train(
     graph: PairGraph,
     config: TrainConfig | Sequence[Cell],
     kappa_report: KappaReport | None = None,
-    repeats: int | None = None,
-    run_pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> (
     tuple[MetricModel, TrainTrace]
-    | tuple[tuple[MetricModel, ...], RepeatTrace]
     | tuple[tuple[tuple[MetricModel, ...], ...], StackTrace]
 ):
     """Run the private training loop and return the model plus its trace.
@@ -572,63 +555,48 @@ def train(
     initial W, one for the batch order and one per row of W for noise, so
     identical inputs give a bit-identical trajectory.
 
-    With ``repeats=R``, the R runs at seeds ``config.seed + r`` advance as
-    one ``(R, d_prime, d)`` stack and the call returns a tuple of R models
-    and a :class:`RepeatTrace`; each run equals the single run at its seed
-    bit for bit. ``run_pairs``, arrays ``(R, n, d)`` and ``(R, n)``, gives
-    each run its own feature differences and labels in place of those of
-    ``pairs`` (whose endpoints still set the components), checked as
-    ``PairSet`` checks them, and without a fixed margin each run derives
-    its own.
-
     ``config`` may instead be a sequence of :class:`Cell`: every run of
-    every cell then advances in one stack, and the call returns a tuple of
-    each cell's models and a :class:`StackTrace`. A cell's runs equal
-    ``train(..., repeats=R)`` of that cell bit for bit. Cells may differ
-    only in :data:`CELL_FIELDS`, in kappa and in their runs' pairs, and
-    several cells take only :data:`STACK_MECHANISMS`. A run's initial W,
-    pair order and unit noise are drawn once per call, for every cell that
-    trains it; where a cell draws no noise its scale is 0.
+    every cell then advances in one ``(runs, d_prime, d)`` stack, and the
+    call returns a tuple of each cell's models and a :class:`StackTrace`.
+    Run ``r`` of a cell equals the single run at seed ``config.seed + r``
+    on that run's pairs, bit for bit. Cells may differ only in
+    :data:`CELL_FIELDS`, in kappa and in their runs' pairs, and several
+    cells take only :data:`STACK_MECHANISMS`. A run's initial W, pair order
+    and unit noise are drawn once per call, for every cell that trains it;
+    where a cell draws no noise its scale is 0.
 
-    A step computes only what its update needs. A stack gathers each step's
-    batch through each run's pair order; a single run takes its batches
-    once. A single run stores its ``W`` and its clipped-gradient peaks in
-    arrays sized for the whole run, and the trace's objective and
-    data-dependent bound columns are computed from those stacks after the
-    last step.
+    There is one step loop, and a single run is the one-run stack
+    ``[Cell(config, kappa_report, range(1))]``. A step computes only what
+    its update needs, and gathers its batch through a table of each run's
+    pair rows in order. A single run keeps every step's ``W`` and
+    clipped-gradient peaks, and the trace's objective and data-dependent
+    bound columns are computed from them after the last step; a stack keeps
+    two ``W`` and one step's peaks.
     """
-    stacked = not isinstance(config, TrainConfig)
-    if stacked:
-        if any(a is not None for a in (kappa_report, repeats, run_pairs)):
-            raise ConfigInvalid(
-                "each cell of a stack carries its kappa, runs and pairs"
-            )
+    single = isinstance(config, TrainConfig)
+    if single:
+        cells = [Cell(config, kappa_report, range(1))]
+    else:
+        if kappa_report is not None:
+            raise ConfigInvalid("each cell of a stack carries its kappa report")
         cells = list(config)
         if not cells:
             raise ConfigInvalid("a stack needs at least one cell")
-    else:
-        if repeats is not None and repeats < 1:
-            raise ConfigInvalid(f"repeats must be >= 1, got {repeats}")
-        runs = range(1 if repeats is None else repeats)
-        cells = [Cell(config, kappa_report, runs, run_pairs)]
     pairs = PairSet.of(pairs)
     cells = _cells(pairs, graph, cells)
     cfg = cells[0].config
     h = cfg.lipschitz
     n, d = pairs.dx.shape
 
-    # the stack holds the runs cell by cell; a single run has no leading
-    # axis, so its arrays keep the shapes of one W and one batch
+    # the stack holds the runs cell by cell
     sizes = [len(cell.runs) for cell in cells]
-    single = not stacked and repeats is None
-    lead = () if single else (sum(sizes),)
 
     def per_run(values) -> np.ndarray:
         """One value per cell, as a column with one entry per run."""
-        return np.repeat(values, sizes).reshape(*lead, 1)
+        return np.repeat(values, sizes).reshape(-1, 1)
 
     # the pair sets, one after another as rows: ``pairs``, then those of
-    # each run that brings its own; run i's pair j is row ``start[i] + j``
+    # each run that brings its own; run i's pair j is row ``n * source[i] + j``
     own = [cell.run_pairs for cell in cells if cell.run_pairs is not None]
     dx_rows = np.concatenate([pairs.dx, *(dx.reshape(-1, d) for dx, _ in own)])
     dissimilar_rows = np.concatenate([pairs.y, *(y.ravel() for _, y in own)]) == 1
@@ -655,11 +623,9 @@ def train(
                 _default_margin(dx, y, cfg.margin_ratio, cfg.norm_mode)
                 for dx, y in zip(*cell.run_pairs)
             ]
-    start = n * np.array(source).reshape(*lead, 1)
     # one margin for every run, or one per run as a column over its pairs
     margin = (
-        margins[0] if len(set(margins)) == 1
-        else np.array(margins).reshape(*lead, 1)
+        margins[0] if len(set(margins)) == 1 else np.array(margins).reshape(-1, 1)
     )
 
     # each distinct run draws its seeds, initial W and order once
@@ -676,8 +642,8 @@ def train(
     orders = np.stack([
         _pair_order(n, components, np.random.default_rng(s[1])) for s in seeds
     ])
-    # each run's row of ``orders`` and ``w_init``; a single run has one
-    pick = 0 if single else run_of
+    # each run's pair rows in its order, the same in every epoch
+    rows = n * np.array(source)[:, None] + orders[run_of]
     w_init = np.stack([
         np.random.default_rng(s[0]).uniform(
             -cfg.init_scale, cfg.init_scale, (cfg.d_prime, d)
@@ -704,12 +670,12 @@ def train(
 
     bounds = _batch_bounds(n, cfg.batch_size)
     schedule = bounds * cfg.t_max
+    shape = (len(offsets), cfg.d_prime, d)
     basic = {
-        hi - lo: np.broadcast_to(_basic_bound(kappa, h, hi - lo), (*lead, cfg.d_prime))
+        hi - lo: np.broadcast_to(_basic_bound(kappa, h, hi - lo), shape[:-1])
         for lo, hi in bounds
     }
     steps = len(schedule)
-    shape = (*lead, cfg.d_prime, d)
     add_noise = None
     if any(drawing):
         # several cells draw only Laplace noise, so any drawing cell's
@@ -719,31 +685,21 @@ def train(
     # a single run keeps every step's W and peaks for its trace; a stack
     # keeps two W and one step's peaks
     ws = np.empty((steps + 1 if single else 2, *shape))
-    ws[0] = w_init[pick]
-    peaks = np.empty((steps if single else 1, *lead, cfg.d_prime))
+    ws[0] = w_init[run_of]
+    peaks = np.empty((steps if single else 1, *shape[:-1]))
     etas = [step_size(tau) for tau in range(1, steps + 1)]
-    degenerate_events = np.zeros(lead, dtype=int)
+    degenerate_events = np.zeros(len(offsets), dtype=int)
 
-    def gather(lo: int, hi: int):
-        """A batch's feature differences, dissimilar marks and feature norms."""
-        rows = start + orders[pick, lo:hi]                  # (..., n_b)
-        return (dx_rows.take(rows, axis=0), dissimilar_rows.take(rows),
-                norm_rows.take(rows)[..., None, :])
-
-    # a single run takes its batches once for every epoch, which spares it
-    # three gathers a step; a stack gathers each step's batch, so it holds
-    # one batch at a time
-    batches = [gather(lo, hi) for lo, hi in bounds] if single else None
     for k, (lo, hi) in enumerate(schedule):
-        dx, dissimilar, norms = (
-            batches[k % len(bounds)] if single else gather(lo, hi)
-        )
+        batch = rows[:, lo:hi]                              # (runs, n_b)
+        dx = dx_rows.take(batch, axis=0)
+        dissimilar = dissimilar_rows.take(batch)
         n_b = hi - lo
         w = ws[k % len(ws)]
         amat, degenerate = _coefficients(w, dx, dissimilar, margin)
         if degenerate is not None:
             degenerate_events += degenerate
-        raw_norms = np.abs(amat) * norms                    # (..., d_prime, n)
+        raw_norms = np.abs(amat) * norm_rows.take(batch)[:, None, :]
         clip = np.maximum(1.0, raw_norms / h)
         # the temporaries are divided in place: same values, fewer copies
         g_peaks = np.maximum.reduce(
@@ -763,33 +719,23 @@ def train(
         np.subtract(w, etas[k] * update, out=ws[(k + 1) % len(ws)])
 
     iterations = list(range(1, steps + 1))
+    final = ws[steps % len(ws)]
     if not single:
-        final = ws[steps % 2]
         ends = np.cumsum(sizes).tolist()
         parts = [slice(end - size, end) for size, end in zip(sizes, ends)]
         models = tuple(tuple(MetricModel(w) for w in final[p]) for p in parts)
-        traces = tuple(
-            RepeatTrace(
-                kappa=cell.kappa_report.kappa,
-                kappa_method=cell.kappa_report.method,
-                margins=tuple(float(m) for m in margins[p]),
-                iterations=iterations,
-                degenerate=tuple(degenerate_events[p].tolist()),
-            )
-            for cell, p in zip(cells, parts)
+        return models, StackTrace(
+            iterations,
+            margins=tuple(tuple(float(m) for m in margins[p]) for p in parts),
+            degenerate=tuple(tuple(degenerate_events[p].tolist()) for p in parts),
         )
-        if stacked:
-            return models, StackTrace(iterations, traces)
-        return models[0], traces[0]
 
-    report = cells[0].kappa_report
-    rows = slice(start[0], start[0] + n)
-    labels = dissimilar_rows[rows].astype(int)
-    objectives = _objectives(ws, dx_rows[rows], labels, margin)
+    ws, peaks = ws[:, 0], peaks[:, 0]
+    objectives = _objectives(ws, pairs.dx, pairs.y, margin)
     sizes = np.array([hi - lo for lo, hi in schedule])
     trace = TrainTrace(
         kappa=kappa,
-        kappa_method=report.method,
+        kappa_method=cells[0].kappa_report.method,
         margin=margin,
         initial_objective=float(objectives[0]),
         iterations=iterations,
@@ -800,9 +746,9 @@ def train(
         sens_reduced=list(_reduced_bound(
             peaks, ws[:-1], h, margin, kappa, sizes[:, None], cfg.norm_mode
         )),
-        degenerate_events=int(degenerate_events),
+        degenerate_events=int(degenerate_events[0]),
     )
-    return MetricModel(ws[-1]), trace
+    return MetricModel(final[0]), trace
 
 
 def _noise(
@@ -816,8 +762,8 @@ def _noise(
     shape: tuple[int, ...],
 ):
     """``add(update, sens)``, called once per step: adds to each row of the
-    mean gradient ``update`` (``shape``: ``(d_prime, d)``, or ``(runs,
-    d_prime, d)`` for a stack) its noise at that row's sensitivity, in place.
+    mean gradient ``update`` (``shape``: ``(runs, d_prime, d)``) its noise
+    at that row's sensitivity, in place.
 
     ``eps_epoch`` is the per-epoch budget, or a column with one per run;
     ``drawn`` marks the runs at a finite budget and kappa >= 1, and a noise

@@ -192,6 +192,8 @@ def run_experiment(
     """
     if repeats < 1:
         raise ConfigInvalid(f"repeats must be >= 1, got {repeats}")
+    if seed < 0:
+        raise ConfigInvalid(f"seed must be >= 0, got {seed}")
     for m in methods:
         if m not in METHODS:
             raise ConfigInvalid(f"unknown method {m!r}; expected one of {METHODS}")

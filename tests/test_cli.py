@@ -574,6 +574,35 @@ class TestExitCodes:
     def test_no_command_prints_help(self, capsys):
         assert run([]) == 2
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["synth", "train", "sweep"])
+    def test_negative_seed_exits_two_before_any_work(
+        self, command, via, toy_files, tmp_path, monkeypatch, capsys
+    ):
+        samples_path, pairs_path = toy_files
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before the seed was checked")
+
+        for module, name in ((dataio, "synth_two_gaussians"),
+                             (cli, "read_pairs_file"), (dataio, "load_csv")):
+            monkeypatch.setattr(module, name, no_work)
+        argv = {
+            "synth": ["synth"],
+            "train": ["train", "--pairs", pairs_path],
+            "sweep": ["sweep", "--data", samples_path, "--pairs", pairs_path],
+        }[command] + ["--out-dir", tmp_path / "out"]
+        if via == "flag":
+            argv += ["--seed", -1]
+        else:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", config_path]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("args, config", BAD_OPTION_VALUES.values(),
                              ids=BAD_OPTION_VALUES.keys())
     def test_bad_option_value_exits_two(self, args, config, toy_files,

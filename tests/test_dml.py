@@ -386,6 +386,8 @@ class TestTrain:
             train(pairs, graph, vii_a_config(mechanism="laplace", epsilon=0.0))
         with pytest.raises(ConfigInvalid):
             train(pairs, graph, vii_a_config(t_max=0))
+        with pytest.raises(ConfigInvalid, match="seed"):
+            train(pairs, graph, vii_a_config(seed=-1))
 
     def test_neighbouring_batch_deviation_bounded(self, rng):
         """Replacing one pair never moves the mean clipped row gradient by
@@ -635,17 +637,18 @@ class TestTrainMatchesLoopReferenceAcrossBlocks:
 
 
 class TestTrainRepeatsMatchSingleRuns:
-    """``train(..., repeats=R)`` advances R runs as one stack. Each run must
-    equal ``train`` alone at seed ``config.seed + r`` bit for bit, in ``W``
-    and in every column of the batch's trace."""
+    """A one-cell stack of R runs advances them as one ``(R, d_prime, d)``
+    stack. Each run must equal ``train`` alone at seed ``config.seed + r``
+    bit for bit, in ``W``, its margin, its degenerate count and the steps."""
 
     R = 3
 
     @classmethod
     def check(cls, pairs, graph, config, report, run_pairs=None):
-        models, batch = train(pairs, graph, config, kappa_report=report,
-                              repeats=cls.R, run_pairs=run_pairs)
-        assert len(models) == len(batch.margins) == len(batch.degenerate) == cls.R
+        cell = Cell(config, report, range(cls.R), run_pairs)
+        models, stack = train(pairs, graph, [cell])
+        models, margins, degenerate = models[0], stack.margins[0], stack.degenerate[0]
+        assert len(models) == len(margins) == len(degenerate) == cls.R
         pairs = PairSet.of(pairs)
         for r, model in enumerate(models):
             given = pairs if run_pairs is None else PairSet(
@@ -654,12 +657,11 @@ class TestTrainRepeatsMatchSingleRuns:
             single, trace = train(given, graph, replace(config, seed=config.seed + r),
                                   kappa_report=report)
             assert model.w.tobytes() == single.w.tobytes()
-            assert batch.margins[r].hex() == trace.margin.hex()
-            assert batch.degenerate[r] == trace.degenerate_events
-            for column in ("kappa", "kappa_method", "iterations"):
-                assert getattr(batch, column) == getattr(trace, column)
-        assert batch.degenerate_events == sum(batch.degenerate)
-        return models, batch
+            assert margins[r].hex() == trace.margin.hex()
+            assert degenerate[r] == trace.degenerate_events
+            assert stack.iterations == trace.iterations
+        assert stack.degenerate_events == sum(degenerate)
+        return models, stack
 
     @pytest.mark.parametrize("batch_mode", ["shuffle", "component"])
     @pytest.mark.parametrize(
@@ -670,9 +672,9 @@ class TestTrainRepeatsMatchSingleRuns:
         config = TestTrainMatchesLoopReference.config(
             mechanism, "l2" if mechanism == "gaussian" else "l1", batch_mode
         )
-        models, batch = self.check(pairs, graph, config, compute_kappa(graph))
+        models, stack = self.check(pairs, graph, config, compute_kappa(graph))
         assert len({m.w.tobytes() for m in models}) == self.R
-        assert batch.degenerate_events > 0
+        assert stack.degenerate_events > 0
 
     def test_short_last_batch_dropped(self):
         pairs, graph = TestTrainMatchesLoopReference.data()
@@ -680,8 +682,8 @@ class TestTrainRepeatsMatchSingleRuns:
         config = TestTrainMatchesLoopReference.config(
             "laplace-reduced", "l1", "shuffle", batch_size=49
         )
-        _, batch = self.check(pairs, graph, config, compute_kappa(graph))
-        assert len(batch.iterations) == 3 * config.t_max
+        _, stack = self.check(pairs, graph, config, compute_kappa(graph))
+        assert len(stack.iterations) == 3 * config.t_max
 
     @pytest.mark.parametrize("epsilon", [0.5, math.inf])
     def test_one_pair_set_per_run(self, epsilon):
@@ -691,8 +693,8 @@ class TestTrainRepeatsMatchSingleRuns:
         noisy = [input_perturb(pairs, epsilon, np.random.default_rng([1347, r]))
                  for r in range(self.R)]
         run_pairs = (np.stack([p.dx for p in noisy]), np.stack([p.y for p in noisy]))
-        _, batch = self.check(pairs, graph, config, compute_kappa(graph), run_pairs)
-        assert len(set(batch.margins)) == (1 if math.isinf(epsilon) else self.R)
+        _, stack = self.check(pairs, graph, config, compute_kappa(graph), run_pairs)
+        assert len(set(stack.margins[0])) == (1 if math.isinf(epsilon) else self.R)
 
     @pytest.mark.parametrize(
         "mechanism", ["laplace-basic", "gaussian", "staircase", "duchi"]
@@ -703,8 +705,9 @@ class TestTrainRepeatsMatchSingleRuns:
             mechanism, "l2" if mechanism == "gaussian" else "l1", "shuffle"
         )
         report = KappaReport(kappa=0, method="upper_bound")
-        clean, _ = train(pairs, graph, replace(config, mechanism="none", delta=0.0),
-                         kappa_report=report, repeats=self.R)
+        clean, _ = train(pairs, graph, [Cell(
+            replace(config, mechanism="none", delta=0.0), report, range(self.R)
+        )])
 
         def no_draw(*args, **kwargs):
             raise AssertionError("noise drawn at kappa 0")
@@ -713,24 +716,23 @@ class TestTrainRepeatsMatchSingleRuns:
                      "duchi_randomize_vector"):
             monkeypatch.setattr(dml, name, no_draw)
         models, _ = self.check(pairs, graph, config, report)
-        assert [m.w.tobytes() for m in models] == [m.w.tobytes() for m in clean]
+        assert [m.w.tobytes() for m in models] == [m.w.tobytes() for m in clean[0]]
 
     def test_run_pairs_shape_checked(self):
         pairs, graph = TestTrainMatchesLoopReference.data()
         pairs = PairSet.of(pairs)
         config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle")
         with pytest.raises(DimensionMismatch):
-            train(pairs, graph, config, repeats=2,
-                  run_pairs=(np.stack([pairs.dx] * 3), np.stack([pairs.y] * 3)))
-        with pytest.raises(ConfigInvalid):
-            train(pairs, graph, config, repeats=0)
+            train(pairs, graph, [Cell(config, None, range(2), (
+                np.stack([pairs.dx] * 3), np.stack([pairs.y] * 3)
+            ))])
 
     @pytest.mark.parametrize("mechanism", ["none", "laplace-reduced"])
     @pytest.mark.parametrize("fault", ["label", "nan"])
     def test_run_pairs_checked_like_pairs(self, fault, mechanism):
         """A run's own label outside {0, 1}, or its non-finite feature
-        difference, raises the error ``PairSet`` raises for that pair, given
-        through ``repeats`` and through a ``Cell``."""
+        difference, given through a ``Cell``, raises the error ``PairSet``
+        raises for that pair."""
         pairs, graph = TestTrainMatchesLoopReference.data()
         pairs = PairSet.of(pairs)
         config = TestTrainMatchesLoopReference.config(mechanism, "l1", "shuffle")
@@ -741,12 +743,8 @@ class TestTrainRepeatsMatchSingleRuns:
             dx[1, 3, 0] = np.nan
         with pytest.raises(ValueError) as want:
             PairSet(pairs.i, pairs.j, dx[1], y[1])
-        for call in (
-            lambda: train(pairs, graph, config, repeats=2, run_pairs=(dx, y)),
-            lambda: train(pairs, graph, [Cell(config, None, range(2), (dx, y))]),
-        ):
-            with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-                call()
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            train(pairs, graph, [Cell(config, None, range(2), (dx, y))])
 
     @pytest.mark.parametrize("repeats", [None, 2])
     @pytest.mark.parametrize("mechanism", ["laplace-reduced", "gaussian"])
@@ -758,14 +756,16 @@ class TestTrainRepeatsMatchSingleRuns:
             mechanism, "l2" if mechanism == "gaussian" else "l1", "shuffle",
             batch_size=3, margin=1.0,
         )
+        # a single run, or a one-cell stack of ``repeats`` runs
+        given = config if repeats is None else [Cell(config, None, range(repeats))]
         with np.errstate(all="ignore"), pytest.raises(NonPositiveScale):
-            train(pairs, build_graph(pairs), config, repeats=repeats)
+            train(pairs, build_graph(pairs), given)
 
 
 class TestTrainCellsMatchPerCellBatches:
     """``train`` on a sequence of cells advances every run of every cell in
     one stack. Each cell's models, margins and degenerate counts must equal
-    ``train(..., repeats=R)`` of that cell alone, bit for bit."""
+    those of its own one-cell stack, bit for bit."""
 
     R = 3
 
@@ -792,18 +792,14 @@ class TestTrainCellsMatchPerCellBatches:
     @staticmethod
     def check(pairs, graph, cells):
         models, trace = train(pairs, graph, cells)
-        assert len(models) == len(trace.cells) == len(cells)
-        for cell, got, got_trace in zip(cells, models, trace.cells):
-            first = cell.runs[0]
-            want, want_trace = train(
-                pairs, graph, replace(cell.config, seed=cell.config.seed + first),
-                kappa_report=cell.kappa_report, repeats=len(cell.runs),
-                run_pairs=cell.run_pairs,
-            )
-            assert [m.w.tobytes() for m in got] == [m.w.tobytes() for m in want]
-            assert got_trace == want_trace
-            assert got_trace.iterations == trace.iterations
-        assert trace.degenerate_events == sum(c.degenerate_events for c in trace.cells)
+        assert len(models) == len(trace.margins) == len(trace.degenerate) == len(cells)
+        for c, cell in enumerate(cells):
+            (want,), want_trace = train(pairs, graph, [cell])
+            assert [m.w.tobytes() for m in models[c]] == [m.w.tobytes() for m in want]
+            assert trace.margins[c] == want_trace.margins[0]
+            assert trace.degenerate[c] == want_trace.degenerate[0]
+            assert want_trace.iterations == trace.iterations
+        assert trace.degenerate_events == sum(map(sum, trace.degenerate))
         return models, trace
 
     @staticmethod
@@ -829,7 +825,7 @@ class TestTrainCellsMatchPerCellBatches:
         config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle",
                                                       margin=0.3)
         _, trace = self.check(pairs, graph, self.grid(config, compute_kappa(graph)))
-        assert {m for c in trace.cells for m in c.margins} == {0.3}
+        assert {m for cell in trace.margins for m in cell} == {0.3}
 
     def test_input_perturbed_cells(self):
         pairs, graph = TestTrainMatchesLoopReference.data()
@@ -842,8 +838,8 @@ class TestTrainCellsMatchPerCellBatches:
             for epsilon in (0.5, math.inf)
         ]
         _, trace = self.check(pairs, graph, cells)
-        assert len(set(trace.cells[3].margins)) == self.R
-        assert trace.cells[4].margins == trace.cells[0].margins
+        assert len(set(trace.margins[3])) == self.R
+        assert trace.margins[4] == trace.margins[0]
 
     def test_cell_split_across_two_stacks(self):
         # a grid in two blocks: the input-perturbed cell's runs 0-1 train in
@@ -859,8 +855,9 @@ class TestTrainCellsMatchPerCellBatches:
                   basic, reduced]
         head, _ = self.check(pairs, graph, first)
         tail, _ = self.check(pairs, graph, second)
-        whole, _ = train(pairs, graph, config, kappa_report=report, repeats=self.R,
-                         run_pairs=self.perturbed(pairs, 1.0, range(self.R)))
+        (whole,), _ = train(pairs, graph, [Cell(
+            config, report, range(self.R), self.perturbed(pairs, 1.0, range(self.R))
+        )])
         assert [m.w.tobytes() for m in head[1] + tail[0]] == [
             m.w.tobytes() for m in whole
         ]

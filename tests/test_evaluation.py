@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 from dppdml import dataio, evaluation
-from dppdml.dml import MetricModel, TrainConfig, train
-from dppdml.errors import DimensionMismatch, DppError, EmptyTestSet, EmptyTrainSet
+from dppdml.dml import Cell, MetricModel, TrainConfig, train
+from dppdml.errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    DppError,
+    EmptyTestSet,
+    EmptyTrainSet,
+)
 from dppdml.evaluation import (
     METHODS,
     ExperimentReport,
@@ -286,6 +292,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(samples, pairs, graph, ["magic"], [1.0], 1, cfg)
 
+    def test_negative_seed_rejected_before_drawing(self, monkeypatch):
+        samples, pairs, graph = benchmark()
+        cfg = TrainConfig(d_prime=2, batch_size=30, t_max=1, seed=0)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("perturbed or trained before the seed was checked")
+
+        monkeypatch.setattr(evaluation, "input_perturb", no_work)
+        monkeypatch.setattr(evaluation, "train", no_work)
+        with pytest.raises(ConfigInvalid, match="seed must be >= 0, got -1"):
+            run_experiment(samples, pairs, graph, ["input_per", "dpp"], [1.0], 2,
+                           cfg, seed=-1)
+
     @pytest.mark.parametrize("k", [0, 10_000])
     def test_k_checked_before_training(self, k, monkeypatch):
         samples, pairs, graph = benchmark()
@@ -317,7 +336,7 @@ class TestRunExperiment:
             [[0, 1, 2], [0]], [[0, 1, 2], [1]], [[2], [0, 1, 2]],
         ]
 
-        # each cell equals its own batched training and scoring
+        # each cell equals its own one-cell stack's training and scoring
         train_idx, test_idx = split_by_participation(samples, pairs)
         data = (samples.x[train_idx], samples.labels[train_idx],
                 samples.x[test_idx], samples.labels[test_idx])
@@ -331,8 +350,9 @@ class TestRunExperiment:
                          for r in range(3)]
                 run_pairs = (np.stack([p.dx for p in noisy]),
                              np.stack([p.y for p in noisy]))
-            models, _ = train(pairs, graph, replace(config, seed=7),
-                              kappa_report=report, repeats=3, run_pairs=run_pairs)
+            (models,), _ = train(pairs, graph, [
+                Cell(replace(config, seed=7), report, range(3), run_pairs)
+            ])
             assert rep.per_run == knn_accuracy(models, *data)
 
     def test_one_batched_train_per_cell(self, monkeypatch):
