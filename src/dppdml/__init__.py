@@ -18,7 +18,6 @@ from .dml import (
     clip_gradient,
     contrastive_loss,
     gradient_row,
-    sensitivity_basic,
     sensitivity_reduced,
     step_size,
     train,

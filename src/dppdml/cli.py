@@ -6,9 +6,10 @@ distance of a pairs file), ``train`` (private metric learning),
 (accuracy-versus-budget grid) and ``compare-mechanisms`` (one-epoch
 objective traces per mechanism).
 
-Every artifact-producing run writes a ``resolved_config.json`` capturing
-all defaults plus the seed; re-running with ``--config`` on that file
-reproduces the outputs byte-identically. Exit codes: 0 success, 2
+A command's options are the keys of its defaults table in :data:`COMMANDS`,
+one flag each. Every artifact-producing run writes them all, the seed
+included, to ``resolved_config.json``; re-running with ``--config`` on that
+file reproduces the outputs byte-identically. Exit codes: 0 success, 2
 usage/config errors, 3 runtime failures.
 """
 
@@ -37,8 +38,6 @@ from .dml import (
 )
 from .errors import ConfigInvalid, DppError
 from .pairgraph import RELATION_KINDS, build_graph, read_pairs_file, write_pairs_file
-
-_CONFIG_KEYS_IGNORED = {"command"}
 
 #: TrainConfig fields set from flags; the seed comes from ``--seed``.
 TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
@@ -92,23 +91,28 @@ _OPTIONAL_NUMBERS = {"margin", "staircase_gamma"}
 _LIST_OPTIONS = {"methods", "epsilons", "mechanisms"}
 
 
+def _option_type(key: str, default) -> type:
+    """The type an option's flag parses to and its config-file value must
+    have: a float for an optional number, a string for any other option
+    unset by default, else its default's type."""
+    if key in _OPTIONAL_NUMBERS:
+        return float
+    return str if default is None else type(default)
+
+
 def _check_config_type(key: str, value, default) -> None:
-    """A config-file value must have its default's type: any number for a
+    """A config-file value must have its option's type: any number for a
     float, an int but no bool for an int (JSON ``true`` is a Python int), a
-    string or list for a comma-separated option, and for an option unset by
-    default ``null`` or, once set, a number or a string."""
-    if default is None:
-        if value is None:
-            return
-        default = 0.0 if key in _OPTIONAL_NUMBERS else ""
-    types = (int, float) if isinstance(default, float) else type(default)
-    if key in _LIST_OPTIONS:
-        types = (str, list)
-    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(
-        value, types
-    ):
+    string or list for a comma-separated option, and also ``null`` for an
+    option unset by default."""
+    if default is None and value is None:
+        return
+    kind = _option_type(key, default)
+    types = ((str, list) if key in _LIST_OPTIONS
+             else (int, float) if kind is float else kind)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
         raise ConfigInvalid(
-            f"config key {key!r} must be {type(default).__name__}, got {value!r}"
+            f"config key {key!r} must be {kind.__name__}, got {value!r}"
         )
 
 
@@ -123,7 +127,7 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise DppError(f"config file {config_path} must hold a JSON object")
         for key, value in loaded.items():
-            if key in _CONFIG_KEYS_IGNORED:
+            if key == "command":
                 continue
             if key not in merged:
                 raise DppError(f"config file {config_path}: unknown key {key!r}")
@@ -139,8 +143,8 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     return merged
 
 
-def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(seed=seed, **{k: cfg[k] for k in TRAIN_FIELDS})
+def _train_config(cfg: dict) -> TrainConfig:
+    return TrainConfig(seed=cfg["seed"], **{k: cfg[k] for k in TRAIN_FIELDS})
 
 
 def _require(cfg: dict, key: str):
@@ -149,24 +153,21 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _load_dataset(cfg: dict):
-    samples = dataio.load_csv(_require(cfg, "data"))
+def _load_pairs(cfg: dict):
     pairs = read_pairs_file(_require(cfg, "pairs"))
-    graph = build_graph(pairs, cfg.get("relation", "transitive"))
-    return samples, pairs, graph
+    return pairs, build_graph(pairs, cfg["relation"])
 
 
 def _emit_resolved(cfg: dict, command: str) -> None:
     out_dir = cfg.get("out_dir")
     if out_dir:
-        _write_json(
-            Path(out_dir) / "resolved_config.json",
-            {"command": command, **cfg},
-        )
+        _write_json(Path(out_dir) / "resolved_config.json", {"command": command, **cfg})
 
 
 # --- subcommand handlers -----------------------------------------------------
 
+
+SYNTH_MODES = ("toy", "density")
 
 SYNTH_DEFAULTS = {
     "seed": 0,
@@ -183,8 +184,10 @@ SYNTH_DEFAULTS = {
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _resolve(SYNTH_DEFAULTS, args)
-    if cfg["mode"] not in ("toy", "density"):
-        raise ConfigInvalid(f"mode must be 'toy' or 'density', got {cfg['mode']!r}")
+    if cfg["mode"] not in SYNTH_MODES:
+        raise ConfigInvalid(
+            f"mode must be {' or '.join(map(repr, SYNTH_MODES))}, got {cfg['mode']!r}"
+        )
     samples = dataio.synth_two_gaussians(cfg["n_per_class"], seed=cfg["seed"])
     samples = dataio.normalize(samples, cfg["norm_mode"])
     if cfg["mode"] == "toy":
@@ -217,8 +220,7 @@ ANALYZE_DEFAULTS = {
 
 def cmd_analyze_kappa(args: argparse.Namespace) -> int:
     cfg = _resolve(ANALYZE_DEFAULTS, args)
-    pairs = read_pairs_file(_require(cfg, "pairs"))
-    graph = build_graph(pairs, cfg["relation"])
+    _, graph = _load_pairs(cfg)
     report = kappa_mod.compute_kappa(
         graph, method=cfg["method"], exact_limit=cfg["exact_limit"]
     )
@@ -248,13 +250,12 @@ TRAIN_DEFAULTS = {
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(TRAIN_DEFAULTS, args)
-    pairs = read_pairs_file(_require(cfg, "pairs"))
-    graph = build_graph(pairs, cfg["relation"])
+    pairs, graph = _load_pairs(cfg)
     report = kappa_mod.compute_kappa(
         graph, method=cfg["kappa_method"], exact_limit=cfg["exact_limit"]
     )
     print(f"privacy distance kappa={report.kappa} ({report.method})")
-    config = _train_config(cfg, cfg["seed"])
+    config = _train_config(cfg)
     model, trace = train(pairs, graph, config, kappa_report=report)
 
     out = Path(cfg["out_dir"])
@@ -310,12 +311,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if in_sample:
         test_idx = train_idx  # every individual participates; score in-sample
     acc = evaluation.knn_accuracy(
-        model,
-        samples.x[train_idx],
-        samples.labels[train_idx],
-        samples.x[test_idx],
-        samples.labels[test_idx],
-        cfg["k"],
+        model, samples.x[train_idx], samples.labels[train_idx],
+        samples.x[test_idx], samples.labels[test_idx], cfg["k"],
     )
     result = {
         "accuracy": acc,
@@ -348,10 +345,11 @@ SWEEP_DEFAULTS = {
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(SWEEP_DEFAULTS, args)
-    samples, pairs, graph = _load_dataset(cfg)
+    samples = dataio.load_csv(_require(cfg, "data"))
+    pairs, graph = _load_pairs(cfg)
     methods = _str_list(cfg, "methods")
     epsilons = _float_list(cfg, "epsilons")
-    base = _train_config(cfg, cfg["seed"])
+    base = _train_config(cfg)
     kappa_default = kappa_mod.compute_kappa(graph)
     kappa_node = kappa_mod.kappa_node_dp(graph)
     print(f"privacy distance kappa={kappa_default.kappa} "
@@ -363,8 +361,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         kappa_default=kappa_default, kappa_node=kappa_node,
     )
 
-    out = Path(cfg["out_dir"])
-    sweep_path = Path(cfg["sweep_out"]) if cfg["sweep_out"] else out / "sweep.csv"
+    sweep_path = Path(cfg["sweep_out"] or Path(cfg["out_dir"]) / "sweep.csv")
     rows = [(rep.method, rep.epsilon, run, acc)
             for rep in reports for run, acc in enumerate(rep.per_run)]
     _write_csv(sweep_path, ["method", "epsilon", "run", "accuracy"], zip(*rows))
@@ -392,8 +389,7 @@ COMPARE_DEFAULTS = {
 
 def cmd_compare_mechanisms(args: argparse.Namespace) -> int:
     cfg = _resolve(COMPARE_DEFAULTS, args)
-    pairs = read_pairs_file(_require(cfg, "pairs"))
-    graph = build_graph(pairs, cfg["relation"])
+    pairs, graph = _load_pairs(cfg)
     report = kappa_mod.compute_kappa(graph)
     print(f"privacy distance kappa={report.kappa} ({report.method})")
     names = _str_list(cfg, "mechanisms")
@@ -407,13 +403,11 @@ def cmd_compare_mechanisms(args: argparse.Namespace) -> int:
     for name in names:
         mech, sens = MECHANISM_VARIANTS[name]
         config = _train_config({**cfg, "mechanism": mech,
-                                "sensitivity_mode": sens, "t_max": 1},
-                               cfg["seed"])
+                                "sensitivity_mode": sens, "t_max": 1})
         _, trace = train(pairs, graph, config, kappa_report=report)
         columns[name] = trace.objectives
     n_iter = min(len(v) for v in columns.values())
-    out = Path(cfg["out_dir"])
-    path = Path(cfg["compare_out"]) if cfg["compare_out"] else out / "mechanisms.csv"
+    path = Path(cfg["compare_out"] or Path(cfg["out_dir"]) / "mechanisms.csv")
     _write_csv(path, ["iter"] + names, [range(1, n_iter + 1)] + [
         columns[name][:n_iter] for name in names
     ])
@@ -424,109 +418,65 @@ def cmd_compare_mechanisms(args: argparse.Namespace) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+#: Each subcommand's defaults, help and handler name. The defaults are the
+#: only declaration of its options: one flag per key, ``--key-with-dashes``
+#: unless renamed in :data:`_FLAG_NAMES`, parsed to :func:`_option_type`.
+COMMANDS = {
+    "synth": (SYNTH_DEFAULTS, "generate a synthetic dataset", "cmd_synth"),
+    "analyze-kappa": (ANALYZE_DEFAULTS, "privacy distance of a pairs file",
+                      "cmd_analyze_kappa"),
+    "train": (TRAIN_DEFAULTS, "train a private metric", "cmd_train"),
+    "evaluate": (EVALUATE_DEFAULTS, "kNN accuracy of a saved model", "cmd_evaluate"),
+    "sweep": (SWEEP_DEFAULTS, "accuracy sweep over methods and budgets", "cmd_sweep"),
+    "compare-mechanisms": (COMPARE_DEFAULTS, "one-epoch objective traces per mechanism",
+                           "cmd_compare_mechanisms"),
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--config", help="JSON file of defaults for this command")
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
+_FLAG_NAMES = {"model_out": "--out", "sweep_out": "--out", "compare_out": "--out",
+               "trace_out": "--trace"}
 
+_CHOICES = {"mode": SYNTH_MODES, "relation": RELATION_KINDS,
+            "method": kappa_mod.KAPPA_METHODS, "kappa_method": kappa_mod.KAPPA_METHODS,
+            "mechanism": TRAIN_MECHANISMS, "sensitivity_mode": SENSITIVITY_MODES,
+            "norm_mode": NORM_MODES, "batch_mode": BATCH_MODES}
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-prime", dest="d_prime", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--margin-ratio", dest="margin_ratio", type=float)
-    p.add_argument("--lipschitz", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--t-max", dest="t_max", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--mechanism", choices=TRAIN_MECHANISMS)
-    p.add_argument("--sensitivity-mode", dest="sensitivity_mode",
-                   choices=SENSITIVITY_MODES)
-    p.add_argument("--norm-mode", dest="norm_mode", choices=NORM_MODES)
-    p.add_argument("--init-scale", dest="init_scale", type=float)
-    p.add_argument("--staircase-gamma", dest="staircase_gamma", type=float)
-    p.add_argument("--batch-mode", dest="batch_mode", choices=BATCH_MODES)
+#: Flag help by key, or by (command, key) where one command words it apart.
+_HELP = {
+    "seed": "master seed",
+    "out_dir": "artifact directory",
+    "model_out": "model file path",
+    "trace_out": "trace CSV path",
+    "sweep_out": "sweep CSV path",
+    "compare_out": "comparison CSV path",
+    ("evaluate", "pairs"): "training pairs defining the split",
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built once; each subcommand names its handler, which ``main`` looks up."""
+    """Built once from :data:`COMMANDS`; each subcommand names its handler,
+    which ``main`` looks up. A flag left out is absent from the namespace,
+    so ``_resolve`` falls back to the config file, then the default."""
     parser = argparse.ArgumentParser(
         prog="dppdml",
         description="Differentially pairwise-private distance metric learning",
     )
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset",
-                       argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--n-per-class", dest="n_per_class", type=int)
-    p.add_argument("--mode", choices=["toy", "density"])
-    p.add_argument("--density", type=float)
-    p.add_argument("--balance", action="store_true")
-    p.add_argument("--intra", type=int)
-    p.add_argument("--inter", type=int)
-    p.add_argument("--norm-mode", dest="norm_mode", choices=NORM_MODES)
-    p.set_defaults(func="cmd_synth")
-
-    p = sub.add_parser("analyze-kappa", help="privacy distance of a pairs file",
-                       argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--pairs")
-    p.add_argument("--relation", choices=RELATION_KINDS)
-    p.add_argument("--method", choices=kappa_mod.KAPPA_METHODS)
-    p.add_argument("--exact-limit", dest="exact_limit", type=int)
-    p.set_defaults(func="cmd_analyze_kappa")
-
-    p = sub.add_parser("train", help="train a private metric",
-                       argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--pairs")
-    p.add_argument("--relation", choices=RELATION_KINDS)
-    p.add_argument("--kappa-method", dest="kappa_method",
-                   choices=kappa_mod.KAPPA_METHODS)
-    p.add_argument("--exact-limit", dest="exact_limit", type=int)
-    p.add_argument("--out", dest="model_out", help="model file path")
-    p.add_argument("--trace", dest="trace_out", help="trace CSV path")
-    _add_train_flags(p)
-    p.set_defaults(func="cmd_train")
-
-    p = sub.add_parser("evaluate", help="kNN accuracy of a saved model",
-                       argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--pairs", help="training pairs defining the split")
-    p.add_argument("--k", type=int)
-    p.set_defaults(func="cmd_evaluate")
-
-    p = sub.add_parser("sweep", help="accuracy sweep over methods and budgets",
-                       argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--pairs")
-    p.add_argument("--relation", choices=RELATION_KINDS)
-    p.add_argument("--methods")
-    p.add_argument("--epsilons")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--out", dest="sweep_out", help="sweep CSV path")
-    _add_train_flags(p)
-    p.set_defaults(func="cmd_sweep")
-
-    p = sub.add_parser("compare-mechanisms",
-                       help="one-epoch objective traces per mechanism",
-                       argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--pairs")
-    p.add_argument("--relation", choices=RELATION_KINDS)
-    p.add_argument("--mechanisms")
-    p.add_argument("--out", dest="compare_out", help="comparison CSV path")
-    _add_train_flags(p)
-    p.set_defaults(func="cmd_compare_mechanisms")
-
+    for name, (defaults, help_text, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for key, default in defaults.items():
+            flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+            help_ = _HELP.get((name, key), _HELP.get(key))
+            kind = _option_type(key, default)
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_true", help=help_)
+            else:
+                p.add_argument(flag, dest=key, type=None if kind is str else kind,
+                               choices=_CHOICES.get(key), help=help_)
+            if key == "seed":  # every usage line reads --seed, then --config
+                p.add_argument("--config", help="JSON file of defaults for this command")
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -72,11 +72,18 @@ class SampleSet:
         return {i: k for k, i in enumerate(self.ids.tolist())}
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of ``seed``, which must be non-negative."""
+    if seed < 0:
+        raise ConfigInvalid(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def synth_two_gaussians(n_per_class: int, seed: int = 0) -> SampleSet:
     """Two anisotropic Gaussian strips with parallel major axes."""
     if n_per_class < 1:
         raise ConfigInvalid(f"n_per_class must be >= 1, got {n_per_class}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     a = rng.normal(TOY_MEAN_A, TOY_STD, size=(n_per_class, 2))
     b = rng.normal(TOY_MEAN_B, TOY_STD, size=(n_per_class, 2))
     x = np.vstack([a, b])
@@ -150,7 +157,7 @@ def sample_pairs(
         )
     if not density > 0:
         raise InfeasibleDensity(f"density must be positive, got {density}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     labels = samples.labels.tolist()
     total_possible = n * (n - 1) // 2
     seen: set[tuple[int, int]] = set()
@@ -222,7 +229,7 @@ def toy_pairs(
         raise InfeasibleDensity(
             f"toy selection needs exactly 2 classes, got {len(classes)}"
         )
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     idx_a = np.flatnonzero(samples.labels == classes[0])
     idx_b = np.flatnonzero(samples.labels == classes[1])
     if len(idx_a) < intra_per_class + 1:

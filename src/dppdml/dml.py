@@ -221,16 +221,19 @@ def gradient_row(
     return amat[row, 0] * pair.delta_x
 
 
-def _vector_norm(v: np.ndarray, norm_mode: str) -> float:
-    return float(np.abs(v).sum()) if norm_mode == "l1" else float(np.linalg.norm(v))
+def _norms(x: np.ndarray, norm_mode: str) -> np.ndarray:
+    """The l1 or l2 norm of ``x`` over its last axis."""
+    if norm_mode == "l1":
+        return np.add.reduce(np.abs(x), axis=-1)
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def clip_gradient(g: np.ndarray, h: float, norm_mode: str = "l1") -> np.ndarray:
     """Rescale ``g`` so its norm is at most ``h``; identity when already inside."""
     if not h > 0:
         raise ConfigInvalid(f"clipping threshold must be positive, got {h}")
-    norm = _vector_norm(np.asarray(g, dtype=float), norm_mode)
-    return np.asarray(g, dtype=float) / max(1.0, norm / h)
+    g = np.asarray(g, dtype=float)
+    return g / max(1.0, float(_norms(g, norm_mode)) / h)
 
 
 def step_size(tau: int) -> float:
@@ -243,16 +246,6 @@ def step_size(tau: int) -> float:
 # --- sensitivity bounds -----------------------------------------------------
 
 
-def sensitivity_basic(
-    kappa: int, h: float, batch_size: int, d_prime: int = 1
-) -> np.ndarray:
-    """Fixed per-row bound ``2 kappa h / batch_size`` from the Lipschitz cap,
-    as a ``(d_prime,)`` array."""
-    if kappa < 0 or not h > 0 or batch_size < 1 or d_prime < 1:
-        raise ConfigInvalid("kappa >= 0, h > 0, batch_size >= 1, d_prime >= 1 required")
-    return np.full(d_prime, _basic_bound(kappa, h, batch_size))
-
-
 def _basic_bound(kappa, h: float, batch_size):
     """``2 kappa h / batch_size`` for a kappa, or for a column of them."""
     return 2.0 * kappa * h / batch_size
@@ -261,14 +254,8 @@ def _basic_bound(kappa, h: float, batch_size):
 def _counterpart_bound(w: np.ndarray, h: float, margin: float, norm_mode: str) -> np.ndarray:
     """Worst-case clipped gradient norm of any replacement pair, per row of
     ``W``; ``w`` is one ``(d_prime, d)`` matrix or a stack ``(..., d_prime, d)``."""
-    d_prime = w.shape[-2]
-    if norm_mode == "l1":
-        w_norms = np.add.reduce(np.abs(w), axis=-1)
-        hinge_cap = 2.0 * margin * math.sqrt(d_prime)
-    else:
-        w_norms = np.sqrt(np.add.reduce(w * w, axis=-1))
-        hinge_cap = 2.0 * margin
-    return np.minimum(h, np.maximum(4.0 * w_norms, hinge_cap))
+    hinge_cap = 2.0 * margin * (math.sqrt(w.shape[-2]) if norm_mode == "l1" else 1.0)
+    return np.minimum(h, np.maximum(4.0 * _norms(w, norm_mode), hinge_cap))
 
 
 def _reduced_bound(
@@ -311,11 +298,7 @@ def sensitivity_reduced(
         block = np.atleast_2d(np.asarray(block, dtype=float))
         if block.shape[0] == 0:
             raise EmptyBatch("cannot bound sensitivity on an empty batch")
-        if norm_mode == "l1":
-            norms = np.abs(block).sum(axis=1)
-        else:
-            norms = np.linalg.norm(block, axis=1)
-        peaks.append(float(norms.max()))
+        peaks.append(float(_norms(block, norm_mode).max()))
     return _reduced_bound(
         np.array(peaks), w, h, margin, kappa, batch_size, norm_mode
     )
@@ -330,8 +313,8 @@ def default_margin(
     """Margin as ``ratio`` times the average dissimilar-pair distance.
 
     The distances are summed left to right in pair order. An l2 distance is
-    one row's dot product with itself, the BLAS dot that ``np.linalg.norm``
-    takes on a single vector, so each term equals ``_vector_norm`` of its row.
+    the square root of one row's dot product with itself, the BLAS dot that
+    ``np.linalg.norm`` takes on a single vector.
     """
     pairs = PairSet.of(pairs)
     return _default_margin(pairs.dx, pairs.y, ratio, norm_mode)
@@ -600,11 +583,7 @@ def train(
     own = [cell.run_pairs for cell in cells if cell.run_pairs is not None]
     dx_rows = np.concatenate([pairs.dx, *(dx.reshape(-1, d) for dx, _ in own)])
     dissimilar_rows = np.concatenate([pairs.y, *(y.ravel() for _, y in own)]) == 1
-    norm_rows = (
-        np.add.reduce(np.abs(dx_rows), axis=-1)
-        if cfg.norm_mode == "l1"
-        else np.sqrt(np.add.reduce(dx_rows * dx_rows, axis=-1))
-    )
+    norm_rows = _norms(dx_rows, cfg.norm_mode)
     source, margins, shared = [], [], None
     for cell, size in zip(cells, sizes):
         if cell.run_pairs is None:

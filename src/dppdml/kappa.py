@@ -29,8 +29,8 @@ for reports. The node-privacy baseline (maximum degree) is also provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Callable, Iterator, Mapping, NamedTuple
+from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .errors import ConfigInvalid, GraphTooLarge, SameNode
 from .pairgraph import NodeId, PairGraph
@@ -59,7 +59,7 @@ class KappaReport:
     kappa: int
     method: str
     witness_pair: tuple[NodeId, NodeId] | None = None
-    per_pair_terms: Mapping[tuple[NodeId, NodeId], tuple[int, int, int]] | None = None
+    per_pair_terms: dict[tuple[NodeId, NodeId], tuple[int, int, int]] | None = None
     detail: str | None = None
 
     def __post_init__(self):
@@ -82,42 +82,6 @@ class KappaReport:
         if self.detail is not None:
             d["detail"] = self.detail
         return d
-
-
-class PairTerms(Mapping):
-    """Read-only per-pair terms of a graph of at most 24 nodes, as
-    :func:`pair_terms` builds them: 3 bytes per pair, keyed through the
-    graph's own node index (the graph is shared, not copied).
-
-    Keys are the node-id pairs ``(a, b)`` with ``a`` before ``b`` in index
-    order, iterated in ``combinations`` order; a reversed or unknown key
-    raises ``KeyError``. Every term is at most the degree, below 256.
-    """
-
-    __slots__ = ("_graph", "_terms")
-
-    def __init__(self, graph: PairGraph, terms: bytes):
-        self._graph = graph
-        self._terms = terms
-
-    def __getitem__(self, key) -> tuple[int, int, int]:
-        if not isinstance(key, tuple) or len(key) != 2:
-            raise KeyError(key)
-        a, b = (self._graph.node_index(v) for v in key)  # UnknownNode: a KeyError
-        if a >= b:
-            raise KeyError(key)
-        # pairs before (a, b) in combinations order, times 3 bytes
-        at = 3 * (a * (2 * self._graph.num_nodes - a - 1) // 2 + b - a - 1)
-        return tuple(self._terms[at:at + 3])
-
-    def __iter__(self) -> Iterator[tuple[NodeId, NodeId]]:
-        return combinations(self._graph.nodes(), 2)
-
-    def __len__(self) -> int:
-        return len(self._terms) // 3
-
-    def __repr__(self) -> str:
-        return f"PairTerms({dict(self)!r})"
 
 
 # --- edge-disjoint paths (unit-capacity max flow) --------------------------
@@ -391,13 +355,14 @@ def _intransitive_rule(g: PairGraph) -> _PairRule:
     )
 
 
-def pair_terms(g: PairGraph) -> PairTerms:
+def pair_terms(g: PairGraph) -> dict[tuple[NodeId, NodeId], tuple[int, int, int]]:
     """Every pair's (path count, c_s, c_t) on a graph of at most
-    :data:`TERMS_NODE_LIMIT` nodes, in index order, by the rule of the
-    graph's relation kind: the terms whose maximum :func:`kappa_exact` or
-    :func:`kappa_intransitive` returns. ``analyze-kappa`` reports them; no
-    privacy distance needs them. Raises :class:`GraphTooLarge` above the
-    limit."""
+    :data:`TERMS_NODE_LIMIT` nodes, by the rule of the graph's relation
+    kind: the terms whose maximum :func:`kappa_exact` or
+    :func:`kappa_intransitive` returns. Keyed by the node-id pairs ``(a,
+    b)``, ``a`` before ``b`` in index order, in ``combinations`` order.
+    ``analyze-kappa`` reports them; no privacy distance needs them. Raises
+    :class:`GraphTooLarge` above the limit."""
     n = g.num_nodes
     if n > TERMS_NODE_LIMIT:
         raise GraphTooLarge(
@@ -408,9 +373,10 @@ def pair_terms(g: PairGraph) -> PairTerms:
         _transitive_rule(g) if g.relation_kind == "transitive"
         else _intransitive_rule(g)
     )
-    return PairTerms(g, bytes(chain.from_iterable(
-        rule.triple(a, b) for a, b in combinations(range(n), 2)
-    )))
+    ids = g.nodes()
+    return {
+        (ids[a], ids[b]): rule.triple(a, b) for a, b in combinations(range(n), 2)
+    }
 
 
 def kappa_exact(g: PairGraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> KappaReport:

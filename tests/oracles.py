@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from dppdml.dataio import SampleSet
-from dppdml.dml import MetricModel, TrainTrace, sensitivity_basic, step_size
+from dppdml.dml import MetricModel, TrainTrace, step_size
 from dppdml.errors import (
     InfeasibleBalance,
     InfeasibleDensity,
@@ -765,6 +765,14 @@ def _reference_coefficients(w, dx, y, margin: float):
     coef[dead] = 0.0
     degenerate = int(np.count_nonzero((y == 1) & (d_w == 0)))
     return proj * coef, degenerate
+
+
+def sensitivity_basic(
+    kappa: int, h: float, batch_size: int, d_prime: int = 1
+) -> np.ndarray:
+    """Fixed per-row bound ``2 kappa h / batch_size`` from the Lipschitz cap,
+    as a ``(d_prime,)`` array: the training loop's basic bound."""
+    return np.full(d_prime, 2.0 * kappa * h / batch_size)
 
 
 def _reference_reduced_bound(g_peaks, w, h, margin, kappa, batch_size, norm_mode):

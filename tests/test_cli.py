@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 
@@ -464,6 +465,40 @@ class TestParserCache:
         assert second["epsilon"] == cli.TRAIN_DEFAULTS["epsilon"] != 1.0
         assert {**first, "epsilon": second["epsilon"],
                 "out_dir": second["out_dir"]} == second
+
+
+class TestFlagsFromDefaults:
+    """A subcommand's flags, other than ``--config``, are exactly the keys of
+    its defaults table, in its order, each parsing to its default's type."""
+
+    RENAMED = {"model_out": "--out", "sweep_out": "--out", "compare_out": "--out",
+               "trace_out": "--trace"}
+    OPTIONAL_NUMBERS = {"margin", "staircase_gamma"}
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_one_flag_per_key(self, command):
+        defaults = cli.COMMANDS[command][0]
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in sub.choices[command]._actions
+                   if a.dest not in ("help", "config")]
+        assert [a.dest for a in actions] == list(defaults)
+        for action in actions:
+            key, default = action.dest, defaults[action.dest]
+            flag = self.RENAMED.get(key, "--" + key.replace("_", "-"))
+            assert action.option_strings == [flag]
+            if isinstance(default, bool):
+                value = True
+            elif default is None:
+                value = 0.25 if key in self.OPTIONAL_NUMBERS else "given.csv"
+            elif action.choices:
+                value = action.choices[-1]
+            else:
+                value = default + type(default)(1)
+            argv = [flag] if value is True else [flag, str(value)]
+            parsed = getattr(parser.parse_args([command, *argv]), key)
+            assert parsed == value and type(parsed) is type(value), (key, parsed)
 
 
 class TestResolvedConfig:

@@ -20,6 +20,7 @@ from dppdml.dataio import (
     toy_pairs,
 )
 from dppdml.errors import (
+    ConfigInvalid,
     InfeasibleBalance,
     InfeasibleDensity,
     MissingLabelColumn,
@@ -52,6 +53,10 @@ class TestSynth:
         minor_std = samples.x[samples.labels == 0, 1].std()
         gap = np.linalg.norm(mean1 - mean0)
         assert gap / minor_std > 0.8 * dataio.TOY_SEPARATION_RATIO
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigInvalid, match="seed must be >= 0, got -1"):
+            synth_two_gaussians(5, seed=-1)
 
 
 class TestNormalize:
@@ -157,6 +162,11 @@ class TestSamplePairs:
         b = sample_pairs(samples, 1.5, seed=42)
         assert [(p.i, p.j, p.y) for p in a] == [(p.i, p.j, p.y) for p in b]
 
+    def test_rejects_negative_seed(self):
+        samples = normalize(synth_two_gaussians(20, seed=0))
+        with pytest.raises(ConfigInvalid, match="seed must be >= 0, got -1"):
+            sample_pairs(samples, 1.5, seed=-1)
+
 
 class TestToyPairs:
     def test_counts_and_acyclicity(self):
@@ -177,6 +187,11 @@ class TestToyPairs:
         samples = normalize(synth_two_gaussians(30, seed=0))
         with pytest.raises(ValueError):
             toy_pairs(samples, 50, 50, seed=0)
+
+    def test_rejects_negative_seed(self):
+        samples = normalize(synth_two_gaussians(20, seed=0))
+        with pytest.raises(ConfigInvalid, match="seed must be >= 0, got -1"):
+            toy_pairs(samples, 3, 3, seed=-1)
 
 
 class TestPairsMatchReference:

@@ -19,7 +19,6 @@ from dppdml.dml import (
     dataset_objective,
     default_margin,
     gradient_row,
-    sensitivity_basic,
     sensitivity_reduced,
     step_size,
     train,
@@ -36,6 +35,7 @@ from dppdml.mechanisms import input_perturb
 from dppdml.pairgraph import PairSet, PairwiseDatum, build_graph
 
 from . import oracles
+from .oracles import sensitivity_basic
 
 
 def pair(dx, y, i=0, j=1):
