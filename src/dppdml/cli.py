@@ -488,7 +488,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return globals()[args.func](args)
-    except (DppError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DppError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError, json.JSONDecodeError) as exc:
+        # bad input, or a path that is missing or of the wrong kind (the
+        # OSError's message names the path)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

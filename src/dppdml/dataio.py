@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,7 +268,8 @@ def load_csv(
 ) -> SampleSet:
     """Load samples from delimited text with a header row, a whole column at
     a time. Blank rows are skipped; in a faulty file the earliest faulty row
-    raises :class:`ParseError` (a repeated id names the row that first gave it).
+    raises :class:`ParseError` (a repeated id names the row that first gave
+    it, and a NaN or infinite feature its column).
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh, delimiter=delimiter))
@@ -289,6 +291,8 @@ def load_csv(
             raise ValueError("a row of the wrong width")
         cols = list(zip(*body))
         x = _float_matrix([cols[k] for k in feat_idx], len(kept))
+        if not np.isfinite(x).all():
+            raise ValueError("a feature is NaN or infinite")
         try:
             labels = list(map(float, cols[label_idx]))
             if not all(map(float.is_integer, labels)):
@@ -327,7 +331,11 @@ def _raise_faulty_row(rows, header, label_idx, id_idx, feat_idx) -> None:
     for rownum, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
-        _parse_features(row, rownum, len(header), feat_idx)
+        features = _parse_features(row, rownum, len(header), feat_idx)
+        for c, value in zip(feat_idx, features):
+            if not math.isfinite(value):
+                raise ParseError(f"row {rownum}, col {c + 1}: feature {row[c]!r} is "
+                                 "not finite", row=rownum, col=c + 1)
         _parse_label(row[label_idx], rownum, label_idx + 1)
         if id_idx is not None:
             node_id = _parse_node_id(row[id_idx])

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateDistance,
     DimensionMismatch,
     EmptyBatch,
+    NonFiniteValue,
     NonPositiveScale,
 )
 from .kappa import KappaReport, compute_kappa
@@ -86,7 +87,12 @@ class MetricModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricModel":
+        """The model of a ``to_dict`` mapping, as read from a model file; a
+        NaN or infinite weight raises :class:`NonFiniteValue`."""
         w = np.array(d["w"], dtype=float).reshape(d["d_prime"], d["d"])
+        if not np.isfinite(w).all():
+            k = int(np.argmin(np.isfinite(w.ravel())))
+            raise NonFiniteValue(f"model weight w[{k}] is {w.flat[k]}, not finite")
         return cls(w)
 
 

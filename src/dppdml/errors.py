@@ -75,6 +75,11 @@ class EmptyTestSet(DppError, ValueError):
     """kNN accuracy requested on no test points."""
 
 
+class NonFiniteValue(DppError, ValueError):
+    """A number that must be finite (a model weight, a kNN distance) is NaN
+    or infinite."""
+
+
 # --- data generation / ingestion ---
 
 class InfeasibleDensity(DppError, ValueError):

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     EmptyTestSet,
     EmptyTrainSet,
+    NonFiniteValue,
     UnknownNode,
 )
 from .kappa import KappaReport, compute_kappa, kappa_node_dp
@@ -75,6 +76,14 @@ def knn_accuracy(
     scored in one pass as a tuple with one accuracy each. Vote ties fall
     back to the nearest neighbour's label; equal distances prefer the lower
     training index.
+
+    The neighbours are selected, not sorted: each row's k-th smallest
+    squared distance comes from ``np.partition``, and the k nearest are the
+    points strictly below it and then the lowest-index points at it, so a
+    row costs O(n_train) at any ``k``. The selection is exact only for
+    finite distances, so a squared distance that is NaN or infinite (a
+    non-finite input, or finite ones large enough to overflow) raises
+    :class:`NonFiniteValue`.
     """
     single = isinstance(model, MetricModel)
     models = [model] if single else list(model)
@@ -101,29 +110,42 @@ def knn_accuracy(
             raise DimensionMismatch(
                 f"expected an n x {ws.shape[-1]} matrix, got shape {x.shape}"
             )
-    # each model's projections, as ``project`` computes them
-    p_train = train_x @ ws.swapaxes(-1, -2)               # (models, n_train, d_prime)
-    p_test = test_x @ ws.swapaxes(-1, -2)
-    sq_train = np.add.reduce(p_train**2, axis=-1)[..., None, :]
-    sq_test = np.add.reduce(p_test**2, axis=-1)[..., :, None]
-    n_test, n_classes = len(test_x), len(classes)
+    # each model's projections, as ``project`` computes them; an overflow
+    # is reported below, as a non-finite distance
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_train = train_x @ ws.swapaxes(-1, -2)           # (models, n_train, d_prime)
+        p_test = test_x @ ws.swapaxes(-1, -2)
+        sq_train = np.add.reduce(p_train**2, axis=-1)[..., None, :]
+        sq_test = np.add.reduce(p_test**2, axis=-1)[..., :, None]
+    n_test = len(test_x)
+    one_hot = (y_train[:, None] == np.arange(len(classes))).astype(float)
     # the models are scored in chunks whose distance matrices hold at most
     # OBJECTIVE_BLOCK elements, or one model's where that alone is more
     chunk = max(1, OBJECTIVE_BLOCK // (n_test * len(train_x)))
     correct = []
     for part in (slice(m, m + chunk) for m in range(0, len(models), chunk)):
         # squared distances suffice for ranking
-        d2 = sq_test[part] + sq_train[part] - 2.0 * p_test[part] @ p_train[part].swapaxes(-1, -2)
-        nearest = np.argsort(d2, axis=-1, kind="stable")[..., :k]
-        neighbour_labels = y_train[nearest]                 # (chunk, n_test, k)
-        rows = len(d2) * n_test
-        cells = np.arange(rows).reshape(len(d2), n_test, 1) * n_classes + neighbour_labels
-        votes = np.bincount(cells.ravel(), minlength=rows * n_classes).reshape(
-            len(d2), n_test, n_classes
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = sq_test[part] + sq_train[part] - 2.0 * p_test[part] @ p_train[part].swapaxes(-1, -2)
+        if not np.isfinite(d2).all():
+            raise NonFiniteValue(
+                "kNN distances are not finite: the features or the model hold "
+                "NaN or infinity, or are large enough to overflow"
+            )
+        kth = np.partition(d2, k - 1, axis=-1)[..., k - 1, None]
+        nearest = d2 <= kth
+        # a row with more than k points at or below its k-th distance keeps
+        # only the lowest-index ties at that distance, as a stable sort does
+        extra = np.count_nonzero(nearest, axis=-1) - k
+        if extra.any():
+            at = d2 == kth
+            kept = np.count_nonzero(at, axis=-1) - extra
+            nearest &= ~at | (np.cumsum(at, axis=-1) <= kept[..., None])
+        votes = nearest.astype(float) @ one_hot              # (chunk, n_test, classes)
         top = np.maximum.reduce(votes, axis=-1)
         tied = np.add.reduce(votes == top[..., None], axis=-1) > 1
-        pred = np.where(tied, neighbour_labels[..., 0], votes.argmax(axis=-1))
+        # argmin takes the first minimum: the nearest point of lowest index
+        pred = np.where(tied, y_train[np.argmin(d2, axis=-1)], votes.argmax(axis=-1))
         correct += np.count_nonzero(pred == y_test, axis=-1).tolist()
     accuracy = [c / n_test for c in correct]
     return accuracy[0] if single else tuple(accuracy)

@@ -162,7 +162,9 @@ def input_perturb(
     exactly 0. So when the block holds no 0, the generator is rewound and
     the noise is ``laplace`` over the same ``(n, d + 1)`` doubles, without
     the label column, after which the generator resumes past the block. If
-    the block holds a 0, the pairs are drawn one at a time instead.
+    the block holds a 0, the pairs are drawn one at a time instead. The
+    noisy set shares the input's endpoints (:meth:`PairSet.with_values`), so
+    only its labels and features are checked again.
     """
     if not epsilon > 0:
         raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
@@ -194,5 +196,5 @@ def input_perturb(
             label_draw[row] = rng.random()
     flipped = label_draw >= _keep_probability(eps_label)
     y = np.where(flipped, 1 - pairs.y, pairs.y)
-    return PairSet(pairs.i, pairs.j, pairs.dx + noise, y)
+    return pairs.with_values(pairs.dx + noise, y)
 

@@ -102,6 +102,11 @@ class PairSet:
         k = _first_fault(i, j, dx, y)
         if k >= 0:
             PairwiseDatum(i[k], j[k], dx[k], y.tolist()[k])  # raises its error
+        self._keep(i, j, dx, y)
+
+    def _keep(self, i: tuple, j: tuple, dx: np.ndarray, y: np.ndarray) -> None:
+        """Hold checked columns, with the labels as ints and both arrays
+        read-only."""
         y = y.astype(int)
         dx.setflags(write=False)
         y.setflags(write=False)
@@ -109,6 +114,28 @@ class PairSet:
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "y", y)
+
+    def with_values(self, dx, y) -> "PairSet":
+        """These pairs with the feature differences ``dx`` and labels ``y`` in
+        place of their own, as a new set.
+
+        The endpoints were checked when this set was made, so the new set
+        shares its ``i``/``j`` tuples and compares no endpoints; only the
+        labels and features are checked, vectorized, and the first faulty
+        pair raises the error ``PairwiseDatum`` raises for it."""
+        dx = np.array(dx, dtype=float, order="C")
+        y = np.array(y)
+        if dx.shape != self.dx.shape or y.shape != self.y.shape:
+            raise DimensionMismatch(
+                f"new columns must have shapes {self.dx.shape} and "
+                f"{self.y.shape}, got {dx.shape} and {y.shape}"
+            )
+        if not (np.isfinite(dx).all() and ((y == 0) | (y == 1)).all()):
+            k = int(np.argmax(_value_faults(dx, y)))
+            PairwiseDatum(self.i[k], self.j[k], dx[k], y.tolist()[k])  # raises
+        derived = object.__new__(PairSet)
+        derived._keep(self.i, self.j, dx, y)
+        return derived
 
     @classmethod
     def of(cls, pairs: "Sequence[PairwiseDatum] | PairSet") -> "PairSet":
@@ -138,11 +165,14 @@ class PairSet:
         return (self[k] for k in range(len(self)))
 
 
+def _value_faults(dx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per pair, whether its label is not 0 or 1 or a feature is not finite."""
+    return ~((y == 0) | (y == 1)) | ~np.isfinite(dx).all(axis=1)
+
+
 def _first_fault(i: Sequence, j: Sequence, dx: np.ndarray, y: np.ndarray) -> int:
     """Index of the first pair that ``PairwiseDatum`` rejects, or -1."""
-    faulty = np.fromiter(map(operator.eq, i, j), bool, len(i))
-    faulty |= ~((y == 0) | (y == 1))
-    faulty |= ~np.isfinite(dx).all(axis=1)
+    faulty = np.fromiter(map(operator.eq, i, j), bool, len(i)) | _value_faults(dx, y)
     return int(np.argmax(faulty)) if faulty.any() else -1
 
 

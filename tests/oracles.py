@@ -668,7 +668,12 @@ def reference_load_csv(path, label_col: str = "label", id_col: str = "id",
         for rownum, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            rows.append(_reference_features(row, rownum, len(header), feat_idx))
+            feats = _reference_features(row, rownum, len(header), feat_idx)
+            for c, value in zip(feat_idx, feats):
+                if not math.isfinite(value):
+                    raise ParseError(f"row {rownum}, col {c + 1}: feature "
+                                     f"{row[c]!r} is not finite", row=rownum, col=c + 1)
+            rows.append(feats)
             labels.append(_reference_label(row[label_idx], rownum, label_idx + 1))
             if id_idx is not None:
                 node_id = _reference_node_id(row[id_idx])

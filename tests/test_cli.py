@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -676,6 +677,67 @@ class TestExitCodes:
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert run(["analyze-kappa", "--pairs", tmp_path / "ghost.csv"]) == 2
+
+    @pytest.mark.parametrize("case", ["train --pairs <dir>", "evaluate --model <dir>",
+                                      "synth --out-dir <file>",
+                                      "train --pairs <file>/x"])
+    def test_path_of_the_wrong_kind_exits_two_naming_it(self, case, toy_files,
+                                                        tmp_path, capsys):
+        samples_path, pairs_path = toy_files
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv, named = {
+            "train --pairs <dir>": (["train", "--pairs", folder], folder),
+            "evaluate --model <dir>": (
+                ["evaluate", "--model", folder, "--data", samples_path], folder),
+            "synth --out-dir <file>": (["synth"], samples_path),
+            "train --pairs <file>/x": (
+                ["train", "--pairs", samples_path / "x"], samples_path / "x"),
+        }[case]
+        out = samples_path if case.startswith("synth") else tmp_path / "out"
+        capsys.readouterr()
+        assert run(argv + ["--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(named)) in err
+
+    def test_non_finite_model_weight_exits_two(self, toy_files, tmp_path, capsys):
+        samples_path, pairs_path = toy_files
+        model_path = tmp_path / "model.json"
+        assert run(["train", "--pairs", pairs_path, "--out", model_path,
+                    "--out-dir", tmp_path / "m", "--t-max", 1]) == 0
+        payload = json.loads(model_path.read_text())
+        payload["w"][1] = math.nan
+        model_path.write_text(json.dumps(payload))  # writes the token NaN
+        capsys.readouterr()
+        assert run(["evaluate", "--model", model_path, "--data", samples_path,
+                    "--out-dir", tmp_path / "eval"]) == 2
+        assert capsys.readouterr().err == "error: model weight w[1] is nan, not finite\n"
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_non_finite_sample_feature_exits_two(self, command, toy_files,
+                                                 tmp_path, capsys):
+        samples_path, pairs_path = toy_files
+        lines = samples_path.read_text().splitlines(keepends=True)
+        header = lines[0].strip().split(",")
+        col = next(c for c, name in enumerate(header) if name not in ("id", "label"))
+        row = lines[5].split(",")
+        row[col] = "nan"
+        lines[5] = ",".join(row)
+        bad = tmp_path / "samples.csv"
+        bad.write_text("".join(lines))
+        argv = {
+            "evaluate": ["evaluate", "--model", tmp_path / "model.json"],
+            "sweep": ["sweep", "--pairs", pairs_path, "--repeats", 1],
+        }[command]
+        if command == "evaluate":
+            assert run(["train", "--pairs", pairs_path, "--out",
+                        tmp_path / "model.json", "--out-dir", tmp_path / "m",
+                        "--t-max", 1]) == 0
+        capsys.readouterr()
+        assert run(argv + ["--data", bad, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: row 6, col {col + 1}: feature 'nan' is not finite\n")
 
     def test_compare_mechanisms_rerun_byte_identical(self, toy_files, tmp_path):
         _, pairs_path = toy_files

@@ -304,6 +304,16 @@ class TestCsv:
         assert err.value.row == 3
         assert err.value.col == 3
 
+    @pytest.mark.parametrize("cell", ["nan", " NaN", "inf", "-Infinity", "1e999"])
+    def test_non_finite_feature_rejected_naming_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "samples.csv"
+        path.write_text(f"id,f1,label,f2\n0,0.1,0,0.2\n1,0.3,1,0.4\n"
+                        f"2,0.5,0,{cell}\n3,nan,1,0.8\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert (err.value.row, err.value.col) == (4, 4)
+        assert str(err.value) == f"row 4, col 4: feature {cell!r} is not finite"
+
     @pytest.mark.parametrize("label", ["1.5", "-0.5", "inf", "nan"])
     def test_non_integral_label_rejected(self, tmp_path, label):
         path = tmp_path / "samples.csv"
@@ -483,6 +493,10 @@ class TestLoadCsvMatchesReference:
         "infinite label": "id,label,f1\n0,cat,0.1\n1,-inf,0.2\n",
         "non-integer label among text": "id,label,f1\n0,cat,0.1\n1,0.5,0.2\n",
         "bad feature": "id,label,f1\n0,0,0.1\n1,1,abc\n",
+        "NaN feature": "id,label,f1,f2\n0,0,0.1,0.2\n1,1,0.2,nan\n",
+        "infinite feature without ids": "label,f1\n0,0.1\n\n1,-inf\n",
+        "NaN feature, then bad label": "id,label,f1\n1,0,nan\n2,0.5,0.3\n",
+        "bad label and NaN feature in one row": "id,label,f1\n1,0.5,nan\n",
         "ragged row": "id,label,f1\n0,0,0.1\n1,1,0.2,0.3\n",
         "short row": "id,label,f1,f2\n0,0,0.1,0.2\n1,1,0.2\n",
         "short row after blanks": "id,label,f1\n\n0,0,0.1\n , , \n2,0\n",

@@ -28,6 +28,7 @@ from dppdml.errors import (
     DegenerateDistance,
     DimensionMismatch,
     EmptyBatch,
+    NonFiniteValue,
     NonPositiveScale,
 )
 from dppdml.kappa import KappaReport, compute_kappa
@@ -58,6 +59,20 @@ def vii_a_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+class TestMetricModelFile:
+    def test_round_trip(self):
+        w = np.array([[0.5, -1.25, 3.0], [0.0, 2.0, 1e-300]])
+        model = MetricModel.from_dict(MetricModel(w).to_dict())
+        assert model.w.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected_naming_it(self, bad):
+        payload = MetricModel(np.eye(2)).to_dict()
+        payload["w"][2] = bad
+        with pytest.raises(NonFiniteValue, match=rf"^model weight w\[2\] is {bad}, not finite$"):
+            MetricModel.from_dict(payload)
 
 
 class TestContrastiveLoss:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from dppdml.errors import (
     DppError,
     EmptyTestSet,
     EmptyTrainSet,
+    NonFiniteValue,
 )
 from dppdml.evaluation import (
     METHODS,
@@ -25,7 +27,7 @@ from dppdml.evaluation import (
 )
 from dppdml.kappa import compute_kappa
 from dppdml.mechanisms import input_perturb
-from dppdml.pairgraph import build_graph
+from dppdml.pairgraph import PairSet, PairwiseDatum, build_graph
 
 from . import oracles
 
@@ -35,6 +37,21 @@ def benchmark(n_per_class=60, seed=0, density=1.5):
     pairs = dataio.sample_pairs(samples, density, seed=seed)
     graph = build_graph(pairs)
     return samples, pairs, graph
+
+
+def grid_data(seed):
+    """Train and test points on a small integer grid, drawn with repeats (so
+    the identity map gives exact distance ties), half the test points off
+    the grid, and three string classes (so even ``k`` gives tied votes)."""
+    gen = np.random.default_rng(seed)
+    grid = gen.integers(-2, 3, (12, 2)).astype(float)
+    train_x = grid[gen.integers(0, 12, 40)]
+    test_x = np.vstack([grid[gen.integers(0, 12, 15)],
+                        gen.normal(0, 1.5, (15, 2))])
+    names = np.array(["ant", "bee", "cat"])
+    train_labels = names[gen.integers(0, 3, 40)]
+    test_labels = names[gen.integers(0, 3, 30)]
+    return gen, (train_x, train_labels, test_x, test_labels)
 
 
 class TestProject:
@@ -145,21 +162,21 @@ class TestKnnMatchesRowReference:
     identity map; even ``k`` and three classes give tied votes."""
 
     @pytest.mark.parametrize("transform", ["identity", "random"])
-    @pytest.mark.parametrize("k", [1, 2, 4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 6, 40])  # 40: every training point
     @pytest.mark.parametrize("seed", range(3))
     def test_ties_duplicates_and_three_string_classes(self, transform, k, seed):
-        gen = np.random.default_rng(seed)
-        grid = gen.integers(-2, 3, (12, 2)).astype(float)
-        train_x = grid[gen.integers(0, 12, 40)]
-        test_x = np.vstack([grid[gen.integers(0, 12, 15)],
-                            gen.normal(0, 1.5, (15, 2))])
-        names = np.array(["ant", "bee", "cat"])
-        train_labels = names[gen.integers(0, 3, 40)]
-        test_labels = names[gen.integers(0, 3, 30)]
+        gen, data = grid_data(seed)
         w = np.eye(2) if transform == "identity" else gen.normal(0, 1, (2, 2))
-        model = MetricModel(w)
-        args = (model, train_x, train_labels, test_x, test_labels, k)
+        args = (MetricModel(w), *data, k)
         assert knn_accuracy(*args) == oracles.reference_knn_accuracy(*args)
+
+    def test_ties_at_the_kth_distance_keep_the_lowest_indices(self):
+        # five points tie at the 3rd distance; the stable order keeps indices
+        # 1 and 2 (label 1), so label 1 wins 2 votes to 1
+        model = MetricModel(np.eye(1))
+        x_tr = np.array([[0.0], [1.0], [-1.0], [1.0], [-1.0], [1.0]])
+        args = (model, x_tr, [0, 1, 1, 0, 0, 0], np.array([[0.0]]), [1], 3)
+        assert knn_accuracy(*args) == 1.0 == oracles.reference_knn_accuracy(*args)
 
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_random_data_integer_labels(self, rng, k):
@@ -175,22 +192,15 @@ class TestStackedKnnMatchesPerModelLoop:
     returns what one call per model returns, and what the row-at-a-time
     reference returns, for each model."""
 
-    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])  # 40: every training point
     @pytest.mark.parametrize("seed", range(3))
     def test_ties_three_string_classes(self, k, seed):
-        gen = np.random.default_rng(seed)
-        grid = gen.integers(-2, 3, (12, 2)).astype(float)
-        train_x = grid[gen.integers(0, 12, 40)]
-        test_x = np.vstack([grid[gen.integers(0, 12, 15)],
-                            gen.normal(0, 1.5, (15, 2))])
-        names = np.array(["ant", "bee", "cat"])
-        train_labels = names[gen.integers(0, 3, 40)]
-        test_labels = names[gen.integers(0, 3, 30)]
+        gen, data = grid_data(seed)
         # the identity map keeps the grid's exact distance ties
         models = [MetricModel(np.eye(2))] + [
             MetricModel(gen.normal(0, 1, (2, 2))) for _ in range(4)
         ]
-        data = (train_x, train_labels, test_x, test_labels, k)
+        data = (*data, k)
         stacked = knn_accuracy(models, *data)
         assert isinstance(stacked, tuple)
         assert stacked == tuple(knn_accuracy(m, *data) for m in models)
@@ -212,16 +222,35 @@ class TestStackedKnnMatchesPerModelLoop:
         per_model = tuple(knn_accuracy(m, *data) for m in models)
         # 30 test x 40 train distances: two models' matrices fit 2,500 elements
         monkeypatch.setattr(evaluation, "OBJECTIVE_BLOCK", 2500)
-        sorted_shapes = []
-        argsort = np.argsort
+        selected_shapes = []
+        partition = np.partition
 
         def spy(a, *args, **kwargs):
-            sorted_shapes.append(a.shape)
-            return argsort(a, *args, **kwargs)
+            selected_shapes.append(a.shape)
+            return partition(a, *args, **kwargs)
 
-        monkeypatch.setattr(evaluation.np, "argsort", spy)
+        monkeypatch.setattr(evaluation.np, "partition", spy)
         assert knn_accuracy(models, *data) == per_model
-        assert sorted_shapes == [(2, 30, 40)] * 3 + [(1, 30, 40)]
+        assert selected_shapes == [(2, 30, 40)] * 3 + [(1, 30, 40)]
+
+    @pytest.mark.parametrize("case", ["overflowing features", "overflowing model",
+                                      "NaN train feature", "infinite test feature"])
+    def test_non_finite_distances_raise(self, case, rng):
+        train_x, test_x = rng.normal(0, 1, (8, 2)), rng.normal(0, 1, (3, 2))
+        models = [MetricModel(np.eye(2))] * 3
+        if case == "overflowing features":
+            train_x[5] = 1e200
+        elif case == "overflowing model":
+            models[2] = MetricModel(np.eye(2) * 1e200)
+        elif case == "NaN train feature":
+            train_x[0, 1] = np.nan
+        else:
+            test_x[2, 0] = -np.inf
+        data = (train_x, [0, 1] * 4, test_x, [0, 1, 0], 3)
+        with pytest.raises(NonFiniteValue, match="kNN distances are not finite"):
+            knn_accuracy(models, *data)
+        with pytest.raises(NonFiniteValue):
+            knn_accuracy(models[2], *data)
 
     def test_dimension_checked(self, rng):
         models = [MetricModel(np.eye(2)), MetricModel(np.eye(2))]
@@ -388,3 +417,40 @@ class TestRunExperiment:
                     model, samples.x[train_idx], samples.labels[train_idx],
                     samples.x[test_idx], samples.labels[test_idx],
                 )
+
+
+class TestPerturbedRuns:
+    """``_perturbed`` stacks the noisy sets ``input_perturb`` derives from
+    the checked input set, one per run, bit for bit."""
+
+    @pytest.mark.parametrize("epsilon", [0.5, 4.0, math.inf])
+    def test_stack_equals_the_runs_of_input_perturb(self, epsilon):
+        _, pairs, _ = benchmark()
+        runs = [0, 2, 5]
+        dx, y = evaluation._perturbed(pairs, epsilon, 9, runs)
+        noisy = [input_perturb(pairs, epsilon, np.random.default_rng([1347, 9 + r]))
+                 for r in runs]
+        assert dx.tobytes() == np.stack([p.dx for p in noisy]).tobytes()
+        assert y.tobytes() == np.stack([p.y for p in noisy]).tobytes()
+        assert (dx.shape, y.shape, y.dtype) == ((3, *pairs.dx.shape), (3, len(pairs)),
+                                                pairs.y.dtype)
+        for p, r in zip(noisy, runs):
+            ref = oracles.reference_input_perturb(
+                pairs, epsilon, np.random.default_rng([1347, 9 + r]))
+            assert p.dx.tobytes() == np.stack([q.delta_x for q in ref]).tobytes()
+            assert p.y.tolist() == [q.y for q in ref]
+            assert p.i is pairs.i and p.j is pairs.j
+
+    def test_faulty_derived_set_raises_the_datum_error(self):
+        # features at the largest float overflow under the noise of a tiny
+        # budget, and the derived set rejects them as ``PairwiseDatum`` does
+        big = np.finfo(float).max
+        pairs = PairSet([0, 2, 4, 6], [1, 3, 5, 7], np.full((4, 2), big), [0, 1, 0, 1])
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+            evaluation._perturbed(pairs, 1e-300, 0, [0])
+        named = re.fullmatch(r"pair \((\d), (\d)\) .*", str(err.value))
+        i, j = map(int, named.groups())
+        assert j == i + 1
+        with pytest.raises(ValueError) as want:
+            PairwiseDatum(i, j, np.array([np.inf, big]), 0)
+        assert (type(err.value), str(err.value)) == (type(want.value), str(want.value))

@@ -196,6 +196,34 @@ class TestPairSet:
         # datum rows are read-only views of the matrix, not copies
         assert np.shares_memory(ps[2].delta_x, ps.dx)
 
+    def test_with_values_equals_a_fully_checked_set(self):
+        ps = PairSet(*self.IDS, self.rows(), [0, 1, 0, 1])
+        dx, y = self.rows() * -0.5, np.array([1.0, 1.0, 0.0, 0.0])
+        derived = ps.with_values(dx, y)
+        full = PairSet(*self.IDS, dx, y)
+        assert derived.i is ps.i and derived.j is ps.j
+        assert derived.dx.tobytes() == full.dx.tobytes()
+        assert derived.y.tolist() == full.y.tolist() and derived.y.dtype == full.y.dtype
+        assert not derived.dx.flags.writeable and not derived.y.flags.writeable
+        dx[0, 0] = 99.0  # the derived set holds its own copy
+        assert derived.dx[0, 0] == -0.0
+
+    @pytest.mark.parametrize("dx_value, label", [(np.nan, 0), (np.inf, 0), (0.0, 2),
+                                                 (0.0, 0.5)])
+    def test_with_values_raises_the_datum_error(self, dx_value, label):
+        ps = PairSet(*self.IDS, self.rows(), [0, 1, 0, 1])
+        dx = self.rows(2, dx_value)
+        got = _error(lambda: ps.with_values(dx, [0, 1, label, 1]))
+        assert got[0] is ValueError
+        assert got == _error(lambda: PairSet(*self.IDS, dx, [0, 1, label, 1]))
+
+    def test_with_values_checks_shapes(self):
+        ps = PairSet(*self.IDS, self.rows(), [0, 1, 0, 1])
+        with pytest.raises(DimensionMismatch):
+            ps.with_values(self.rows()[:3], [0, 1, 0])
+        with pytest.raises(DimensionMismatch):
+            ps.with_values(self.rows()[:, :1], [0, 1, 0, 1])
+
     def test_graph_built_from_a_pairset(self):
         pairs = [datum("a", "b"), datum("b", "c", 1)]
         g = build_graph(PairSet.of(pairs))
