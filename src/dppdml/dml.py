@@ -401,16 +401,31 @@ def _coefficients(
     of row r, and ``degenerate`` counts, per ``W``, the dissimilar pairs at
     zero distance, for which the zero subgradient is used (None when no
     distance is zero).
+
+    With no zero distance the hinge quotient is taken everywhere and kept
+    where active, which is faster than a masked divide. Only a quotient it
+    drops can be invalid (``inf / inf``), so that warning is silenced; an
+    overflow, which may be a kept quotient's, sends the batch to the masked
+    divide, so the values and warnings are always the masked divide's.
     """
     proj, d_w = _distances(w, dx)
-    coef = np.where(dissimilar, 0.0, 1.0)
     active = dissimilar & (d_w < margin)
+    gap = d_w - margin
     degenerate = None
-    if not d_w.all():
+    if d_w.all():
+        try:
+            with np.errstate(over="raise", invalid="ignore"):
+                quotient = gap / d_w
+        except FloatingPointError:
+            pass
+        else:
+            return proj * np.where(active, quotient, ~dissimilar)[..., None, :], None
+    else:
         zero = dissimilar & (d_w == 0)
         degenerate = np.count_nonzero(zero, axis=-1)
         active &= ~zero
-    np.divide(d_w - margin, d_w, out=coef, where=active)
+    coef = np.where(dissimilar, 0.0, 1.0)
+    np.divide(gap, d_w, out=coef, where=active)
     return proj * coef[..., None, :], degenerate
 
 

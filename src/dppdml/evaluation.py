@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +29,9 @@ from .mechanisms import input_perturb
 from .pairgraph import PairGraph, PairSet, PairwiseDatum
 
 METHODS = ("nonpriv", "dpp", "dpp_s", "node_dp", "input_per")
+#: Most bytes the runs of one stacked ``train`` call of :func:`run_experiment`
+#: hold in their run-by-pair tables.
+STACK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -204,13 +205,13 @@ def run_experiment(
     and the pairs are stacked into one ``PairSet``, both reused across runs.
     ``nonpriv`` ignores the budget, so it is trained once. Every run of
     every cell advances in one stacked ``train`` loop, taken in blocks of
-    runs whose per-step temporaries hold at most ``OBJECTIVE_BLOCK``
-    elements. A block holds at most ``repeats`` ``input_per`` runs, whose
-    perturbed pairs are drawn with it, so it holds no more perturbed pair
-    sets than one cell. A cell's models are scored in one ``knn_accuracy`` call. Every
-    budget must be positive (an infinite one is allowed) and ``k`` must lie
-    between 1 and the number of training individuals; a bad one is rejected
-    before any training.
+    runs that hold at most :data:`STACK_BYTES` in their run-by-pair tables:
+    each run's row of pair indices, and each ``input_per`` run's own
+    perturbed pairs. Those are drawn with their block, once per run for
+    every budget in the block that trains it. A cell's models are scored in
+    one ``knn_accuracy`` call. Every budget must be positive (an infinite
+    one is allowed) and ``k`` must lie between 1 and the number of training
+    individuals; a bad one is rejected before any training.
     """
     if repeats < 1:
         raise ConfigInvalid(f"repeats must be >= 1, got {repeats}")
@@ -242,31 +243,43 @@ def run_experiment(
     grid = list(dict.fromkeys(cell_of))
 
     models: list[list[MetricModel]] = [[] for _ in grid]
-    runs = [(c, r) for c in range(len(grid)) for r in range(repeats)]
-    own = [run for run in runs if grid[run[0]][0] == "input_per"]
-    shared = [run for run in runs if grid[run[0]][0] != "input_per"]
-    block = max(1, OBJECTIVE_BLOCK // (config.d_prime * config.batch_size))
-    while own or shared:
-        # a block takes at most as many runs with their own pairs as one
-        # cell has, then fills up with runs on the shared pairs
-        cut = min(repeats, block)
-        taken, own = own[:cut], own[cut:]
-        cut = block - len(taken)
-        taken, shared = sorted(taken + shared[:cut]), shared[cut:]
-        owners, stack = [], []
-        for c, group in groupby(taken, key=itemgetter(0)):
-            method, epsilon = grid[c]
-            taken = [r for _, r in group]
-            owners.append(c)
-            stack.append(Cell(
-                _method_config(method, config, epsilon, seed),
-                kappa_node if method == "node_dp" else kappa_default,
-                taken,
-                _perturbed(pairs, epsilon, seed, taken)
-                if method == "input_per" else None,
-            ))
+    # a block maps each of its cells to the runs it takes; it is cut where
+    # its runs would hold more than STACK_BYTES in the run-by-pair tables:
+    # train's row of pair indices for every run, and an input_per run's own
+    # features and labels
+    row = np.dtype(np.intp).itemsize * len(pairs)
+    own = row + pairs.dx.nbytes + pairs.y.nbytes
+    blocks: list[dict[int, list[int]]] = [{}]
+    held = 0
+    for c in range(len(grid)):
+        size = own if grid[c][0] == "input_per" else row
+        for r in range(repeats):
+            if blocks[-1] and held + size > STACK_BYTES:
+                blocks.append({})
+                held = 0
+            blocks[-1].setdefault(c, []).append(r)
+            held += size
+    for block in blocks:
+        # an input_per run is perturbed once for every budget that trains it
+        by_runs: dict[tuple[int, ...], list[int]] = {}
+        for c, runs in block.items():
+            if grid[c][0] == "input_per":
+                by_runs.setdefault(tuple(runs), []).append(c)
+        run_pairs = {}
+        for runs, cells in by_runs.items():
+            budgets = [grid[c][1] for c in cells]
+            run_pairs.update(zip(cells, _perturbed(pairs, budgets, seed, runs)))
+        stack = [
+            Cell(
+                _method_config(grid[c][0], config, grid[c][1], seed),
+                kappa_node if grid[c][0] == "node_dp" else kappa_default,
+                runs,
+                run_pairs.get(c),
+            )
+            for c, runs in block.items()
+        ]
         trained, _ = train(pairs, graph, stack)
-        for c, cell_models in zip(owners, trained):
+        for c, cell_models in zip(block, trained):
             models[c].extend(cell_models)
 
     accuracy = {
@@ -280,14 +293,21 @@ def run_experiment(
 
 
 def _perturbed(
-    pairs: PairSet, epsilon: float, seed: int, runs: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
+    pairs: PairSet, epsilon: float | Sequence[float], seed: int, runs: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray] | tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The input-perturbed feature differences and labels of each run in
     ``runs``, stacked as ``(len(runs), n, d)`` and ``(len(runs), n)``; run
-    ``r`` perturbs with the stream ``[1347, seed + r]``."""
-    dx = np.empty((len(runs), *pairs.dx.shape))
-    y = np.empty((len(runs), len(pairs)), dtype=int)
+    ``r`` perturbs with the stream ``[1347, seed + r]``.
+
+    ``epsilon`` is one budget, for one pair of stacks, or a sequence, for a
+    tuple with one pair per budget; a run perturbs once for all of them."""
+    single = np.ndim(epsilon) == 0
+    budgets = [epsilon] if single else list(epsilon)
+    dx = np.empty((len(budgets), len(runs), *pairs.dx.shape))
+    y = np.empty((len(budgets), len(runs), len(pairs)), dtype=pairs.y.dtype)
     for i, r in enumerate(runs):
-        noisy = input_perturb(pairs, epsilon, np.random.default_rng([1347, seed + r]))
-        dx[i], y[i] = noisy.dx, noisy.y
-    return dx, y
+        noisy = input_perturb(pairs, budgets, np.random.default_rng([1347, seed + r]))
+        for b, one in enumerate(noisy):
+            dx[b, i], y[b, i] = one.dx, one.y
+    stacks = tuple(zip(dx, y))
+    return stacks[0] if single else stacks

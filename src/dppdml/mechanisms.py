@@ -146,55 +146,81 @@ def _keep_probability(epsilon: float) -> float:
 
 def input_perturb(
     pairs: PairSet | Sequence[PairwiseDatum],
-    epsilon: float,
+    epsilon: float | Sequence[float],
     rng: np.random.Generator,
     feature_share: float = 0.5,
-) -> PairSet:
+) -> PairSet | tuple[PairSet, ...]:
     """Input-perturbation baseline: noise the data itself, then train cleanly.
 
     ``feature_share`` of the budget goes to the feature differences (split
     evenly across dimensions, Laplace at per-coordinate sensitivity 2 under
     the l1 normalisation); the rest drives randomized response on labels.
+    ``epsilon`` is one budget, perturbed into a ``PairSet``, or a sequence,
+    perturbed into a tuple with one set per budget; each set equals the one
+    budget's call on a generator in ``rng``'s state on entry, and ``rng`` is
+    left as the last budget's call leaves it.
+
     The stream is that of drawing, pair by pair, the pair's ``d`` Laplace
     values (none at an infinite budget) and then one uniform for its label.
-    It is taken as one ``(n, d + 1)`` block of uniforms. ``Generator.laplace``
-    turns each uniform into one value, except that it redraws a uniform of
-    exactly 0. So when the block holds no 0, the generator is rewound and
-    the noise is ``laplace`` over the same ``(n, d + 1)`` doubles, without
-    the label column, after which the generator resumes past the block. If
-    the block holds a 0, the pairs are drawn one at a time instead. The
-    noisy set shares the input's endpoints (:meth:`PairSet.with_values`), so
-    only its labels and features are checked again.
+    At a finite budget it is one ``(n, d + 1)`` block of uniforms, which
+    every finite budget shares. ``Generator.laplace`` turns each uniform
+    into one value, except that it redraws a uniform of exactly 0. So when
+    the block holds no 0, the generator is rewound and ``laplace(0, 1)``
+    runs over the same doubles, without the label column, once; numpy
+    computes ``laplace(0, s)`` as ``0 -+ s log(.)``, so ``0 + s *
+    laplace(0, 1)`` is each budget's noise bit for bit. If the block holds
+    a 0, each finite budget draws its pairs one at a time instead. An
+    infinite budget draws only the ``n`` label uniforms. The noisy sets
+    share the input's endpoints (:meth:`PairSet.with_values`), so only
+    their labels and features are checked again.
     """
-    if not epsilon > 0:
-        raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
+    single = np.ndim(epsilon) == 0
+    budgets = [epsilon] if single else list(epsilon)
+    for e in budgets:
+        if not e > 0:
+            raise NonPositiveScale(f"epsilon must be positive, got {e}")
     if not (0 < feature_share < 1):
         raise ValueError(f"feature_share must lie in (0, 1), got {feature_share}")
     pairs = PairSet.of(pairs)
     n, d = pairs.dx.shape
-    eps_feat = feature_share * epsilon
-    eps_label = (1.0 - feature_share) * epsilon
-    scale = 0.0 if math.isinf(eps_feat) else 2.0 * d / eps_feat
-    k = d if scale > 0 else 0
-    state = rng.bit_generator.state
-    draws = rng.random((n, k + 1))
-    if draws.all():
-        noise = np.zeros((n, d))
-        if k:
-            after = rng.bit_generator.state
-            rng.bit_generator.state = state
-            noise = laplace_sample(scale, rng, size=(n, k + 1))[:, :k]
-            rng.bit_generator.state = after
-        label_draw = draws[:, k]
-    else:
-        rng.bit_generator.state = state
-        noise = np.zeros((n, d))
-        label_draw = np.empty(n)
-        for row in range(n):
-            if k:
-                noise[row] = rng.laplace(0.0, scale, size=d)
-            label_draw[row] = rng.random()
-    flipped = label_draw >= _keep_probability(eps_label)
-    y = np.where(flipped, 1 - pairs.y, pairs.y)
-    return pairs.with_values(pairs.dx + noise, y)
+    start = rng.bit_generator.state
+    block = None   # the finite budgets' unit noise, label uniforms and end state
+    out = []
+    for e in budgets:
+        rng.bit_generator.state = start
+        eps_feat = feature_share * e
+        if math.isinf(eps_feat):
+            noise, label_draw = 0.0, rng.random((n, 1))[:, 0]
+        else:
+            scale = 2.0 * d / eps_feat
+            if block is None:
+                block = _unit_laplace_block(rng, n, d)
+            if block:
+                unit, label_draw, end = block
+                noise = 0.0 + scale * unit
+                rng.bit_generator.state = end
+            else:
+                noise, label_draw = np.empty((n, d)), np.empty(n)
+                for row in range(n):
+                    noise[row] = rng.laplace(0.0, scale, size=d)
+                    label_draw[row] = rng.random()
+        flipped = label_draw >= _keep_probability((1.0 - feature_share) * e)
+        y = np.where(flipped, 1 - pairs.y, pairs.y)
+        out.append(pairs.with_values(pairs.dx + noise, y))
+    return out[0] if single else tuple(out)
 
+
+def _unit_laplace_block(rng: np.random.Generator, n: int, d: int):
+    """``(unit, label_draw, end)`` from one ``(n, d + 1)`` block of uniforms:
+    ``laplace(0, 1)`` over its first ``d`` columns, its last column, and the
+    generator state past it; ``()`` when the block holds a 0. Either way
+    ``rng`` is left in its state on entry."""
+    start = rng.bit_generator.state
+    draws = rng.random((n, d + 1))
+    end = rng.bit_generator.state
+    rng.bit_generator.state = start
+    if not draws.all():
+        return ()
+    unit = laplace_sample(1.0, rng, size=(n, d + 1))[:, :d]
+    rng.bit_generator.state = start
+    return unit, draws[:, d], end

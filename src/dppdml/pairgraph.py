@@ -452,7 +452,12 @@ def _raise_faulty_row(rows: list[list[str]]) -> None:
         try:
             PairSet(i, j, feats, y)
         except ValueError as exc:  # self-loop, label not 0 or 1, non-finite dx
-            row = rownums[_first_fault(i, j, feats, np.array(y))]
+            k = _first_fault(i, j, feats, np.array(y))
+            row = rownums[k]
+            if i[k] != j[k] and y[k] in (0, 1):  # the fault is a feature's
+                c = 3 + int(np.argmin(np.isfinite(feats[k])))
+                raise ParseError(f"row {row}, col {c + 1}: feature {rows[row - 1][c]!r} "
+                                 "is not finite", row=row, col=c + 1) from exc
             raise ParseError(f"row {row}: {exc}", row=row) from exc
 
     width = 0

@@ -605,6 +605,16 @@ def reference_read_pairs_file(path, delimiter: str = ",") -> list[PairwiseDatum]
                         row=rownum,
                         col=colnum,
                     ) from None
+            # a self-loop or a label outside {0, 1} is reported before a
+            # non-finite feature, as ``PairwiseDatum`` checks them
+            if i != j and y in (0, 1):
+                for colnum, (cell, value) in enumerate(zip(row[3:], feats), start=4):
+                    if not math.isfinite(value):
+                        raise ParseError(
+                            f"row {rownum}, col {colnum}: feature {cell!r} is not finite",
+                            row=rownum,
+                            col=colnum,
+                        )
             try:
                 pairs.append(PairwiseDatum(i, j, np.array(feats), y))
             except (SelfLoop, ValueError) as exc:
@@ -770,6 +780,22 @@ def _reference_coefficients(w, dx, y, margin: float):
     coef[dead] = 0.0
     degenerate = int(np.count_nonzero((y == 1) & (d_w == 0)))
     return proj * coef, degenerate
+
+
+def masked_divide_coefficients(w, dx, dissimilar, margin):
+    """``dml._coefficients`` as one masked divide over every batch: each
+    hinge quotient is computed only where it is kept."""
+    proj = w @ dx.swapaxes(-1, -2)
+    d_w = np.sqrt(np.add.reduce(proj * proj, axis=-2))
+    coef = np.where(dissimilar, 0.0, 1.0)
+    active = dissimilar & (d_w < margin)
+    degenerate = None
+    if not d_w.all():
+        zero = dissimilar & (d_w == 0)
+        degenerate = np.count_nonzero(zero, axis=-1)
+        active &= ~zero
+    np.divide(d_w - margin, d_w, out=coef, where=active)
+    return proj * coef[..., None, :], degenerate
 
 
 def sensitivity_basic(

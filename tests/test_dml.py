@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,49 @@ class TestGradientRow:
             denom = max(np.linalg.norm(fd), np.linalg.norm(got), 1e-12)
             assert np.linalg.norm(got - fd) / denom <= 1e-5
             checked += 1
+
+
+class TestCoefficientsMatchMaskedDivide:
+    """The hinge coefficients equal the masked divide's, values and
+    warnings alike, on a stack of three ``W`` with a margin each."""
+
+    @staticmethod
+    def record(fn, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            amat, degenerate = fn(*args)
+        return amat, degenerate, [(w.category, str(w.message)) for w in caught]
+
+    @pytest.mark.parametrize("case", [
+        "every distance positive", "zero distance, dissimilar pair",
+        "zero distance, similar pair", "infinite distance", "NaN distance",
+        "overflowing kept quotient", "overflowing dropped quotient",
+        "infinite margin",
+    ])
+    def test_same_values_and_warnings(self, case, rng):
+        w = rng.uniform(0.1, 1.0, (3, 2, 3))
+        dx = rng.normal(0, 1, (3, 8, 3))
+        dissimilar = np.tile([True, False], (3, 4))
+        margin = np.array([[0.5], [1.0], [2.0]])
+        if case.startswith("zero distance"):
+            dx[1, 2 if case.endswith("dissimilar pair") else 3] = 0.0
+        elif case == "infinite distance":
+            dx[2, 4] = [1e200, 0.0, 0.0]      # its projection overflows
+        elif case == "NaN distance":
+            dx[0, 5, 1] = np.nan
+        elif case.startswith("overflowing"):
+            # a huge margin over a tiny distance, on a dissimilar pair (kept)
+            # or a similar one (dropped)
+            margin[1] = 1e300
+            dx[1, 0 if "kept" in case else 1] = [1e-150, 0.0, 0.0]
+        elif case == "infinite margin":
+            margin[1] = np.inf
+        got = self.record(dml._coefficients, w, dx, dissimilar, margin)
+        want = self.record(oracles.masked_divide_coefficients, w, dx, dissimilar, margin)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert (got[1] is None) == (want[1] is None)
+        assert got[1] is None or got[1].tolist() == want[1].tolist()
+        assert got[2] == want[2]
 
 
 class TestClipGradient:

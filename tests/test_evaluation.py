@@ -348,10 +348,13 @@ class TestRunExperiment:
 
     def test_blocks_split_cells(self, monkeypatch):
         samples, pairs, graph = benchmark()
-        # a nominal batch of 1,640 pairs (every pair, in one batch) at
-        # d_prime 2: a block holds 16384 // 3280 = 4 runs, at most 3 of them
-        # input_per runs
         cfg = TrainConfig(d_prime=2, batch_size=1640, t_max=2, seed=0)
+        # a run holds its row of pair indices, and an input_per run also its
+        # own features and labels, three rows more at d = 2: a block holds
+        # nine rows
+        row = np.dtype(np.intp).itemsize * len(pairs)
+        assert pairs.dx.nbytes + pairs.y.nbytes == 3 * row
+        monkeypatch.setattr(evaluation, "STACK_BYTES", 9 * row)
         calls = []
 
         def counting(pairs, graph, cells):
@@ -362,7 +365,7 @@ class TestRunExperiment:
         reports = run_experiment(samples, pairs, graph, ["input_per", "dpp_s"],
                                  [1.0, 4.0], 3, cfg, seed=7)
         assert calls == [
-            [[0, 1, 2], [0]], [[0, 1, 2], [1]], [[2], [0, 1, 2]],
+            [[0, 1]], [[2], [0]], [[1, 2], [0]], [[1, 2], [0, 1, 2]],
         ]
 
         # each cell equals its own one-cell stack's training and scoring
@@ -397,9 +400,8 @@ class TestRunExperiment:
         reports = run_experiment(samples, pairs, graph, METHODS, [1.0, 4.0], 3,
                                  cfg, seed=7)
         # nonpriv ignores the budget, so it trains once; the rest once a
-        # cell. One train call per block, and a block takes the runs of at
-        # most one input_per cell: 24 runs, then the last input_per cell
-        assert calls == [[3] * (1 + 3 * 2 + 1), [3]]
+        # cell. Every run fits in one block, so there is one train call
+        assert calls == [[3] * (1 + 3 * 2 + 2)]
 
         # every run equals one training at its own seed, perturbed for input_per
         train_idx, test_idx = split_by_participation(samples, pairs)
@@ -440,6 +442,19 @@ class TestPerturbedRuns:
             assert p.dx.tobytes() == np.stack([q.delta_x for q in ref]).tobytes()
             assert p.y.tolist() == [q.y for q in ref]
             assert p.i is pairs.i and p.j is pairs.j
+
+    def test_several_budgets_equal_the_runs_of_input_perturb(self):
+        # one pair of stacks per budget, each run perturbed once for all
+        _, pairs, _ = benchmark()
+        runs, budgets = [0, 2, 5], [0.5, 4.0, math.inf]
+        stacks = evaluation._perturbed(pairs, budgets, 9, runs)
+        assert len(stacks) == len(budgets)
+        for epsilon, (dx, y) in zip(budgets, stacks):
+            noisy = [input_perturb(pairs, epsilon, np.random.default_rng([1347, 9 + r]))
+                     for r in runs]
+            assert dx.tobytes() == np.stack([p.dx for p in noisy]).tobytes()
+            assert y.tobytes() == np.stack([p.y for p in noisy]).tobytes()
+            assert (dx.shape, y.shape) == ((3, *pairs.dx.shape), (3, len(pairs)))
 
     def test_faulty_derived_set_raises_the_datum_error(self):
         # features at the largest float overflow under the noise of a tiny

@@ -376,6 +376,36 @@ class TestInputPerturb:
         assert out.y.tolist() == [p.y for p in ref]
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
+    @pytest.mark.parametrize("budgets, planted, laplace_calls", [
+        ([0.5, 4.0, math.inf], None, 1),
+        ([0.5, 4.0, math.inf], (3, 0), 2 * 50),
+        ([math.inf, 4.0, 0.5], (3, 0), 1),
+    ])
+    def test_budgets_equal_their_own_calls(self, budgets, planted, laplace_calls):
+        # the finite budgets share one block of uniforms and one ``laplace``
+        # call over it; a planted 0.0 in that block sends each of them to
+        # the per-pair draws, and a 0.0 among an infinite budget's label
+        # uniforms is used as drawn
+        pairs = self._pairs(50, dim=2, seed=1)
+        gen = _ZeroPlanting(np.random.default_rng(8), at=planted)
+        out = input_perturb(pairs, budgets, gen)
+        assert isinstance(out, tuple) and len(out) == len(budgets)
+        assert gen.laplace_calls == laplace_calls
+        for epsilon, got in zip(budgets, out):
+            own_gen = _ZeroPlanting(np.random.default_rng(8), at=planted)
+            want = input_perturb(pairs, epsilon, own_gen)
+            assert got.dx.tobytes() == want.dx.tobytes()
+            assert got.y.tobytes() == want.y.tobytes()
+        # the generator is left where the last budget's own call leaves it
+        assert gen.bit_generator.state == own_gen.bit_generator.state
+
+    def test_every_budget_checked_before_drawing(self):
+        gen = np.random.default_rng(3)
+        state = gen.bit_generator.state
+        with pytest.raises(NonPositiveScale, match="got 0.0"):
+            input_perturb(self._pairs(5), [1.0, 0.0], gen)
+        assert gen.bit_generator.state == state
+
     def test_pairset_input_and_empty_input(self, rng):
         pairs = self._pairs(20)
         a = input_perturb(pairs, 1.0, np.random.default_rng(3))

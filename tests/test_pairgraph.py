@@ -590,6 +590,9 @@ class TestReaderMatchesReference:
         "self-loop, then bad feature": "0,1,0,0.5\n2,2,1,0.25\n3,4,0,oops\n",
         "bad feature, then self-loop": "0,1,0,0.5\n1,2,1,zz\n2,2,1,0.25\n",
         "two faulty pairs": "0,1,0,0.5\n1,2,1,-inf\n3,4,5,0.25\n",
+        "NaN in a later feature column": "i,j,y,a,b\n0,1,0,0.5,0.1\n1,2,1,0.25, NaN \n",
+        "self-loop with a NaN feature": "0,1,0,0.5\n2,2,1,nan\n",
+        "label out of range with an infinite feature": "0,1,0,0.5\n1,2,3,inf\n",
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
