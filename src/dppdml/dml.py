@@ -27,7 +27,8 @@ from .errors import (
 )
 from .kappa import KappaReport, compute_kappa
 from .mechanisms import (
-    duchi_randomize_vector,
+    duchi_bits,
+    duchi_magnitude,
     gaussian_sigma,
     laplace_sample,
     staircase_optimal_gamma,
@@ -490,8 +491,6 @@ class StackTrace:
 
 #: The :class:`TrainConfig` fields in which the cells of one stack may differ.
 CELL_FIELDS = ("mechanism", "epsilon", "sensitivity_mode")
-#: The mechanisms that a stack of several cells may mix.
-STACK_MECHANISMS = ("none", "laplace")
 
 
 def _cells(
@@ -508,12 +507,10 @@ def _cells(
             raise ConfigInvalid(
                 f"the cells of a stack may differ only in {', '.join(CELL_FIELDS)}"
             )
-        if len(cells) > 1 and cell.config.mechanism not in STACK_MECHANISMS:
-            raise ConfigInvalid(
-                f"a stack of several cells takes only the mechanisms {STACK_MECHANISMS}"
-            )
         if not len(cell.runs):
             raise ConfigInvalid("every cell needs at least one run")
+    if len({cell.config.mechanism for cell in cells} - {"none"}) > 1:
+        raise ConfigInvalid("the cells of a stack that add noise share one mechanism")
     if not pairs:
         raise ConfigInvalid("cannot train on an empty pair list")
     n, d = pairs.dx.shape
@@ -564,10 +561,10 @@ def train(
     call returns a tuple of each cell's models and a :class:`StackTrace`.
     Run ``r`` of a cell equals the single run at seed ``config.seed + r``
     on that run's pairs, bit for bit. Cells may differ only in
-    :data:`CELL_FIELDS`, in kappa and in their runs' pairs, and several
-    cells take only :data:`STACK_MECHANISMS`. A run's initial W, pair order
-    and unit noise are drawn once per call, for every cell that trains it;
-    where a cell draws no noise its scale is 0.
+    :data:`CELL_FIELDS`, in kappa and in their runs' pairs, and the cells
+    that add noise share one mechanism. A run's initial W and pair order
+    are drawn once per call, for every cell that trains it, and its noise
+    as :func:`_noise` sets out.
 
     There is one step loop, and a single run is the one-run stack
     ``[Cell(config, kappa_report, range(1))]``. A step computes only what
@@ -658,8 +655,8 @@ def train(
         else math.inf
         for c in cells
     ]
-    eps_epoch = eps_cells[0] if len(cells) == 1 else per_run(eps_cells)
-    # the runs whose noise scale is positive; the rest add noise at scale 0
+    eps_epoch = per_run(eps_cells)
+    # the runs that draw noise, at a finite budget and kappa >= 1
     drawing = [math.isfinite(e) and k > 0 for e, k in zip(eps_cells, kappas)]
     drawn = np.repeat(drawing, sizes)
     reduced = per_run([
@@ -678,8 +675,7 @@ def train(
     steps = len(schedule)
     add_noise = None
     if any(drawing):
-        # several cells draw only Laplace noise, so any drawing cell's
-        # config names the mechanism
+        # the drawing cells share one mechanism, named by any of their configs
         noisy = cells[drawing.index(True)].config
         add_noise = _noise(noisy, eps_epoch, drawn, h, seeds, run_of, steps, shape)
     # a single run keeps every step's W and peaks for its trace; a stack
@@ -753,7 +749,7 @@ def train(
 
 def _noise(
     config: TrainConfig,
-    eps_epoch: float | np.ndarray,
+    eps_epoch: np.ndarray,
     drawn: np.ndarray,
     h: float,
     seeds: list[list[np.random.SeedSequence]],
@@ -765,76 +761,71 @@ def _noise(
     mean gradient ``update`` (``shape``: ``(runs, d_prime, d)``) its noise
     at that row's sensitivity, in place.
 
-    ``eps_epoch`` is the per-epoch budget, or a column with one per run;
-    ``drawn`` marks the runs at a finite budget and kappa >= 1, and a noise
-    scale of theirs that is not positive raises :class:`NonPositiveScale`.
-    Run ``i`` draws from the noise streams of ``seeds[run_of[i]]``, one per
-    row. numpy computes ``laplace(0, s)`` as ``0 -+ s log(.)`` and ``normal(0,
-    s)`` as ``0 + s z``, so ``0 + s * laplace(0, 1)`` and ``0 + s * normal(0,
-    1)`` equal them bit for bit: a stream's Laplace or Gaussian noise is one
-    ``(steps, d)`` block of unit draws, scaled at each step, and a run at
-    scale 0 adds ``0.0``. The staircase and one-bit randomizers draw from
-    several distributions per value, so they draw at each step.
+    ``eps_epoch`` is a column with each run's per-epoch budget; ``drawn``
+    marks the runs at a finite budget and kappa >= 1, the only rows that
+    change, and a noise scale of theirs that is not positive raises
+    :class:`NonPositiveScale`. Run ``i`` draws from the noise streams of
+    ``seeds[run_of[i]]``, one per row.
+
+    Every draw is taken here, as one ``(steps, streams, d_prime, d)`` block
+    holding each stream's draws in the order per-step draws take them.
+    numpy computes ``laplace(0, s)`` as ``0 -+ s log(.)`` and ``normal(0,
+    s)`` as ``0 + s z``, so ``0 + s * laplace(0, 1)`` and ``0 + s *
+    normal(0, 1)`` equal them bit for bit; a staircase draw ``sign * s *
+    x`` is ``s * (sign * x)``, but depends on the budget, so each drawing
+    run draws its own. The one-bit randomizer's block holds its uniforms.
     """
     d = shape[-1]
-    if config.mechanism not in ("laplace", "gaussian"):
-        gamma = config.staircase_gamma
-        if config.mechanism == "staircase" and gamma is None:
-            gamma = staircase_optimal_gamma(eps_epoch)
-        streams = [np.random.default_rng(s) for u in run_of for s in seeds[u][2:]]
-
-        def add_drawn(update: np.ndarray, sens: np.ndarray) -> None:
-            rows = update.reshape(-1, d)
-            row_sens = np.broadcast_to(sens, shape[:-1]).reshape(-1)
-            for j, rng in enumerate(streams):
-                rows[j] += _row_noise(
-                    rows[j], row_sens[j], eps_epoch, config, gamma, h, rng
-                )
-        return add_drawn
-
-    laplace = config.mechanism == "laplace"
-    unit = np.empty((steps, len(seeds), shape[-2], d))
-    for u, run in enumerate(seeds):
-        for row, s in enumerate(run[2:]):
+    mechanism = config.mechanism
+    drawing = np.flatnonzero(drawn)
+    checked = slice(None) if drawn.all() else drawing
+    budgets = eps_epoch[drawing, 0].tolist()
+    if mechanism == "staircase":
+        streams, pick = run_of[drawing], np.arange(len(drawing))
+    else:   # one stream per distinct run
+        streams, pick = np.unique(run_of[drawing], return_inverse=True)
+    unit = np.empty((steps, len(streams), *shape[1:]))
+    for i, u in enumerate(streams.tolist()):
+        for row, s in enumerate(seeds[u][2:]):
             rng = np.random.default_rng(s)
-            unit[:, u, row] = (
-                laplace_sample(1.0, rng, size=(steps, d)) if laplace
-                else rng.normal(0.0, 1.0, size=(steps, d))
-            )
-    if np.array_equal(run_of, np.arange(len(seeds))):
-        draws = iter(unit.reshape(steps, *shape))           # one per step
-    else:   # runs shared by several cells take their draws at each step
-        draws = (u.take(run_of, axis=0) for u in unit)
-    checked = slice(None) if drawn.all() else drawn
+            if mechanism == "laplace":
+                unit[:, i, row] = laplace_sample(1.0, rng, size=(steps, d))
+            elif mechanism == "gaussian":
+                unit[:, i, row] = rng.normal(0.0, 1.0, size=(steps, d))
+            elif mechanism == "duchi":
+                unit[:, i, row] = rng.random((steps, d))
+            else:
+                e = budgets[i]
+                gamma = config.staircase_gamma or staircase_optimal_gamma(e)
+                unit[:, i, row] = [staircase_sample(e, 1.0, gamma, rng, size=d)
+                                   for _ in range(steps)]
+    if np.array_equal(pick, np.arange(len(streams))):
+        draws = iter(unit)                                  # one per step
+    else:   # streams shared by several cells are taken at each step
+        draws = (u.take(pick, axis=0) for u in unit)
+    if mechanism == "duchi":
+        c = np.array([duchi_magnitude(e / d) for e in budgets]).reshape(-1, 1, 1)
+    eps = eps_epoch[checked]
 
-    def add_scaled(update: np.ndarray, sens: np.ndarray) -> None:
-        if laplace:
-            scale = sens / eps_epoch
-            if not scale[checked].min() > 0:
-                raise NonPositiveScale(
-                    f"Laplace scale must be positive, got {scale[checked].min()}"
-                )
+    def add(update: np.ndarray, sens: np.ndarray) -> None:
+        if mechanism == "duchi":
+            # rebuild each row from its scaled sign bits; clipping keeps
+            # |coord| <= h up to rounding, so clamp the last ulp away
+            rows = update[checked]
+            noise = h * duchi_bits(np.clip(rows / h, -1.0, 1.0), c, next(draws)) - rows
         else:
-            scale = gaussian_sigma(eps_epoch, config.delta, sens)
-        update += 0.0 + scale[..., None] * next(draws)
+            sens = sens[checked]
+            if mechanism == "gaussian":
+                scale = gaussian_sigma(eps, config.delta, sens)
+            else:
+                scale = sens / eps if mechanism == "laplace" else sens
+                if not scale.min() > 0:
+                    raise NonPositiveScale(
+                        f"{mechanism} noise scale must be positive, got {scale.min()}"
+                    )
+            noise = scale[..., None] * next(draws)
+            if mechanism != "staircase":
+                noise = 0.0 + noise
+        update[checked] += noise
 
-    return add_scaled
-
-
-def _row_noise(
-    mean_row: np.ndarray,
-    sens: float,
-    eps_epoch: float,
-    config: TrainConfig,
-    gamma: float | None,
-    h: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Staircase noise for one row's mean gradient, or, for the one-bit
-    randomizer, the correction that replaces the row entirely."""
-    if config.mechanism == "staircase":
-        return staircase_sample(eps_epoch, sens, gamma, rng, size=mean_row.shape[0])
-    # one-bit randomizer: rebuild the row from scaled sign bits; clipping
-    # guarantees |coord| <= h up to rounding, so clamp the last ulp away
-    scaled = np.clip(mean_row / h, -1.0, 1.0)
-    return h * duchi_randomize_vector(scaled, eps_epoch, rng) - mean_row
+    return add

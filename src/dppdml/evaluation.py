@@ -293,21 +293,16 @@ def run_experiment(
 
 
 def _perturbed(
-    pairs: PairSet, epsilon: float | Sequence[float], seed: int, runs: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray] | tuple[tuple[np.ndarray, np.ndarray], ...]:
+    pairs: PairSet, budgets: Sequence[float], seed: int, runs: Sequence[int]
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The input-perturbed feature differences and labels of each run in
-    ``runs``, stacked as ``(len(runs), n, d)`` and ``(len(runs), n)``; run
-    ``r`` perturbs with the stream ``[1347, seed + r]``.
-
-    ``epsilon`` is one budget, for one pair of stacks, or a sequence, for a
-    tuple with one pair per budget; a run perturbs once for all of them."""
-    single = np.ndim(epsilon) == 0
-    budgets = [epsilon] if single else list(epsilon)
+    ``runs`` at each budget, one pair of stacks ``(len(runs), n, d)`` and
+    ``(len(runs), n)`` per budget; run ``r`` perturbs with the stream
+    ``[1347, seed + r]``, once for every budget."""
     dx = np.empty((len(budgets), len(runs), *pairs.dx.shape))
     y = np.empty((len(budgets), len(runs), len(pairs)), dtype=pairs.y.dtype)
     for i, r in enumerate(runs):
         noisy = input_perturb(pairs, budgets, np.random.default_rng([1347, seed + r]))
         for b, one in enumerate(noisy):
             dx[b, i], y[b, i] = one.dx, one.y
-    stacks = tuple(zip(dx, y))
-    return stacks[0] if single else stacks
+    return tuple(zip(dx, y))

@@ -27,19 +27,19 @@ def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
     """Smallest Gaussian noise level for the approximate regime.
 
     sigma = sqrt(2 ln(1.25 / delta)) * sensitivity / epsilon, requiring
-    0 < delta < 1 and positive epsilon and sensitivity. ``sensitivity`` may
-    be an array, for one sigma per entry.
+    0 < delta < 1 and positive epsilon and sensitivity. ``epsilon`` and
+    ``sensitivity`` may be arrays, for one sigma per entry of their
+    broadcast.
     """
     if delta <= 0:
         raise DeltaZero("Gaussian calibration requires delta > 0")
     if not delta < 1:
         raise OutOfRange(f"delta must be below 1, got {delta}")
-    if not epsilon > 0:
-        raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
-    positive = np.greater(sensitivity, 0)
-    if not np.all(positive):
-        bad = np.extract(~positive, sensitivity)[0]
-        raise NonPositiveScale(f"sensitivity must be positive, got {bad}")
+    for name, value in (("epsilon", epsilon), ("sensitivity", sensitivity)):
+        positive = np.greater(value, 0)
+        if not np.all(positive):
+            bad = np.extract(~positive, value)[0]
+            raise NonPositiveScale(f"{name} must be positive, got {bad}")
     return math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / epsilon
 
 
@@ -118,9 +118,7 @@ def duchi_randomize(value: float, epsilon: float, rng: np.random.Generator) -> f
         raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
     if abs(value) > 1.0:
         raise OutOfRange(f"value must lie in [-1, 1], got {value}")
-    c = (math.exp(epsilon) + 1.0) / (math.exp(epsilon) - 1.0)
-    p_plus = 0.5 * (1.0 + value / c)
-    return c if rng.random() < p_plus else -c
+    return float(duchi_bits(value, duchi_magnitude(epsilon), rng.random()))
 
 
 def duchi_randomize_vector(
@@ -132,11 +130,21 @@ def duchi_randomize_vector(
         raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
     if np.any(np.abs(values) > 1.0):
         raise OutOfRange("all coordinates must lie in [-1, 1]")
-    eps_dim = epsilon / values.size
-    c = (math.exp(eps_dim) + 1.0) / (math.exp(eps_dim) - 1.0)
+    c = duchi_magnitude(epsilon / values.size)
+    return duchi_bits(values, c, rng.random(values.shape))
+
+
+def duchi_magnitude(epsilon: float) -> float:
+    """The one-bit randomizer's output magnitude C = (e^eps + 1) / (e^eps - 1)."""
+    return (math.exp(epsilon) + 1.0) / (math.exp(epsilon) - 1.0)
+
+
+def duchi_bits(values: np.ndarray, c, uniforms: np.ndarray) -> np.ndarray:
+    """``+C`` where a uniform falls below ``(1 + value / C) / 2``, else
+    ``-C``; ``c`` is one magnitude or an array broadcast against
+    ``values``."""
     p_plus = 0.5 * (1.0 + values / c)
-    signs = np.where(rng.random(values.shape) < p_plus, 1.0, -1.0)
-    return c * signs
+    return c * np.where(uniforms < p_plus, 1.0, -1.0)
 
 
 def _keep_probability(epsilon: float) -> float:

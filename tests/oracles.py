@@ -920,10 +920,10 @@ def reference_train(pairs, graph, config, kappa_report=None):
 
 def reference_row_noise(mean_row, sens, eps_epoch, config, gamma, h, rng):
     """One row's noise drawn at its own step, as ``train`` took it before
-    Laplace and Gaussian noise came from one block of unit draws per stream:
-    zeros at an infinite budget or a zero sensitivity, else one call of the
-    mechanism's sampler (for the one-bit randomizer, the correction that
-    replaces the row)."""
+    every mechanism's noise came from draws taken at set-up, one block per
+    stream: zeros at an infinite budget or a zero sensitivity, else one call
+    of the mechanism's sampler (for the one-bit randomizer, the correction
+    that replaces the row)."""
     d = mean_row.shape[0]
     if math.isinf(eps_epoch) or sens == 0.0:
         return np.zeros(d)

@@ -772,7 +772,7 @@ class TestTrainRepeatsMatchSingleRuns:
             raise AssertionError("noise drawn at kappa 0")
 
         for name in ("laplace_sample", "gaussian_sigma", "staircase_sample",
-                     "duchi_randomize_vector"):
+                     "duchi_magnitude", "duchi_bits"):
             monkeypatch.setattr(dml, name, no_draw)
         models, _ = self.check(pairs, graph, config, report)
         assert [m.w.tobytes() for m in models] == [m.w.tobytes() for m in clean[0]]
@@ -879,6 +879,48 @@ class TestTrainCellsMatchPerCellBatches:
         assert clean[0] == clean[1] == clean[2]
         assert len({m.w.tobytes() for cell in models for m in cell}) == 4 * self.R
 
+    @classmethod
+    def mechanism_grid(cls, mechanism, report, **overrides):
+        """Cells of one noise mechanism at finite and infinite budgets, a
+        kappa-0 cell and, but for Gaussian noise (whose delta a clean cell
+        cannot share), a clean cell."""
+        norm_mode = "l2" if mechanism == "gaussian" else "l1"
+        config = TestTrainMatchesLoopReference.config(
+            "gaussian" if mechanism == "gaussian" else "none", norm_mode, "shuffle",
+            **overrides,
+        )
+        runs = range(cls.R)
+        zero = KappaReport(kappa=0, method="upper_bound")
+        cells = [("basic", 1.0, report), ("reduced", 4.0, report),
+                 ("basic", math.inf, report), ("reduced", 2.0, zero)]
+        clean = [] if mechanism == "gaussian" else [Cell(config, report, runs)]
+        return clean + [
+            Cell(replace(config, mechanism=mechanism, sensitivity_mode=s, epsilon=e),
+                 r, runs)
+            for s, e, r in cells
+        ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mechanism, overrides", [
+        ("staircase", {}),
+        ("staircase", {"staircase_gamma": 0.3}),
+        ("duchi", {}),
+        ("gaussian", {}),
+    ])
+    def test_mechanism_grid(self, mechanism, overrides):
+        # every mechanism takes its noise from set-up draws; the runs that
+        # draw none must add exactly zero and warn about nothing
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        cells = self.mechanism_grid(mechanism, compute_kappa(graph), **overrides)
+        with np.errstate(all="raise"):
+            models, _ = self.check(pairs, graph, cells)
+        # the infinite-budget and kappa-0 cells take the clean steps
+        noiseless = [[m.w.tobytes() for m in models[c]] for c in (-2, -1)]
+        assert noiseless[0] == noiseless[1]
+        if mechanism != "gaussian":
+            assert noiseless[0] == [m.w.tobytes() for m in models[0]]
+        assert len({m.w.tobytes() for cell in models for m in cell}) == 3 * self.R
+
     def test_fixed_margin(self):
         pairs, graph = TestTrainMatchesLoopReference.data()
         config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle",
@@ -929,7 +971,7 @@ class TestTrainCellsMatchPerCellBatches:
         bad_stacks = [
             [Cell(config, report, runs), Cell(replace(config, lipschitz=0.2), report, runs)],
             [Cell(config, report, runs), Cell(replace(config, seed=1), report, runs)],
-            [Cell(config, report, runs),
+            [Cell(replace(config, mechanism="laplace"), report, runs),
              Cell(replace(config, mechanism="staircase"), report, runs)],
             [Cell(config, report, range(0))],
             [],

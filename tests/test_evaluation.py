@@ -429,7 +429,7 @@ class TestPerturbedRuns:
     def test_stack_equals_the_runs_of_input_perturb(self, epsilon):
         _, pairs, _ = benchmark()
         runs = [0, 2, 5]
-        dx, y = evaluation._perturbed(pairs, epsilon, 9, runs)
+        (dx, y), = evaluation._perturbed(pairs, [epsilon], 9, runs)
         noisy = [input_perturb(pairs, epsilon, np.random.default_rng([1347, 9 + r]))
                  for r in runs]
         assert dx.tobytes() == np.stack([p.dx for p in noisy]).tobytes()
@@ -462,7 +462,7 @@ class TestPerturbedRuns:
         big = np.finfo(float).max
         pairs = PairSet([0, 2, 4, 6], [1, 3, 5, 7], np.full((4, 2), big), [0, 1, 0, 1])
         with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
-            evaluation._perturbed(pairs, 1e-300, 0, [0])
+            evaluation._perturbed(pairs, [1e-300], 0, [0])
         named = re.fullmatch(r"pair \((\d), (\d)\) .*", str(err.value))
         i, j = map(int, named.groups())
         assert j == i + 1

@@ -80,6 +80,17 @@ class TestGaussianSigma:
         with pytest.raises(DeltaZero):
             gaussian_sigma(1.0, 0.0, 1.0)
 
+    def test_column_of_budgets_equals_each_scalar_sigma(self):
+        budgets = np.array([[0.1], [2.0 / 3.0], [5.0]])
+        sens = np.array([[0.3, 1e-9], [2.0, 0.7], [1.0, 123.0]])
+        sigma = gaussian_sigma(budgets, 1e-5, sens)
+        assert sigma.shape == sens.shape
+        for (i, j), value in np.ndenumerate(sigma):
+            assert value.hex() == gaussian_sigma(budgets[i, 0], 1e-5, sens[i, j]).hex()
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(NonPositiveScale, match="epsilon"):
+                gaussian_sigma(np.array([[1.0], [bad]]), 1e-5, sens[:2])
+
     @pytest.mark.parametrize(
         "epsilon, delta, sensitivity, error",
         [
