@@ -228,11 +228,35 @@ def gradient_row(
     return amat[row, 0] * pair.delta_x
 
 
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(x, axis=-1)``, bit for bit, summed column by column
+    when there are many rows of 1 to 7 entries.
+
+    At those widths numpy adds a row's entries one at a time onto 0.0, but
+    pays one inner-loop call per row, which dominates when the rows are
+    short and many (a ``d = 2`` norm per pair). The same adds taken one
+    column at a time over every row cost one call per column, which pays
+    from about 64 rows. From 8 entries numpy sums in another order, so
+    wider rows are left to it.
+    """
+    width = x.shape[-1]
+    if not 1 <= width < 8 or x.size < 64 * width:
+        return np.add.reduce(x, axis=-1)
+    total = x[..., 0] + 0.0
+    for c in range(1, width):
+        total += x[..., c]
+    return total
+
+
 def _norms(x: np.ndarray, norm_mode: str) -> np.ndarray:
-    """The l1 or l2 norm of ``x`` over its last axis."""
+    """The l1 or l2 norm of ``x`` over its last axis.
+
+    The rows here are short (a pair's ``d`` features, a row of ``W``), so
+    they are summed by :func:`row_sums`: ``np.add.reduce``'s sums, taken
+    column by column over many rows, without its cost per row."""
     if norm_mode == "l1":
-        return np.add.reduce(np.abs(x), axis=-1)
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+        return row_sums(np.abs(x))
+    return np.sqrt(row_sums(x * x))
 
 
 def clip_gradient(g: np.ndarray, h: float, norm_mode: str = "l1") -> np.ndarray:
@@ -324,26 +348,41 @@ def default_margin(
     ``np.linalg.norm`` takes on a single vector.
     """
     pairs = PairSet.of(pairs)
-    return _default_margin(pairs.dx, pairs.y, ratio, norm_mode)
+    dx = pairs.dx
+    distances = _norms(dx, "l1") if norm_mode == "l1" else _dot_norms(dx)
+    return float(_default_margins(distances[None], (pairs.y == 1)[None], ratio)[0])
 
 
-def _default_margin(
-    dx: np.ndarray, y: np.ndarray, ratio: float, norm_mode: str
-) -> float:
-    dissimilar = dx[y == 1]
-    if not len(dissimilar):
-        raise ConfigInvalid(
-            "no dissimilar pairs to derive a margin from; set margin explicitly"
-        )
-    if norm_mode == "l1":
-        norms = np.add.reduce(np.abs(dissimilar), axis=1)
-    else:
-        norms = np.sqrt((dissimilar[:, None, :] @ dissimilar[:, :, None]).ravel())
-    total = sum(norms.tolist())
-    m = ratio * total / len(dissimilar)
-    if not m > 0:
+def _dot_norms(dx: np.ndarray) -> np.ndarray:
+    """The l2 length of each row of ``dx`` as the square root of its BLAS
+    dot product with itself."""
+    return np.sqrt((dx[:, None, :] @ dx[:, :, None]).ravel())
+
+
+def _default_margins(
+    distances: np.ndarray, dissimilar: np.ndarray, ratio: float
+) -> np.ndarray:
+    """The default margin of each pair set, from ``(sets, n)`` pair
+    distances and dissimilar marks, checked set by set in order.
+
+    ``np.cumsum`` adds each set's distances left to right, a similar pair's
+    as 0.0, which leaves the running sum as it is: the order in which the
+    builtin ``sum`` adds the list of the dissimilar distances alone (before
+    Python 3.12, whose ``sum`` compensates float rounding).
+    """
+    counts = np.count_nonzero(dissimilar, axis=-1)
+    sums = np.cumsum(np.where(dissimilar, distances, 0.0), axis=-1)
+    totals = sums[:, -1] if sums.shape[-1] else np.zeros(len(sums))
+    with np.errstate(invalid="ignore"):
+        margins = ratio * totals / counts
+    bad = ~(margins > 0)
+    if bad.any():
+        if not counts[np.argmax(bad)]:
+            raise ConfigInvalid(
+                "no dissimilar pairs to derive a margin from; set margin explicitly"
+            )
         raise ConfigInvalid("derived margin is zero; set margin explicitly")
-    return m
+    return margins
 
 
 def _batch_bounds(n_pairs: int, batch_size: int) -> list[tuple[int, int]]:
@@ -356,6 +395,15 @@ def _batch_bounds(n_pairs: int, batch_size: int) -> list[tuple[int, int]]:
     if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] < batch_size / 2:
         bounds.pop()
     return bounds
+
+
+def _index(mask: np.ndarray) -> slice | np.ndarray:
+    """The positions of ``mask``'s True entries: a slice when they are
+    consecutive, so that indexing takes a view, else an index array."""
+    at = np.flatnonzero(mask)
+    if len(at) and at[-1] - at[0] + 1 == len(at):
+        return slice(int(at[0]), int(at[-1]) + 1)
+    return at
 
 
 def _pair_components(pairs: PairSet, graph: PairGraph) -> np.ndarray:
@@ -384,11 +432,23 @@ def _distances(w: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``W`` or for each ``W`` of a stack ``(..., d_prime, d)``; ``dx`` is one
     ``(n, d)`` set or one per ``W``.
 
-    ``sqrt(add.reduce(p * p))`` is what ``np.linalg.norm(p, axis=0)`` runs,
-    without its dispatch.
+    Each ``W`` multiplies a C-contiguous copy of its ``dx`` transposed,
+    which BLAS takes faster than the transposed view and sums in the same
+    order; a single row (``d_prime`` 1) is a vector product, whose BLAS
+    kernel would sum in another order, so it keeps the view. ``D`` is
+    ``sqrt(add.reduce(p * p, axis=-2))``, what ``np.linalg.norm(p, axis=0)``
+    runs. That reduce pays per ``W`` and row, so where there are more ``W``
+    than pairs (a stacked step) :func:`row_sums` adds the rows in order
+    instead, which is the reduce's order.
     """
-    proj = w @ dx.swapaxes(-1, -2)                       # (..., d_prime, n)
-    return proj, np.sqrt(np.add.reduce(proj * proj, axis=-2))
+    dx_t = dx.swapaxes(-1, -2)
+    if w.shape[-2] > 1:
+        dx_t = np.ascontiguousarray(dx_t)
+    proj = w @ dx_t                                      # (..., d_prime, n)
+    squares = proj * proj
+    if math.prod(proj.shape[:-2]) > proj.shape[-1]:
+        return proj, np.sqrt(row_sums(squares.swapaxes(-1, -2)))
+    return proj, np.sqrt(np.add.reduce(squares, axis=-2))
 
 
 def _coefficients(
@@ -573,6 +633,17 @@ def train(
     clipped-gradient peaks, and the trace's objective and data-dependent
     bound columns are computed from them after the last step; a stack keeps
     two ``W`` and one step's peaks.
+
+    What a stack's step computes depends on the kind of run. Every run
+    gets its projections, hinge coefficients, clipped gradient and update.
+    Only the runs of a ``reduced`` cell that draw noise (not one-bit, which
+    reads no bound) get their clipped-gradient peaks and data-dependent
+    bound. A run at a ``basic`` bound reads a noise scale computed once per
+    batch size before the loop, and a run that draws no noise gets none.
+    Every pair set's default margin is derived in one pass over the stacked
+    labels. Row norms of the short rows here (``d`` features, ``d_prime``
+    projections) are summed column by column (:func:`row_sums`), which adds
+    in numpy's order without its cost per row.
     """
     single = isinstance(config, TrainConfig)
     if single:
@@ -602,24 +673,26 @@ def train(
     dx_rows = np.concatenate([pairs.dx, *(dx.reshape(-1, d) for dx, _ in own)])
     dissimilar_rows = np.concatenate([pairs.y, *(y.ravel() for _, y in own)]) == 1
     norm_rows = _norms(dx_rows, cfg.norm_mode)
-    source, margins, shared = [], [], None
+    source = []
     for cell, size in zip(cells, sizes):
         if cell.run_pairs is None:
             source += [0] * size
         else:
             first = max(source, default=0) + 1
             source += range(first, first + size)
-        if cfg.margin is not None:
-            margins += [cfg.margin] * size
-        elif cell.run_pairs is None:
-            if shared is None:
-                shared = default_margin(pairs, cfg.margin_ratio, cfg.norm_mode)
-            margins += [shared] * size
-        else:
-            margins += [
-                _default_margin(dx, y, cfg.margin_ratio, cfg.norm_mode)
-                for dx, y in zip(*cell.run_pairs)
-            ]
+    if cfg.margin is not None:
+        margins = [cfg.margin] * len(source)
+    else:
+        # every pair set that a run trains on, in the order the runs take
+        # them, gets its default margin in one pass
+        sets = list(dict.fromkeys(source))
+        distances = norm_rows if cfg.norm_mode == "l1" else _dot_norms(dx_rows)
+        derived = _default_margins(
+            distances.reshape(-1, n)[sets], dissimilar_rows.reshape(-1, n)[sets],
+            cfg.margin_ratio,
+        )
+        of_set = dict(zip(sets, derived.tolist()))
+        margins = [of_set[s] for s in source]
     # one margin for every run, or one per run as a column over its pairs
     margin = (
         margins[0] if len(set(margins)) == 1 else np.array(margins).reshape(-1, 1)
@@ -655,34 +728,47 @@ def train(
         else math.inf
         for c in cells
     ]
-    eps_epoch = per_run(eps_cells)
     # the runs that draw noise, at a finite budget and kappa >= 1
     drawing = [math.isfinite(e) and k > 0 for e, k in zip(eps_cells, kappas)]
     drawn = np.repeat(drawing, sizes)
-    reduced = per_run([
+    # the drawing runs whose noise reads the data-dependent bound; the
+    # one-bit randomizer reads no bound
+    reduced = np.repeat([
         c.config.sensitivity_mode == "reduced" and drawn_c
+        and c.config.mechanism != "duchi"
         for c, drawn_c in zip(cells, drawing)
-    ])
-    any_reduced, all_reduced = reduced.any(), reduced.all()
+    ], sizes)
+    bounded = _index(reduced) if reduced.any() else None
+    if bounded is not None:
+        # the data-dependent bound's per-run factors, for its runs only
+        margin_b = margin if np.ndim(margin) == 0 else margin[bounded]
+        kappa_b = kappa if np.ndim(kappa) == 0 else kappa[bounded]
+    # the runs whose clipped-gradient peaks a step takes: a single run's
+    # for its trace, else those with a data-dependent bound
+    peaked = slice(None) if single else bounded
 
     bounds = _batch_bounds(n, cfg.batch_size)
     schedule = bounds * cfg.t_max
     shape = (len(offsets), cfg.d_prime, d)
-    basic = {
-        hi - lo: np.broadcast_to(_basic_bound(kappa, h, hi - lo), shape[:-1])
-        for lo, hi in bounds
-    }
     steps = len(schedule)
     add_noise = None
     if any(drawing):
         # the drawing cells share one mechanism, named by any of their configs
         noisy = cells[drawing.index(True)].config
-        add_noise = _noise(noisy, eps_epoch, drawn, h, seeds, run_of, steps, shape)
+        basic = {
+            hi - lo: np.broadcast_to(_basic_bound(kappa, h, hi - lo), shape[:-1])
+            for lo, hi in bounds
+        }
+        add_noise = _noise(noisy, per_run(eps_cells), drawn, reduced, basic, h,
+                           seeds, run_of, steps, shape)
     # a single run keeps every step's W and peaks for its trace; a stack
     # keeps two W and one step's peaks
     ws = np.empty((steps + 1 if single else 2, *shape))
     ws[0] = w_init[run_of]
-    peaks = np.empty((steps if single else 1, *shape[:-1]))
+    peaks = np.empty((
+        steps if single else 1,
+        len(offsets) if single else np.count_nonzero(reduced), cfg.d_prime,
+    ))
     etas = [step_size(tau) for tau in range(1, steps + 1)]
     degenerate_events = np.zeros(len(offsets), dtype=int)
 
@@ -697,21 +783,24 @@ def train(
             degenerate_events += degenerate
         raw_norms = np.abs(amat) * norm_rows.take(batch)[:, None, :]
         clip = np.maximum(1.0, raw_norms / h)
-        # the temporaries are divided in place: same values, fewer copies
-        g_peaks = np.maximum.reduce(
-            np.divide(raw_norms, clip, out=raw_norms), axis=-1,
-            out=peaks[k % len(peaks)],
-        )
+        if peaked is not None:
+            # the temporaries are divided in place: same values, fewer copies
+            clipped = raw_norms[peaked]
+            g_peaks = np.maximum.reduce(
+                np.divide(clipped, clip[peaked], out=clipped), axis=-1,
+                out=peaks[k % len(peaks)],
+            )
         update = np.divide(amat, clip, out=amat) @ dx
         update /= n_b                                       # mean gradient
 
         if add_noise is not None:
-            sens = basic[n_b]
-            if any_reduced:
-                sens = _reduced_bound(g_peaks, w, h, margin, kappa, n_b, cfg.norm_mode)
-                if not all_reduced:
-                    sens = np.where(reduced, sens, basic[n_b])
-            add_noise(update, sens)
+            sens = None
+            if bounded is not None:
+                # a single run that reads the bound is all the peaks hold
+                sens = _reduced_bound(
+                    g_peaks, w[bounded], h, margin_b, kappa_b, n_b, cfg.norm_mode
+                )
+            add_noise(update, n_b, sens)
         np.subtract(w, etas[k] * update, out=ws[(k + 1) % len(ws)])
 
     iterations = list(range(1, steps + 1))
@@ -751,21 +840,27 @@ def _noise(
     config: TrainConfig,
     eps_epoch: np.ndarray,
     drawn: np.ndarray,
+    reduced: np.ndarray,
+    basic: dict[int, np.ndarray],
     h: float,
     seeds: list[list[np.random.SeedSequence]],
     run_of: np.ndarray,
     steps: int,
     shape: tuple[int, ...],
 ):
-    """``add(update, sens)``, called once per step: adds to each row of the
-    mean gradient ``update`` (``shape``: ``(runs, d_prime, d)``) its noise
-    at that row's sensitivity, in place.
+    """``add(update, n_b, sens)``, called once per step: adds to each row of
+    the mean gradient ``update`` (``shape``: ``(runs, d_prime, d)``) of a
+    batch of ``n_b`` pairs its noise at that row's sensitivity, in place.
 
     ``eps_epoch`` is a column with each run's per-epoch budget; ``drawn``
     marks the runs at a finite budget and kappa >= 1, the only rows that
     change, and a noise scale of theirs that is not positive raises
-    :class:`NonPositiveScale`. Run ``i`` draws from the noise streams of
-    ``seeds[run_of[i]]``, one per row.
+    :class:`NonPositiveScale`. Their scales at the fixed bounds ``basic``
+    (each batch size's, per run and row) are computed here, once per batch
+    size. ``sens`` holds the data-dependent bound of each run marked in
+    ``reduced`` (a drawing run), or is None when no run is marked; those
+    runs' scales are computed from it at each step. Run ``i`` draws from the
+    noise streams of ``seeds[run_of[i]]``, one per row.
 
     Every draw is taken here, as one ``(steps, streams, d_prime, d)`` block
     holding each stream's draws in the order per-step draws take them.
@@ -778,8 +873,9 @@ def _noise(
     d = shape[-1]
     mechanism = config.mechanism
     drawing = np.flatnonzero(drawn)
-    checked = slice(None) if drawn.all() else drawing
-    budgets = eps_epoch[drawing, 0].tolist()
+    checked = _index(drawn)
+    eps = eps_epoch[checked]
+    budgets = eps[:, 0].tolist()
     if mechanism == "staircase":
         streams, pick = run_of[drawing], np.arange(len(drawing))
     else:   # one stream per distinct run
@@ -805,27 +901,45 @@ def _noise(
         draws = (u.take(pick, axis=0) for u in unit)
     if mechanism == "duchi":
         c = np.array([duchi_magnitude(e / d) for e in budgets]).reshape(-1, 1, 1)
-    eps = eps_epoch[checked]
 
-    def add(update: np.ndarray, sens: np.ndarray) -> None:
-        if mechanism == "duchi":
+        def add(update: np.ndarray, n_b: int, sens: None) -> None:
             # rebuild each row from its scaled sign bits; clipping keeps
             # |coord| <= h up to rounding, so clamp the last ulp away
             rows = update[checked]
-            noise = h * duchi_bits(np.clip(rows / h, -1.0, 1.0), c, next(draws)) - rows
+            update[checked] += (
+                h * duchi_bits(np.clip(rows / h, -1.0, 1.0), c, next(draws)) - rows
+            )
+
+        return add
+
+    def scale_of(sens: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        if mechanism == "gaussian":
+            return gaussian_sigma(eps, config.delta, sens)
+        scale = sens / eps if mechanism == "laplace" else sens
+        if not scale.min() > 0:
+            raise NonPositiveScale(
+                f"{mechanism} noise scale must be positive, got {scale.min()}"
+            )
+        return scale
+
+    # the drawing rows whose scale follows the step's bound, and their budgets
+    bounded = _index(reduced[checked]) if reduced.any() else None
+    if bounded is not None:
+        eps_bounded = eps[bounded]
+    every = reduced[checked].all()
+    fixed = {n_b: scale_of(sens[checked], eps) for n_b, sens in basic.items()}
+
+    def add(update: np.ndarray, n_b: int, sens: np.ndarray | None) -> None:
+        if sens is None:
+            scale = fixed[n_b]
+        elif every:
+            scale = scale_of(sens, eps)
         else:
-            sens = sens[checked]
-            if mechanism == "gaussian":
-                scale = gaussian_sigma(eps, config.delta, sens)
-            else:
-                scale = sens / eps if mechanism == "laplace" else sens
-                if not scale.min() > 0:
-                    raise NonPositiveScale(
-                        f"{mechanism} noise scale must be positive, got {scale.min()}"
-                    )
-            noise = scale[..., None] * next(draws)
-            if mechanism != "staircase":
-                noise = 0.0 + noise
+            scale = fixed[n_b].copy()
+            scale[bounded] = scale_of(sens, eps_bounded)
+        noise = scale[..., None] * next(draws)
+        if mechanism != "staircase":
+            noise = 0.0 + noise
         update[checked] += noise
 
     return add

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dml import OBJECTIVE_BLOCK, Cell, MetricModel, TrainConfig, train
+from .dml import OBJECTIVE_BLOCK, Cell, MetricModel, TrainConfig, row_sums, train
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -85,6 +85,12 @@ def knn_accuracy(
     finite distances, so a squared distance that is NaN or infinite (a
     non-finite input, or finite ones large enough to overflow) raises
     :class:`NonFiniteValue`.
+
+    Each squared distance is ``|p|^2 + |q|^2 - 2 p.q`` over the projections.
+    A projection holds only ``d_prime`` entries, so the squared lengths of
+    every model's projections are summed by :func:`dppdml.dml.row_sums`:
+    column by column, in the order ``np.add.reduce`` adds them, without its
+    cost per row.
     """
     single = isinstance(model, MetricModel)
     models = [model] if single else list(model)
@@ -116,8 +122,8 @@ def knn_accuracy(
     with np.errstate(over="ignore", invalid="ignore"):
         p_train = train_x @ ws.swapaxes(-1, -2)           # (models, n_train, d_prime)
         p_test = test_x @ ws.swapaxes(-1, -2)
-        sq_train = np.add.reduce(p_train**2, axis=-1)[..., None, :]
-        sq_test = np.add.reduce(p_test**2, axis=-1)[..., :, None]
+        sq_train = row_sums(p_train**2)[..., None, :]
+        sq_test = row_sums(p_test**2)[..., :, None]
     n_test = len(test_x)
     one_hot = (y_train[:, None] == np.arange(len(classes))).astype(float)
     # the models are scored in chunks whose distance matrices hold at most

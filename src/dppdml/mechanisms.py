@@ -57,7 +57,14 @@ def _staircase_params(epsilon: float, sensitivity: float, gamma: float):
         raise NonPositiveScale(f"sensitivity must be positive, got {sensitivity}")
     if not (0 < gamma <= 1):
         raise InvalidGamma(f"gamma must lie in (0, 1], got {gamma}")
-    return math.exp(-epsilon)
+    b = math.exp(-epsilon)
+    if not 1.0 - b > 0:
+        # the period index would be geometric with success chance 0
+        raise NonPositiveScale(
+            f"staircase budget epsilon={epsilon} is too small: 1 - e^-epsilon "
+            "rounds to 0"
+        )
+    return b
 
 
 def staircase_sample(
@@ -135,8 +142,16 @@ def duchi_randomize_vector(
 
 
 def duchi_magnitude(epsilon: float) -> float:
-    """The one-bit randomizer's output magnitude C = (e^eps + 1) / (e^eps - 1)."""
-    return (math.exp(epsilon) + 1.0) / (math.exp(epsilon) - 1.0)
+    """The one-bit randomizer's output magnitude C = (e^eps + 1) / (e^eps - 1).
+
+    C is exactly 1.0 from eps of about 37 on, so it is 1.0 too where e^eps
+    overflows (eps above about 709.78) or is infinite.
+    """
+    try:
+        e = math.exp(epsilon)
+    except OverflowError:
+        e = math.inf
+    return 1.0 if e == math.inf else (e + 1.0) / (e - 1.0)
 
 
 def duchi_bits(values: np.ndarray, c, uniforms: np.ndarray) -> np.ndarray:
@@ -179,8 +194,9 @@ def input_perturb(
     laplace(0, 1)`` is each budget's noise bit for bit. If the block holds
     a 0, each finite budget draws its pairs one at a time instead. An
     infinite budget draws only the ``n`` label uniforms. The noisy sets
-    share the input's endpoints (:meth:`PairSet.with_values`), so only
-    their labels and features are checked again.
+    share the input's endpoints (as :meth:`PairSet.with_values` derives
+    them, keeping the new arrays without copying them), so only their
+    labels and features are checked again.
     """
     single = np.ndim(epsilon) == 0
     budgets = [epsilon] if single else list(epsilon)
@@ -214,7 +230,8 @@ def input_perturb(
                     label_draw[row] = rng.random()
         flipped = label_draw >= _keep_probability((1.0 - feature_share) * e)
         y = np.where(flipped, 1 - pairs.y, pairs.y)
-        out.append(pairs.with_values(pairs.dx + noise, y))
+        # both arrays are new, so the noisy set keeps them without a copy
+        out.append(pairs._derived(pairs.dx + noise, y))
     return out[0] if single else tuple(out)
 
 

@@ -106,8 +106,9 @@ class PairSet:
 
     def _keep(self, i: tuple, j: tuple, dx: np.ndarray, y: np.ndarray) -> None:
         """Hold checked columns, with the labels as ints and both arrays
-        read-only."""
-        y = y.astype(int)
+        read-only; ``dx`` and ``y`` become the set's own, so they must not be
+        shared."""
+        y = y.astype(int, copy=False)
         dx.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "i", i)
@@ -123,8 +124,11 @@ class PairSet:
         shares its ``i``/``j`` tuples and compares no endpoints; only the
         labels and features are checked, vectorized, and the first faulty
         pair raises the error ``PairwiseDatum`` raises for it."""
-        dx = np.array(dx, dtype=float, order="C")
-        y = np.array(y)
+        return self._derived(np.array(dx, dtype=float, order="C"), np.array(y))
+
+    def _derived(self, dx: np.ndarray, y: np.ndarray) -> "PairSet":
+        """:meth:`with_values` on arrays the new set may keep as its own: a
+        C-ordered float ``dx`` and a ``y`` that nothing else holds."""
         if dx.shape != self.dx.shape or y.shape != self.y.shape:
             raise DimensionMismatch(
                 f"new columns must have shapes {self.dx.shape} and "

@@ -714,6 +714,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: model weight w[1] is nan, not finite\n"
         assert not (tmp_path / "eval").exists()
 
+    def test_one_bit_budget_past_exp_overflow_trains(self, toy_files, tmp_path):
+        # 1000 per dimension: e^eps overflows, and the magnitude is 1.0
+        _, pairs_path = toy_files
+        assert run(["train", "--pairs", pairs_path, "--mechanism", "duchi",
+                    "--epsilon", 2000, "--t-max", 1, "--out-dir", tmp_path]) == 0
+        w = json.loads((tmp_path / "model.json").read_text())["w"]
+        assert all(math.isfinite(v) for v in w)
+
+    def test_vanishing_staircase_budget_exits_two_naming_it(
+        self, toy_files, tmp_path, capsys
+    ):
+        _, pairs_path = toy_files
+        capsys.readouterr()
+        assert run(["train", "--pairs", pairs_path, "--mechanism", "staircase",
+                    "--epsilon", "1e-320", "--t-max", 1,
+                    "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "epsilon=1e-320" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_non_finite_sample_feature_exits_two(self, command, toy_files,
                                                  tmp_path, capsys):

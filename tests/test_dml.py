@@ -307,6 +307,8 @@ class TestDefaultMargin:
     def test_requires_dissimilar_pairs(self):
         with pytest.raises(ConfigInvalid):
             default_margin([pair([1.0, 0.0], 0)], 1.0, "l1")
+        with pytest.raises(ConfigInvalid, match="no dissimilar pairs"):
+            default_margin([], 1.0, "l1")
 
 
 class TestTrain:
@@ -1018,3 +1020,164 @@ class TestDefaultMarginMatchesPairSum:
         expected = oracles.reference_default_margin(pairs, 0.7, norm_mode)
         for given in (pairs, PairSet.of(pairs)):
             assert default_margin(given, 0.7, norm_mode).hex() == expected.hex()
+
+
+class TestRowSums:
+    """``row_sums`` equals ``np.add.reduce`` over the last axis bit for bit:
+    column by column up to 7 entries, and through ``add.reduce`` from 8,
+    where numpy sums in another order."""
+
+    @staticmethod
+    def data(rng, shape):
+        signs = rng.choice([-1.0, 1.0], shape)
+        return signs * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    @pytest.mark.parametrize("lead", [(400,), (5, 80)])
+    def test_bit_equal_to_add_reduce(self, rng, width, lead):
+        x = self.data(rng, (*lead, width))
+        for values in (x, np.abs(x), x * x):
+            got = dml.row_sums(values)
+            assert got.shape == lead
+            assert got.tobytes() == np.add.reduce(values, axis=-1).tobytes()
+
+    def test_signed_zeros_and_views(self, rng):
+        x = self.data(rng, (6, 50, 7))
+        x[0] = -0.0
+        x[1, :, ::2] = 0.0
+        for values in (x, x[..., ::2], x.swapaxes(0, 1)):
+            want = np.add.reduce(values, axis=-1)
+            assert dml.row_sums(values).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", range(8, 13))
+    def test_wide_rows_take_add_reduce(self, rng, width):
+        x = self.data(rng, (400, width))
+        by_column = x[:, 0] + 0.0
+        for c in range(1, width):
+            by_column += x[:, c]
+        want = np.add.reduce(x, axis=-1)
+        assert by_column.tobytes() != want.tobytes()
+        assert dml.row_sums(x).tobytes() == want.tobytes()
+
+
+class TestStackBoundsOnlyReducedRuns:
+    """A stack takes the clipped-gradient peaks and the data-dependent bound
+    of the runs whose noise reads that bound, and only of those; every cell
+    still equals its own one-cell stack bit for bit."""
+
+    R = 3
+
+    def cells(self, mechanism):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        report = compute_kappa(graph)
+        # a Lipschitz cap above the gradient norms keeps the data-dependent
+        # bound below the fixed one
+        config = TestTrainMatchesLoopReference.config(
+            mechanism, "l2" if mechanism == "gaussian" else "l1", "shuffle",
+            lipschitz=5.0,
+        )
+        # dpp_s@1, dpp@1, a clean cell (a Gaussian stack cannot hold one, so
+        # dpp@2 there) and dpp_s@4: the reduced cells are not adjacent
+        third = (
+            ("basic", 2.0) if mechanism == "gaussian" else ("basic", math.inf)
+        )
+        cells = [
+            Cell(replace(config, sensitivity_mode=s, epsilon=e), report, range(self.R))
+            for s, e in [("reduced", 1.0), ("basic", 1.0), third, ("reduced", 4.0)]
+        ]
+        return pairs, graph, cells
+
+    @staticmethod
+    def spy_bounds(monkeypatch):
+        rows = []
+        reduced_bound = dml._reduced_bound
+
+        def spy(g_peaks, w, *args):
+            rows.append((len(g_peaks), len(w)))
+            return reduced_bound(g_peaks, w, *args)
+
+        monkeypatch.setattr(dml, "_reduced_bound", spy)
+        return rows
+
+    @pytest.mark.parametrize("mechanism", ["laplace-reduced", "gaussian"])
+    def test_non_adjacent_reduced_cells(self, mechanism, monkeypatch):
+        pairs, graph, cells = self.cells(mechanism)
+        rows = self.spy_bounds(monkeypatch)
+        models, trace = train(pairs, graph, cells)
+        assert rows and set(rows) == {(2 * self.R, 2 * self.R)}
+        TestTrainCellsMatchPerCellBatches.check(pairs, graph, cells)
+        assert len({m.w.tobytes() for cell in models for m in cell}) == 4 * self.R
+
+    @pytest.mark.parametrize("mechanism", ["laplace-basic", "duchi"])
+    def test_no_bound_without_a_reduced_drawing_run(self, mechanism, monkeypatch):
+        pairs, graph, cells = self.cells("laplace-reduced")
+        config = TestTrainMatchesLoopReference.config(mechanism, "l1", "shuffle")
+        # duchi reads no bound, even in a reduced cell
+        cells = [cell._replace(config=replace(
+            config, epsilon=cell.config.epsilon,
+            sensitivity_mode=cell.config.sensitivity_mode if mechanism == "duchi"
+            else "basic",
+        )) for cell in cells]
+        rows = self.spy_bounds(monkeypatch)
+        train(pairs, graph, cells)
+        assert rows == []
+        TestTrainCellsMatchPerCellBatches.check(pairs, graph, cells)
+
+
+class TestOnePassMargins:
+    """A stack derives every pair set's default margin in one pass; each
+    run's margin equals ``default_margin`` of its own pairs bit for bit."""
+
+    R = 4
+
+    @pytest.mark.parametrize("norm_mode", NORM_MODES)
+    def test_equal_default_margin_run_by_run(self, norm_mode):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        pairs = PairSet.of(pairs)
+        report = compute_kappa(graph)
+        config = TestTrainMatchesLoopReference.config(
+            "none", norm_mode, "shuffle", margin_ratio=0.7
+        )
+        perturbed = TestTrainCellsMatchPerCellBatches.perturbed
+        own = [perturbed(pairs, e, range(self.R)) for e in (0.5, 2.0)]
+        cells = [Cell(config, report, range(self.R), own[0]),
+                 Cell(config, report, range(2)),
+                 Cell(config, report, range(self.R), own[1])]
+        _, trace = train(pairs, graph, cells)
+        shared = default_margin(pairs, 0.7, norm_mode)
+        assert [m.hex() for m in trace.margins[1]] == [shared.hex()] * 2
+        for (dx, y), margins in zip(own, trace.margins[::2]):
+            for r, margin in enumerate(margins):
+                given = PairSet(pairs.i, pairs.j, dx[r], y[r])
+                want = default_margin(given, 0.7, norm_mode)
+                assert margin.hex() == want.hex()
+                assert want.hex() == oracles.reference_default_margin(
+                    given, 0.7, norm_mode).hex()
+        assert len({m for cell in trace.margins for m in cell}) == 2 * self.R + 1
+
+    @pytest.mark.parametrize("fault", ["every label similar", "zero distances"])
+    def test_faulty_run_raises_like_default_margin(self, fault):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        pairs = PairSet.of(pairs)
+        config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle")
+        dx, y = TestTrainCellsMatchPerCellBatches.perturbed(pairs, 1.0, range(3))
+        if fault == "every label similar":
+            y[1] = 0
+        else:
+            dx[1][y[1] == 1] = 0.0
+        with pytest.raises(ConfigInvalid) as want:
+            default_margin(PairSet(pairs.i, pairs.j, dx[1], y[1]), 1.0, "l1")
+        with pytest.raises(ConfigInvalid, match=re.escape(str(want.value))):
+            train(pairs, graph, [Cell(config, None, range(2)),
+                                 Cell(config, None, range(3), (dx, y))])
+
+    def test_pairs_no_run_trains_on_need_no_margin(self):
+        pairs, graph = TestTrainMatchesLoopReference.data()
+        pairs = PairSet.of(pairs)
+        config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle")
+        similar = PairSet(pairs.i, pairs.j, pairs.dx, np.zeros(len(pairs)))
+        with pytest.raises(ConfigInvalid):
+            default_margin(similar, 1.0, "l1")
+        own = (np.stack([pairs.dx] * 2), np.stack([pairs.y] * 2))
+        (models,), trace = train(similar, graph, [Cell(config, None, range(2), own)])
+        assert trace.margins[0] == (default_margin(pairs, 1.0, "l1"),) * 2

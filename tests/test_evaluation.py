@@ -207,6 +207,19 @@ class TestStackedKnnMatchesPerModelLoop:
         assert stacked == tuple(oracles.reference_knn_accuracy(m, *data)
                                 for m in models)
 
+    @pytest.mark.parametrize("d_prime", range(1, 10))
+    def test_every_projection_width(self, d_prime, rng):
+        # the squared lengths of d_prime 1-7 projections are summed column
+        # by column, of 8 and 9 by add.reduce
+        x = rng.normal(0, 1, (100, 9)) * 10.0 ** rng.uniform(-2, 2, (100, 1))
+        labels = rng.integers(0, 3, 100)
+        models = [MetricModel(rng.normal(0, 1, (d_prime, 9))) for _ in range(6)]
+        data = (x[:70], labels[:70], x[70:], labels[70:], 5)
+        stacked = knn_accuracy(models, *data)
+        assert stacked == tuple(knn_accuracy(m, *data) for m in models)
+        assert stacked == tuple(oracles.reference_knn_accuracy(m, *data)
+                                for m in models)
+
     def test_one_model_in_a_sequence(self, rng):
         x = rng.normal(0, 1, (60, 3))
         labels = rng.integers(0, 2, 60)

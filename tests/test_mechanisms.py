@@ -11,6 +11,7 @@ import pytest
 import dppdml
 from dppdml.errors import DeltaZero, InvalidGamma, NonPositiveScale, OutOfRange
 from dppdml.mechanisms import (
+    duchi_magnitude,
     duchi_randomize,
     duchi_randomize_vector,
     gaussian_sigma,
@@ -163,6 +164,18 @@ class TestStaircase:
             math.exp(-800.0 / 3.0) / 2.0 ** (1.0 / 3.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("epsilon", [1e-320, 5e-324, 1e-17])
+    def test_vanishing_budget_raises_naming_it(self, epsilon, rng):
+        # 1 - e^-eps rounds to 0: the period index has no geometric law
+        assert 1.0 - math.exp(-epsilon) == 0.0
+        with pytest.raises(NonPositiveScale, match=f"epsilon={epsilon!r}"):
+            staircase_sample(epsilon, 1.0, 0.5, rng)
+
+    def test_smallest_budget_with_a_period_law_still_draws(self, rng):
+        epsilon = 2.0**-52
+        assert 1.0 - math.exp(-epsilon) > 0.0
+        assert np.isfinite(staircase_sample(epsilon, 1.0, 0.5, rng, size=10)).all()
+
     def test_tuned_width_beats_laplace_variance(self):
         # the step shape wastes less budget than the exponential tails,
         # increasingly so at larger budgets
@@ -220,6 +233,24 @@ class TestDuchi:
         assert lap_var == pytest.approx(4e-4)
         ratio = c * c / lap_var
         assert ratio == pytest.approx(1.17e4, rel=0.01)
+
+    def test_magnitude_is_one_where_exp_overflows(self):
+        # the largest budget whose e^eps is finite, and the next double up
+        last = math.log(sys.float_info.max)
+        above = math.nextafter(last, math.inf)
+        math.exp(last)
+        with pytest.raises(OverflowError):
+            math.exp(above)
+        # the formula reaches exactly 1.0 long before the overflow
+        assert duchi_magnitude(40.0) == 1.0
+        assert (math.exp(40.0) + 1.0) / (math.exp(40.0) - 1.0) == 1.0
+        for epsilon in (last, above, 1000.0, 1e308, math.inf):
+            assert duchi_magnitude(epsilon) == 1.0
+        # below that the formula is unchanged
+        for epsilon in (0.1, 1.0, 20.0, 36.0):
+            e = math.exp(epsilon)
+            assert duchi_magnitude(epsilon) == (e + 1.0) / (e - 1.0)
+        assert duchi_magnitude(36.0) > 1.0
 
     def test_rejects_out_of_range(self, rng):
         with pytest.raises(OutOfRange):

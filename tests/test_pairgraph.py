@@ -217,6 +217,26 @@ class TestPairSet:
         assert got[0] is ValueError
         assert got == _error(lambda: PairSet(*self.IDS, dx, [0, 1, label, 1]))
 
+    def test_with_values_copies_int_labels(self):
+        # integer labels need no conversion; the set still holds a copy
+        ps = PairSet(*self.IDS, self.rows(), [0, 1, 0, 1])
+        dx, y = self.rows(), np.array([1, 0, 0, 1])
+        derived = ps.with_values(dx, y)
+        y[0], dx[0, 0] = 0, 99.0
+        assert derived.y.tolist() == [1, 0, 0, 1] and derived.dx[0, 0] == 0.0
+
+    @pytest.mark.parametrize("dx_value, label", [(np.nan, 0), (0.0, 2)])
+    def test_derived_keeps_new_arrays_and_checks_them(self, dx_value, label):
+        ps = PairSet(*self.IDS, self.rows(), [0, 1, 0, 1])
+        dx, y = self.rows() * 2.0, np.array([1, 0, 0, 1])
+        derived = ps._derived(dx, y)
+        assert derived.dx is dx and derived.y is y
+        assert not dx.flags.writeable and not y.flags.writeable
+        bad_dx, bad_y = self.rows(2, dx_value), np.array([0, 1, label, 1])
+        got = _error(lambda: ps._derived(bad_dx, bad_y))
+        assert got[0] is ValueError
+        assert got == _error(lambda: ps.with_values(bad_dx, bad_y))
+
     def test_with_values_checks_shapes(self):
         ps = PairSet(*self.IDS, self.rows(), [0, 1, 0, 1])
         with pytest.raises(DimensionMismatch):
