@@ -523,13 +523,13 @@ class Cell(NamedTuple):
     """One cell of a stacked :func:`train` call: its configuration and
     privacy distance (computed from the graph when None), the runs it trains
     (run ``r`` at seed ``config.seed + r``) and, optionally, each run's own
-    feature differences and labels as arrays ``(len(runs), n, d)`` and
-    ``(len(runs), n)``."""
+    pairs: one ``PairSet`` per run, with the stack's endpoints, whose values
+    were checked when the set was made."""
 
     config: TrainConfig
     kappa_report: KappaReport | None
     runs: Sequence[int]
-    run_pairs: tuple[np.ndarray, np.ndarray] | None = None
+    run_pairs: Sequence[PairSet] | None = None
 
 
 @dataclass
@@ -557,9 +557,9 @@ def _cells(
     pairs: PairSet, graph: PairGraph, cells: list[Cell]
 ) -> list[Cell]:
     """Check a stack's cells against each other and the pairs, and each
-    run's own pairs as ``PairSet`` checks pairs (a label outside {0, 1} or a
-    non-finite feature raises its error); return the cells with every kappa
-    report filled in and every ``run_pairs`` as arrays."""
+    cell's own pairs for what a ``PairSet`` does not guarantee: one set per
+    run, with the stack's ``(n, d)`` shape and endpoints. Return the cells
+    with every kappa report filled in."""
     cfg = cells[0].config
     for cell in cells:
         cell.config.validate()
@@ -579,18 +579,15 @@ def _cells(
     computed = None
     checked = []
     for cell in cells:
-        if cell.run_pairs is not None:
-            dx, y = (np.asarray(a) for a in cell.run_pairs)
-            want = ((len(cell.runs), n, d), (len(cell.runs), n))
-            if (dx.shape, y.shape) != want:
-                raise DimensionMismatch(
-                    f"run_pairs must have shapes {want[0]} and {want[1]}, "
-                    f"got {dx.shape} and {y.shape}"
-                )
-            if not (np.isfinite(dx).all() and ((y == 0) | (y == 1)).all()):
-                for r in range(len(dx)):
-                    PairSet(pairs.i, pairs.j, dx[r], y[r])  # a faulty run raises
-            cell = cell._replace(run_pairs=(dx, y))
+        # endpoint tuples compare item by item, so those that input_perturb's
+        # sets share with the stack match by identity
+        if cell.run_pairs is not None and (len(cell.run_pairs) != len(cell.runs) or any(
+            (p.dx.shape, p.i, p.j) != ((n, d), pairs.i, pairs.j) for p in cell.run_pairs
+        )):
+            raise DimensionMismatch(
+                f"a cell's own pairs must be one set per run, each of shape "
+                f"{(n, d)} and on the stack's endpoints"
+            )
         if cell.kappa_report is None:
             if computed is None:
                 computed = compute_kappa(graph)
@@ -622,9 +619,11 @@ def train(
     Run ``r`` of a cell equals the single run at seed ``config.seed + r``
     on that run's pairs, bit for bit. Cells may differ only in
     :data:`CELL_FIELDS`, in kappa and in their runs' pairs, and the cells
-    that add noise share one mechanism. A run's initial W and pair order
-    are drawn once per call, for every cell that trains it, and its noise
-    as :func:`_noise` sets out.
+    that add noise share one mechanism. A run's own pairs come as a
+    ``PairSet``, whose values were checked when it was made; the stack
+    checks only that it fits and concatenates its ``dx`` and ``y``. A run's
+    initial W and pair order are drawn once per call, for every cell that
+    trains it, and its noise as :func:`_noise` sets out.
 
     There is one step loop, and a single run is the one-run stack
     ``[Cell(config, kappa_report, range(1))]``. A step computes only what
@@ -669,9 +668,9 @@ def train(
 
     # the pair sets, one after another as rows: ``pairs``, then those of
     # each run that brings its own; run i's pair j is row ``n * source[i] + j``
-    own = [cell.run_pairs for cell in cells if cell.run_pairs is not None]
-    dx_rows = np.concatenate([pairs.dx, *(dx.reshape(-1, d) for dx, _ in own)])
-    dissimilar_rows = np.concatenate([pairs.y, *(y.ravel() for _, y in own)]) == 1
+    own = [p for cell in cells if cell.run_pairs is not None for p in cell.run_pairs]
+    dx_rows = np.concatenate([pairs.dx, *(p.dx for p in own)])
+    dissimilar_rows = np.concatenate([pairs.y, *(p.y for p in own)]) == 1
     norm_rows = _norms(dx_rows, cfg.norm_mode)
     source = []
     for cell, size in zip(cells, sizes):

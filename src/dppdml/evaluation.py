@@ -214,10 +214,12 @@ def run_experiment(
     runs that hold at most :data:`STACK_BYTES` in their run-by-pair tables:
     each run's row of pair indices, and each ``input_per`` run's own
     perturbed pairs. Those are drawn with their block, once per run for
-    every budget in the block that trains it. A cell's models are scored in
-    one ``knn_accuracy`` call. Every budget must be positive (an infinite
-    one is allowed) and ``k`` must lie between 1 and the number of training
-    individuals; a bad one is rejected before any training.
+    every budget in the block that trains it, as the ``PairSet``s that
+    :func:`input_perturb` checks and ``train`` takes as they are. A cell's
+    models are scored in one ``knn_accuracy`` call. Every budget must be
+    positive (an infinite one is allowed) and ``k`` must lie between 1 and
+    the number of training individuals; a bad one is rejected before any
+    training.
     """
     if repeats < 1:
         raise ConfigInvalid(f"repeats must be >= 1, got {repeats}")
@@ -271,10 +273,14 @@ def run_experiment(
         for c, runs in block.items():
             if grid[c][0] == "input_per":
                 by_runs.setdefault(tuple(runs), []).append(c)
+        # run r perturbs with the stream [1347, seed + r]; a cell takes its
+        # budget's set of each run
         run_pairs = {}
         for runs, cells in by_runs.items():
             budgets = [grid[c][1] for c in cells]
-            run_pairs.update(zip(cells, _perturbed(pairs, budgets, seed, runs)))
+            rngs = (np.random.default_rng([1347, seed + r]) for r in runs)
+            noisy = [input_perturb(pairs, budgets, rng) for rng in rngs]
+            run_pairs.update(zip(cells, zip(*noisy)))
         stack = [
             Cell(
                 _method_config(grid[c][0], config, grid[c][1], seed),
@@ -297,18 +303,3 @@ def run_experiment(
         for (method, epsilon), key in zip(keys, cell_of)
     ]
 
-
-def _perturbed(
-    pairs: PairSet, budgets: Sequence[float], seed: int, runs: Sequence[int]
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The input-perturbed feature differences and labels of each run in
-    ``runs`` at each budget, one pair of stacks ``(len(runs), n, d)`` and
-    ``(len(runs), n)`` per budget; run ``r`` perturbs with the stream
-    ``[1347, seed + r]``, once for every budget."""
-    dx = np.empty((len(budgets), len(runs), *pairs.dx.shape))
-    y = np.empty((len(budgets), len(runs), len(pairs)), dtype=pairs.y.dtype)
-    for i, r in enumerate(runs):
-        noisy = input_perturb(pairs, budgets, np.random.default_rng([1347, seed + r]))
-        for b, one in enumerate(noisy):
-            dx[b, i], y[b, i] = one.dx, one.y
-    return tuple(zip(dx, y))

@@ -103,11 +103,15 @@ def staircase_optimal_gamma(epsilon: float) -> float:
     ``(cbrt(b (1 + b) / 2) - b) / (1 - b)`` with ``b = e^-eps``. The cube
     root is taken in log form so it stays positive after ``b`` underflows
     (eps above about 745); past eps of about 2,200 it underflows too, and
-    the width is floored at the smallest positive float.
+    the width is floored at the smallest positive float. Below eps = 1e-6
+    ``root - b`` cancels, so there it is taken as ``b (root / b - 1)``.
     """
     if not epsilon > 0:
         raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
     b = math.exp(-epsilon)
+    if epsilon < 1e-6:
+        ratio = (math.log1p(math.expm1(-epsilon) / 2.0) + 2.0 * epsilon) / 3.0
+        return b * math.expm1(ratio) / -math.expm1(-epsilon)
     root = math.exp((math.log1p(b) - math.log(2.0) - epsilon) / 3.0)
     return max((root - b) / -math.expm1(-epsilon), math.ulp(0.0))
 

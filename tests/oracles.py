@@ -16,8 +16,10 @@ readers and writers must match byte for byte and error for error.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -754,11 +756,13 @@ def reference_write_csv(path, fieldnames, rows) -> None:
 
 def reference_default_margin(pairs, ratio: float, norm_mode: str) -> float:
     dissimilar = [p for p in pairs if p.y == 1]
-    total = sum(
+    # left to right, as the margins' cumsum adds: from Python 3.12 the
+    # builtin sum of floats is compensated
+    total = functools.reduce(operator.add, (
         float(np.abs(p.delta_x).sum()) if norm_mode == "l1"
         else float(np.linalg.norm(p.delta_x))
         for p in dissimilar
-    )
+    ), 0.0)
     return ratio * total / len(dissimilar)
 
 

@@ -10,7 +10,10 @@ import pytest
 
 from dppdml import cli, dataio, evaluation
 from dppdml.cli import main
-from dppdml.pairgraph import PairSet, PairwiseDatum, read_pairs_file, write_pairs_file
+from dppdml.kappa import compute_kappa
+from dppdml.pairgraph import (
+    PairSet, PairwiseDatum, build_graph, read_pairs_file, write_pairs_file,
+)
 
 
 def run(args):
@@ -719,6 +722,18 @@ class TestExitCodes:
         _, pairs_path = toy_files
         assert run(["train", "--pairs", pairs_path, "--mechanism", "duchi",
                     "--epsilon", 2000, "--t-max", 1, "--out-dir", tmp_path]) == 0
+        w = json.loads((tmp_path / "model.json").read_text())["w"]
+        assert all(math.isfinite(v) for v in w)
+
+    def test_tiny_staircase_budget_trains(self, tmp_path):
+        # 1 - e^-eps is still positive, and the tuned width near 1/2
+        data = tmp_path / "data"
+        assert run(["synth", "--out-dir", data, "--mode", "density",
+                    "--n-per-class", 40, "--density", 1.5]) == 0
+        pairs_path = data / "pairs.csv"
+        assert compute_kappa(build_graph(read_pairs_file(pairs_path))).kappa > 0
+        assert run(["train", "--pairs", pairs_path, "--mechanism", "staircase",
+                    "--epsilon", "1e-16", "--t-max", 1, "--out-dir", tmp_path]) == 0
         w = json.loads((tmp_path / "model.json").read_text())["w"]
         assert all(math.isfinite(v) for v in w)
 

@@ -712,9 +712,7 @@ class TestTrainRepeatsMatchSingleRuns:
         assert len(models) == len(margins) == len(degenerate) == cls.R
         pairs = PairSet.of(pairs)
         for r, model in enumerate(models):
-            given = pairs if run_pairs is None else PairSet(
-                pairs.i, pairs.j, run_pairs[0][r], run_pairs[1][r]
-            )
+            given = pairs if run_pairs is None else run_pairs[r]
             single, trace = train(given, graph, replace(config, seed=config.seed + r),
                                   kappa_report=report)
             assert model.w.tobytes() == single.w.tobytes()
@@ -753,8 +751,7 @@ class TestTrainRepeatsMatchSingleRuns:
         config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle")
         noisy = [input_perturb(pairs, epsilon, np.random.default_rng([1347, r]))
                  for r in range(self.R)]
-        run_pairs = (np.stack([p.dx for p in noisy]), np.stack([p.y for p in noisy]))
-        _, stack = self.check(pairs, graph, config, compute_kappa(graph), run_pairs)
+        _, stack = self.check(pairs, graph, config, compute_kappa(graph), noisy)
         assert len(set(stack.margins[0])) == (1 if math.isinf(epsilon) else self.R)
 
     @pytest.mark.parametrize(
@@ -779,33 +776,33 @@ class TestTrainRepeatsMatchSingleRuns:
         models, _ = self.check(pairs, graph, config, report)
         assert [m.w.tobytes() for m in models] == [m.w.tobytes() for m in clean[0]]
 
-    def test_run_pairs_shape_checked(self):
-        pairs, graph = TestTrainMatchesLoopReference.data()
-        pairs = PairSet.of(pairs)
-        config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle")
-        with pytest.raises(DimensionMismatch):
-            train(pairs, graph, [Cell(config, None, range(2), (
-                np.stack([pairs.dx] * 3), np.stack([pairs.y] * 3)
-            ))])
-
     @pytest.mark.parametrize("mechanism", ["none", "laplace-reduced"])
-    @pytest.mark.parametrize("fault", ["label", "nan"])
-    def test_run_pairs_checked_like_pairs(self, fault, mechanism):
-        """A run's own label outside {0, 1}, or its non-finite feature
-        difference, given through a ``Cell``, raises the error ``PairSet``
-        raises for that pair."""
+    @pytest.mark.parametrize("fault", ["set count", "pairs", "features", "i", "j"])
+    def test_run_pairs_fit_the_stack(self, fault, mechanism):
+        """A cell's own pairs must be one set per run, of the stack's
+        ``(n, d)`` and on its endpoints, or ``train`` raises before it
+        trains. Their labels and features were checked when each set was
+        made."""
         pairs, graph = TestTrainMatchesLoopReference.data()
         pairs = PairSet.of(pairs)
         config = TestTrainMatchesLoopReference.config(mechanism, "l1", "shuffle")
-        dx, y = np.stack([pairs.dx] * 2), np.stack([pairs.y] * 2)
-        if fault == "label":
-            y[1, 3] = 2
-        else:
-            dx[1, 3, 0] = np.nan
-        with pytest.raises(ValueError) as want:
-            PairSet(pairs.i, pairs.j, dx[1], y[1])
-        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-            train(pairs, graph, [Cell(config, None, range(2), (dx, y))])
+        other = [f"other{k}" for k in range(len(pairs))]
+        misfit = {
+            "set count": [pairs] * 3,
+            "pairs": [pairs, PairSet(pairs.i[:-1], pairs.j[:-1], pairs.dx[:-1],
+                                     pairs.y[:-1])],
+            "features": [pairs, PairSet(pairs.i, pairs.j, pairs.dx[:, :1], pairs.y)],
+            "i": [pairs, PairSet(other, pairs.j, pairs.dx, pairs.y)],
+            "j": [pairs, PairSet(pairs.i, other, pairs.dx, pairs.y)],
+        }[fault]
+        with pytest.raises(DimensionMismatch):
+            train(pairs, graph, [Cell(config, None, range(2), misfit)])
+        # equal endpoints in tuples of their own fit
+        equal = PairSet(list(pairs.i), list(pairs.j), pairs.dx, pairs.y)
+        assert equal.i is not pairs.i
+        (models,), _ = train(pairs, graph, [Cell(config, None, range(2), [equal] * 2)])
+        (want,), _ = train(pairs, graph, [Cell(config, None, range(2))])
+        assert [m.w.tobytes() for m in models] == [m.w.tobytes() for m in want]
 
     @pytest.mark.parametrize("repeats", [None, 2])
     @pytest.mark.parametrize("mechanism", ["laplace-reduced", "gaussian"])
@@ -865,9 +862,8 @@ class TestTrainCellsMatchPerCellBatches:
 
     @staticmethod
     def perturbed(pairs, epsilon, runs):
-        noisy = [input_perturb(pairs, epsilon, np.random.default_rng([1347, r]))
-                 for r in runs]
-        return np.stack([p.dx for p in noisy]), np.stack([p.y for p in noisy])
+        return [input_perturb(pairs, epsilon, np.random.default_rng([1347, r]))
+                for r in runs]
 
     @pytest.mark.parametrize("batch_mode", ["shuffle", "component"])
     @pytest.mark.parametrize("norm_mode", NORM_MODES)
@@ -984,8 +980,9 @@ class TestTrainCellsMatchPerCellBatches:
         with pytest.raises(ConfigInvalid):
             train(pairs, graph, [Cell(config, report, runs)], kappa_report=report)
         with pytest.raises(DimensionMismatch):
-            train(pairs, graph, [Cell(config, report, runs, (np.zeros((2, 3, 2)),
-                                                             np.zeros((2, 3))))])
+            train(pairs, graph, [Cell(config, report, runs, [
+                PairSet([0, 2, 4], [1, 3, 5], np.zeros((3, 2)), [0, 1, 0])
+            ] * 2)])
 
     def test_non_positive_scale_raises_next_to_a_clean_cell(self):
         # a finite but huge feature difference overflows its clipped norm
@@ -1146,9 +1143,8 @@ class TestOnePassMargins:
         _, trace = train(pairs, graph, cells)
         shared = default_margin(pairs, 0.7, norm_mode)
         assert [m.hex() for m in trace.margins[1]] == [shared.hex()] * 2
-        for (dx, y), margins in zip(own, trace.margins[::2]):
-            for r, margin in enumerate(margins):
-                given = PairSet(pairs.i, pairs.j, dx[r], y[r])
+        for sets, margins in zip(own, trace.margins[::2]):
+            for given, margin in zip(sets, margins):
                 want = default_margin(given, 0.7, norm_mode)
                 assert margin.hex() == want.hex()
                 assert want.hex() == oracles.reference_default_margin(
@@ -1160,16 +1156,18 @@ class TestOnePassMargins:
         pairs, graph = TestTrainMatchesLoopReference.data()
         pairs = PairSet.of(pairs)
         config = TestTrainMatchesLoopReference.config("none", "l1", "shuffle")
-        dx, y = TestTrainCellsMatchPerCellBatches.perturbed(pairs, 1.0, range(3))
+        noisy = TestTrainCellsMatchPerCellBatches.perturbed(pairs, 1.0, range(3))
+        dx, y = noisy[1].dx.copy(), noisy[1].y.copy()
         if fault == "every label similar":
-            y[1] = 0
+            y[:] = 0
         else:
-            dx[1][y[1] == 1] = 0.0
+            dx[y == 1] = 0.0
+        noisy[1] = noisy[1].with_values(dx, y)
         with pytest.raises(ConfigInvalid) as want:
-            default_margin(PairSet(pairs.i, pairs.j, dx[1], y[1]), 1.0, "l1")
+            default_margin(noisy[1], 1.0, "l1")
         with pytest.raises(ConfigInvalid, match=re.escape(str(want.value))):
             train(pairs, graph, [Cell(config, None, range(2)),
-                                 Cell(config, None, range(3), (dx, y))])
+                                 Cell(config, None, range(3), noisy)])
 
     def test_pairs_no_run_trains_on_need_no_margin(self):
         pairs, graph = TestTrainMatchesLoopReference.data()
@@ -1178,6 +1176,6 @@ class TestOnePassMargins:
         similar = PairSet(pairs.i, pairs.j, pairs.dx, np.zeros(len(pairs)))
         with pytest.raises(ConfigInvalid):
             default_margin(similar, 1.0, "l1")
-        own = (np.stack([pairs.dx] * 2), np.stack([pairs.y] * 2))
-        (models,), trace = train(similar, graph, [Cell(config, None, range(2), own)])
+        (models,), trace = train(similar, graph, [Cell(config, None, range(2),
+                                                       [pairs] * 2)])
         assert trace.margins[0] == (default_margin(pairs, 1.0, "l1"),) * 2

@@ -390,11 +390,9 @@ class TestRunExperiment:
             config, run_pairs = replace(cfg, epsilon=rep.epsilon), None
             if rep.method == "input_per":
                 config = replace(cfg, mechanism="none")
-                noisy = [input_perturb(pairs, rep.epsilon,
-                                       np.random.default_rng([1347, 7 + r]))
-                         for r in range(3)]
-                run_pairs = (np.stack([p.dx for p in noisy]),
-                             np.stack([p.y for p in noisy]))
+                run_pairs = [input_perturb(pairs, rep.epsilon,
+                                           np.random.default_rng([1347, 7 + r]))
+                             for r in range(3)]
             (models,), _ = train(pairs, graph, [
                 Cell(replace(config, seed=7), report, range(3), run_pairs)
             ])
@@ -435,39 +433,25 @@ class TestRunExperiment:
 
 
 class TestPerturbedRuns:
-    """``_perturbed`` stacks the noisy sets ``input_perturb`` derives from
-    the checked input set, one per run, bit for bit."""
+    """``input_perturb`` over a list of budgets, as ``run_experiment`` calls
+    it once per run, derives from the checked input set one noisy set per
+    budget, each that budget's own call bit for bit."""
 
-    @pytest.mark.parametrize("epsilon", [0.5, 4.0, math.inf])
-    def test_stack_equals_the_runs_of_input_perturb(self, epsilon):
+    def test_each_budget_equals_its_own_call_and_the_oracle(self):
         _, pairs, _ = benchmark()
-        runs = [0, 2, 5]
-        (dx, y), = evaluation._perturbed(pairs, [epsilon], 9, runs)
-        noisy = [input_perturb(pairs, epsilon, np.random.default_rng([1347, 9 + r]))
-                 for r in runs]
-        assert dx.tobytes() == np.stack([p.dx for p in noisy]).tobytes()
-        assert y.tobytes() == np.stack([p.y for p in noisy]).tobytes()
-        assert (dx.shape, y.shape, y.dtype) == ((3, *pairs.dx.shape), (3, len(pairs)),
-                                                pairs.y.dtype)
-        for p, r in zip(noisy, runs):
-            ref = oracles.reference_input_perturb(
-                pairs, epsilon, np.random.default_rng([1347, 9 + r]))
-            assert p.dx.tobytes() == np.stack([q.delta_x for q in ref]).tobytes()
-            assert p.y.tolist() == [q.y for q in ref]
-            assert p.i is pairs.i and p.j is pairs.j
-
-    def test_several_budgets_equal_the_runs_of_input_perturb(self):
-        # one pair of stacks per budget, each run perturbed once for all
-        _, pairs, _ = benchmark()
-        runs, budgets = [0, 2, 5], [0.5, 4.0, math.inf]
-        stacks = evaluation._perturbed(pairs, budgets, 9, runs)
-        assert len(stacks) == len(budgets)
-        for epsilon, (dx, y) in zip(budgets, stacks):
-            noisy = [input_perturb(pairs, epsilon, np.random.default_rng([1347, 9 + r]))
-                     for r in runs]
-            assert dx.tobytes() == np.stack([p.dx for p in noisy]).tobytes()
-            assert y.tobytes() == np.stack([p.y for p in noisy]).tobytes()
-            assert (dx.shape, y.shape) == ((3, *pairs.dx.shape), (3, len(pairs)))
+        budgets = [0.5, 4.0, math.inf]
+        for r in [0, 2, 5]:
+            sets = input_perturb(pairs, budgets, np.random.default_rng([1347, 9 + r]))
+            assert len(sets) == len(budgets)
+            for epsilon, p in zip(budgets, sets):
+                own = input_perturb(pairs, epsilon, np.random.default_rng([1347, 9 + r]))
+                assert p.dx.tobytes() == own.dx.tobytes()
+                assert p.y.tobytes() == own.y.tobytes()
+                ref = oracles.reference_input_perturb(
+                    pairs, epsilon, np.random.default_rng([1347, 9 + r]))
+                assert p.dx.tobytes() == np.stack([q.delta_x for q in ref]).tobytes()
+                assert p.y.tolist() == [q.y for q in ref]
+                assert p.i is pairs.i and p.j is pairs.j
 
     def test_faulty_derived_set_raises_the_datum_error(self):
         # features at the largest float overflow under the noise of a tiny
@@ -475,7 +459,7 @@ class TestPerturbedRuns:
         big = np.finfo(float).max
         pairs = PairSet([0, 2, 4, 6], [1, 3, 5, 7], np.full((4, 2), big), [0, 1, 0, 1])
         with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
-            evaluation._perturbed(pairs, [1e-300], 0, [0])
+            input_perturb(pairs, [1e-300], np.random.default_rng([1347, 0]))
         named = re.fullmatch(r"pair \((\d), (\d)\) .*", str(err.value))
         i, j = map(int, named.groups())
         assert j == i + 1

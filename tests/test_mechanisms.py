@@ -160,6 +160,9 @@ class TestStaircase:
     def test_optimal_gamma_limits(self):
         # gamma* -> 1/2 - eps/12 as eps -> 0 and cbrt(e^-eps / 2) as eps grows
         assert staircase_optimal_gamma(1e-8) == pytest.approx(0.5, abs=1e-8)
+        # the root does not cancel at vanishing budgets
+        for epsilon in (1e-12, 1e-15, 1e-16, 2.0**-52, 1e-300):
+            assert staircase_optimal_gamma(epsilon) == pytest.approx(0.5, abs=1e-9)
         assert staircase_optimal_gamma(800.0) == pytest.approx(
             math.exp(-800.0 / 3.0) / 2.0 ** (1.0 / 3.0), rel=1e-12
         )
