@@ -7,16 +7,16 @@ distance of a pairs file), ``train`` (private metric learning),
 objective traces per mechanism).
 
 A command's options are the keys of its defaults table in :data:`COMMANDS`,
-one flag each. Every artifact-producing run writes them all, the seed
-included, to ``resolved_config.json``; re-running with ``--config`` on that
-file reproduces the outputs byte-identically. Exit codes: 0 success, 2
-usage/config errors, 3 runtime failures.
+one flag each. :func:`main` resolves them for every command and hands
+them to its handler; a run that succeeds with an out dir writes them all,
+the seed included, to ``resolved_config.json``, and re-running with
+``--config`` on that file reproduces the outputs byte-identically. Exit
+codes: 0 success, 2 usage/config errors, 3 runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -37,7 +37,8 @@ from .dml import (
     train,
 )
 from .errors import ConfigInvalid, DppError
-from .pairgraph import RELATION_KINDS, build_graph, read_pairs_file, write_pairs_file
+from .pairgraph import (RELATION_KINDS, _write_table, build_graph, read_pairs_file,
+                        write_pairs_file)
 
 #: TrainConfig fields set from flags; the seed comes from ``--seed``.
 TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
@@ -61,10 +62,7 @@ def _write_csv(path: Path, fieldnames, columns) -> None:
     """A header, then ``columns`` side by side; numpy turns each column into
     Python scalars, so every float is written as its ``repr``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+    _write_table(path, fieldnames, map(np.asarray, columns))
 
 
 def _str_list(cfg: dict, key: str) -> list:
@@ -116,10 +114,9 @@ def _check_config_type(key: str, value, default) -> None:
         )
 
 
-def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
-    """Layer explicit CLI flags over the config file over defaults."""
+def _resolve(defaults: dict, provided: dict) -> dict:
+    """Layer the flags given (``provided``) over the config file over defaults."""
     merged = dict(defaults)
-    provided = vars(args)
     config_path = provided.pop("config", None)
     if config_path:
         with open(config_path) as fh:
@@ -133,10 +130,7 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
                 raise DppError(f"config file {config_path}: unknown key {key!r}")
             _check_config_type(key, value, merged[key])
             merged[key] = value
-    for key, value in provided.items():
-        if key in ("command", "func"):
-            continue
-        merged[key] = value
+    merged.update(provided)
     # every command takes a seed; a negative one is rejected before any work
     if merged["seed"] < 0:
         raise ConfigInvalid(f"seed must be >= 0, got {merged['seed']}")
@@ -158,12 +152,6 @@ def _load_pairs(cfg: dict):
     return pairs, build_graph(pairs, cfg["relation"])
 
 
-def _emit_resolved(cfg: dict, command: str) -> None:
-    out_dir = cfg.get("out_dir")
-    if out_dir:
-        _write_json(Path(out_dir) / "resolved_config.json", {"command": command, **cfg})
-
-
 # --- subcommand handlers -----------------------------------------------------
 
 
@@ -182,8 +170,7 @@ SYNTH_DEFAULTS = {
 }
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _resolve(SYNTH_DEFAULTS, args)
+def cmd_synth(cfg: dict) -> None:
     if cfg["mode"] not in SYNTH_MODES:
         raise ConfigInvalid(
             f"mode must be {' or '.join(map(repr, SYNTH_MODES))}, got {cfg['mode']!r}"
@@ -202,10 +189,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dataio.save_samples_csv(out / "samples.csv", samples)
     write_pairs_file(out / "pairs.csv", pairs)
-    _emit_resolved(cfg, "synth")
     print(f"wrote {out / 'samples.csv'} ({len(samples)} samples) and "
           f"{out / 'pairs.csv'} ({len(pairs)} pairs)")
-    return 0
 
 
 ANALYZE_DEFAULTS = {
@@ -218,8 +203,7 @@ ANALYZE_DEFAULTS = {
 }
 
 
-def cmd_analyze_kappa(args: argparse.Namespace) -> int:
-    cfg = _resolve(ANALYZE_DEFAULTS, args)
+def cmd_analyze_kappa(cfg: dict) -> None:
     _, graph = _load_pairs(cfg)
     report = kappa_mod.compute_kappa(
         graph, method=cfg["method"], exact_limit=cfg["exact_limit"]
@@ -230,8 +214,6 @@ def cmd_analyze_kappa(args: argparse.Namespace) -> int:
     print(json.dumps(report.to_dict(), sort_keys=True))
     if cfg.get("out_dir"):
         _write_json(Path(cfg["out_dir"]) / "kappa.json", report.to_dict())
-        _emit_resolved(cfg, "analyze-kappa")
-    return 0
 
 
 TRAIN_DEFAULTS = {
@@ -248,8 +230,7 @@ TRAIN_DEFAULTS = {
 }
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve(TRAIN_DEFAULTS, args)
+def cmd_train(cfg: dict) -> None:
     pairs, graph = _load_pairs(cfg)
     report = kappa_mod.compute_kappa(
         graph, method=cfg["kappa_method"], exact_limit=cfg["exact_limit"]
@@ -275,10 +256,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     _write_json(model_path, payload)
     _write_csv(trace_path, TRACE_COLUMNS, trace.columns())
-    _emit_resolved(cfg, "train")
     print(f"wrote {model_path} and {trace_path} "
           f"(final objective {trace.objectives[-1]:.6f})")
-    return 0
 
 
 EVALUATE_DEFAULTS = {
@@ -291,8 +270,7 @@ EVALUATE_DEFAULTS = {
 }
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _resolve(EVALUATE_DEFAULTS, args)
+def cmd_evaluate(cfg: dict) -> None:
     with open(_require(cfg, "model")) as fh:
         payload = json.load(fh)
     model = MetricModel.from_dict(payload)
@@ -324,8 +302,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(json.dumps(result, sort_keys=True))
     if cfg.get("out_dir"):
         _write_json(Path(cfg["out_dir"]) / "accuracy.json", result)
-        _emit_resolved(cfg, "evaluate")
-    return 0
 
 
 SWEEP_DEFAULTS = {
@@ -343,8 +319,7 @@ SWEEP_DEFAULTS = {
 }
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve(SWEEP_DEFAULTS, args)
+def cmd_sweep(cfg: dict) -> None:
     samples = dataio.load_csv(_require(cfg, "data"))
     pairs, graph = _load_pairs(cfg)
     methods = _str_list(cfg, "methods")
@@ -365,7 +340,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = [(rep.method, rep.epsilon, run, acc)
             for rep in reports for run, acc in enumerate(rep.per_run)]
     _write_csv(sweep_path, ["method", "epsilon", "run", "accuracy"], zip(*rows))
-    _emit_resolved(cfg, "sweep")
     if any(rep.in_sample for rep in reports):
         print("every sample is in a pair: accuracies are scored in-sample, "
               "on the training individuals")
@@ -373,7 +347,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"{rep.method:10s} eps={rep.epsilon:<6g} "
               f"acc={rep.mean_accuracy:.4f} +- {rep.std_accuracy:.4f}")
     print(f"wrote {sweep_path}")
-    return 0
 
 
 COMPARE_DEFAULTS = {
@@ -387,8 +360,7 @@ COMPARE_DEFAULTS = {
 }
 
 
-def cmd_compare_mechanisms(args: argparse.Namespace) -> int:
-    cfg = _resolve(COMPARE_DEFAULTS, args)
+def cmd_compare_mechanisms(cfg: dict) -> None:
     pairs, graph = _load_pairs(cfg)
     report = kappa_mod.compute_kappa(graph)
     print(f"privacy distance kappa={report.kappa} ({report.method})")
@@ -411,9 +383,7 @@ def cmd_compare_mechanisms(args: argparse.Namespace) -> int:
     _write_csv(path, ["iter"] + names, [range(1, n_iter + 1)] + [
         columns[name][:n_iter] for name in names
     ])
-    _emit_resolved(cfg, "compare-mechanisms")
     print(f"wrote {path}")
-    return 0
 
 
 # --- parser -------------------------------------------------------------------
@@ -454,16 +424,15 @@ _HELP = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built once from :data:`COMMANDS`; each subcommand names its handler,
-    which ``main`` looks up. A flag left out is absent from the namespace,
-    so ``_resolve`` falls back to the config file, then the default."""
+    """Built once from :data:`COMMANDS`. A flag left out is absent from the
+    namespace, so ``_resolve`` falls back to the config file, then the
+    default."""
     parser = argparse.ArgumentParser(
         prog="dppdml",
         description="Differentially pairwise-private distance metric learning",
     )
-    parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")
-    for name, (defaults, help_text, handler) in COMMANDS.items():
+    for name, (defaults, help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for key, default in defaults.items():
             flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
@@ -476,18 +445,27 @@ def build_parser() -> argparse.ArgumentParser:
                                choices=_CHOICES.get(key), help=help_)
             if key == "seed":  # every usage line reads --seed, then --config
                 p.add_argument("--config", help="JSON file of defaults for this command")
-        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: resolve its options, call its handler with them,
+    then record them in ``resolved_config.json`` if the command has an out
+    dir. A command that fails records nothing."""
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.func is None:
+    provided = vars(parser.parse_args(argv))
+    command = provided.pop("command")
+    if command is None:
         parser.print_help()
         return 2
+    defaults, _, handler = COMMANDS[command]
     try:
-        return globals()[args.func](args)
+        cfg = _resolve(defaults, provided)
+        globals()[handler](cfg)  # looked up now, so a patched handler runs
+        if cfg["out_dir"]:
+            _write_json(Path(cfg["out_dir"]) / "resolved_config.json",
+                        {"command": command, **cfg})
+        return 0
     except (DppError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
             FileExistsError, json.JSONDecodeError) as exc:
         # bad input, or a path that is missing or of the wrong kind (the

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
 )
 from .pairgraph import (PairSet, _float_matrix, _node_ids, _nonblank, _parse_features,
-                        _parse_node_id)
+                        _parse_node_id, _write_table)
 
 logger = logging.getLogger(__name__)
 
@@ -348,10 +348,5 @@ def _raise_faulty_row(rows, header, label_idx, id_idx, feat_idx) -> None:
 
 def save_samples_csv(path, samples: SampleSet, delimiter: str = ",") -> None:
     """Write samples in the format ``load_csv`` accepts."""
-    d = samples.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(["id", "label"] + [f"f{k + 1}" for k in range(d)])
-        writer.writerows(zip(
-            samples.ids.tolist(), samples.labels.tolist(), *samples.x.T.tolist()
-        ))
+    _write_table(path, ["id", "label"] + [f"f{k + 1}" for k in range(samples.dim)],
+                 [samples.ids, samples.labels, *samples.x.T], delimiter)

@@ -24,6 +24,7 @@ from .errors import (
     EmptyBatch,
     NonFiniteValue,
     NonPositiveScale,
+    ParseError,
 )
 from .kappa import KappaReport, compute_kappa
 from .mechanisms import (
@@ -88,8 +89,24 @@ class MetricModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricModel":
-        """The model of a ``to_dict`` mapping, as read from a model file; a
-        NaN or infinite weight raises :class:`NonFiniteValue`."""
+        """The model of a ``to_dict`` mapping, as read from a model file. A
+        missing key or a value of the wrong type raises :class:`ParseError`,
+        a weight count other than ``d_prime * d`` :class:`DimensionMismatch`,
+        and a NaN or infinite weight :class:`NonFiniteValue`."""
+        if not isinstance(d, dict):
+            raise ParseError(
+                f"model file must hold a JSON object, not a {type(d).__name__}")
+        for key, kind in (("d_prime", int), ("d", int), ("w", list)):
+            if key not in d:
+                raise ParseError(f"model file has no {key!r}")
+            if type(d[key]) is not kind:
+                raise ParseError(f"model {key!r} must be {kind.__name__}, got {d[key]!r}")
+        k = next((k for k, v in enumerate(d["w"]) if type(v) not in (int, float)), None)
+        if k is not None:
+            raise ParseError(f"model weight w[{k}] is {d['w'][k]!r}, not a number")
+        if len(d["w"]) != d["d_prime"] * d["d"]:
+            raise DimensionMismatch(f"model 'w' has {len(d['w'])} weights, d_prime*d = "
+                                    f"{d['d_prime']}*{d['d']} = {d['d_prime'] * d['d']}")
         w = np.array(d["w"], dtype=float).reshape(d["d_prime"], d["d"])
         if not np.isfinite(w).all():
             k = int(np.argmin(np.isfinite(w.ravel())))

@@ -95,7 +95,7 @@ class SingleClass(DppError, ValueError):
 
 
 class ParseError(DppError, ValueError):
-    """A delimited text file failed to parse.
+    """An input file (delimited text, or a model file) failed to parse.
 
     Carries 1-based ``row`` and ``col`` of the offending cell when known.
     """

@@ -263,26 +263,12 @@ class PairGraph:
         return len(self.components())
 
     def components(self) -> list[list[int]]:
-        """Connected components as sorted index lists, ordered by smallest member."""
-        n = self.num_nodes
-        seen = [False] * n
-        comps: list[list[int]] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comp.sort()
-            comps.append(comp)
-        return comps
+        """Connected components as sorted index lists, ordered by smallest
+        member: the DFS root that :meth:`_articulation_dfs` records."""
+        comps: dict[int, list[int]] = {}
+        for v, root in enumerate(self._articulation_dfs()[2]):
+            comps.setdefault(root, []).append(v)
+        return list(comps.values())
 
     def removal_effects(self) -> tuple[list[int], set[tuple[int, int]]]:
         """What deleting a node or an edge does, from one depth-first search
@@ -498,7 +484,16 @@ def write_pairs_file(path, pairs: PairSet | Sequence[PairwiseDatum],
     """Write pairwise data, header first, in the format ``read_pairs_file``
     accepts, from the columns of ``PairSet.of(pairs)``."""
     ps = PairSet.of(pairs)
+    _write_table(path, ["i", "j", "y"] + [f"dx_{k + 1}" for k in range(ps.dim)],
+                 [ps.i, ps.j, ps.y, *ps.dx.T], delimiter)
+
+
+def _write_table(path, header, columns, delimiter: str = ",") -> None:
+    """Write ``header``, then ``columns`` side by side. An array column is
+    written through ``tolist``, so every float is the ``repr`` of a Python
+    float; any other column is written as given."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(["i", "j", "y"] + [f"dx_{k + 1}" for k in range(ps.dim)])
-        writer.writerows(zip(ps.i, ps.j, ps.y.tolist(), *ps.dx.T.tolist()))
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                               for c in columns)))

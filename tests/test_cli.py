@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,10 +452,11 @@ class TestParserCache:
         assert run(["train", "--pairs", pairs, "--t-max", 1,
                     "--out-dir", tmp_path / "a"]) == 0
         calls = []
-        monkeypatch.setattr(cli, "cmd_train", lambda args: calls.append(args) or 0)
+        monkeypatch.setattr(cli, "cmd_train", calls.append)
         assert run(["train", "--pairs", pairs, "--out-dir", tmp_path / "b"]) == 0
-        assert [(a.command, a.pairs) for a in calls] == [("train", str(pairs))]
-        assert not (tmp_path / "b").exists()
+        assert [cfg["pairs"] for cfg in calls] == [str(pairs)]
+        assert not (tmp_path / "b" / "model.json").exists()
+        assert not (tmp_path / "b" / "trace.csv").exists()
 
     def test_flags_do_not_leak_into_the_next_call(self, toy_files, tmp_path):
         _, pairs = toy_files
@@ -552,6 +554,54 @@ class TestResolvedConfig:
         assert resolved["seed"] == 1
         samples = dataio.load_csv(out / "samples.csv")
         assert len(samples) == 240
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_each_command_records_itself_once(self, command, toy_files, tmp_path,
+                                              monkeypatch):
+        samples_path, pairs_path = toy_files
+        model_path = tmp_path / "model.json"
+        if command == "evaluate":
+            assert run(["train", "--pairs", pairs_path, "--out", model_path,
+                        "--out-dir", tmp_path / "m", "--t-max", 1]) == 0
+        argv = {
+            "synth": [],
+            "analyze-kappa": ["--pairs", pairs_path],
+            "train": ["--pairs", pairs_path, "--t-max", 1],
+            "evaluate": ["--model", model_path, "--data", samples_path],
+            "sweep": ["--data", samples_path, "--pairs", pairs_path, "--methods",
+                      "nonpriv", "--epsilons", 1, "--repeats", 1, "--t-max", 1],
+            "compare-mechanisms": ["--pairs", pairs_path, "--mechanisms", "lap"],
+        }[command]
+        out = tmp_path / "out"
+        assert run([command, *argv, "--out-dir", out]) == 0
+        assert [p.relative_to(out) for p in out.rglob("resolved_config.json")] == [
+            Path("resolved_config.json")]
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["command"] == command
+        assert set(resolved) == {"command", *cli.COMMANDS[command][0]}
+        if command in ("analyze-kappa", "evaluate"):  # no out dir by default
+            cwd = tmp_path / "cwd"
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            assert run([command, *argv]) == 0
+            assert not list(cwd.iterdir())
+
+    @pytest.mark.parametrize("case", ["negative-seed", "self-loop", "malformed-model"])
+    def test_failed_command_records_nothing(self, case, toy_files, tmp_path):
+        samples_path, pairs_path = toy_files
+        bad = tmp_path / "bad"
+        if case == "self-loop":
+            bad.write_text("i,j,y,dx_1\na,b,0,0.1\nc,c,1,0.2\n")
+        elif case == "malformed-model":
+            bad.write_text(json.dumps({"d_prime": 2, "d": 2, "w": [1.0, 0.0, 1.0]}))
+        argv = {
+            "negative-seed": ["train", "--pairs", pairs_path, "--seed", -1],
+            "self-loop": ["train", "--pairs", bad],
+            "malformed-model": ["evaluate", "--model", bad, "--data", samples_path],
+        }[case]
+        out = tmp_path / "out"
+        assert run(argv + ["--out-dir", out]) == 2
+        assert not (out / "resolved_config.json").exists()
 
 
 BAD_OPTION_VALUES = {
@@ -716,6 +766,23 @@ class TestExitCodes:
                     "--out-dir", tmp_path / "eval"]) == 2
         assert capsys.readouterr().err == "error: model weight w[1] is nan, not finite\n"
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("payload, named", [
+        ({"d_prime": 2, "d": 2, "w": [1.0, 0.0, 1.0]}, "3 weights"),
+        ({"d_prime": 2, "d": 2}, "no 'w'"),
+        ({"d_prime": 2, "d": 2, "w": [1.0, "a", 0.0, 1.0]}, "w[1] is 'a'"),
+        ([1.0, 0.0, 0.0, 1.0], "not a list"),
+    ], ids=["count", "missing-w", "string-weight", "list-file"])
+    def test_malformed_model_file_exits_two_naming_the_fault(
+        self, payload, named, toy_files, tmp_path, capsys
+    ):
+        samples_path, _ = toy_files
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["evaluate", "--model", model_path, "--data", samples_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model ") and named in err
 
     def test_one_bit_budget_past_exp_overflow_trains(self, toy_files, tmp_path):
         # 1000 per dimension: e^eps overflows, and the magnitude is 1.0

@@ -31,6 +31,7 @@ from dppdml.errors import (
     EmptyBatch,
     NonFiniteValue,
     NonPositiveScale,
+    ParseError,
 )
 from dppdml.kappa import KappaReport, compute_kappa
 from dppdml.mechanisms import input_perturb
@@ -73,6 +74,24 @@ class TestMetricModelFile:
         payload = MetricModel(np.eye(2)).to_dict()
         payload["w"][2] = bad
         with pytest.raises(NonFiniteValue, match=rf"^model weight w\[2\] is {bad}, not finite$"):
+            MetricModel.from_dict(payload)
+
+    @pytest.mark.parametrize("payload, error, message", [
+        ({"d_prime": 2, "d": 2, "w": [1.0, 0.0, 1.0]}, DimensionMismatch,
+         "model 'w' has 3 weights, d_prime*d = 2*2 = 4"),
+        ({"d_prime": 2, "d": 2}, ParseError, "model file has no 'w'"),
+        ({"d_prime": 2, "d": 2, "w": [1.0, "a", 0.0, 1.0]}, ParseError,
+         "model weight w[1] is 'a', not a number"),
+        ([1.0, 0.0, 0.0, 1.0], ParseError,
+         "model file must hold a JSON object, not a list"),
+        ({"d_prime": "2", "d": 2, "w": [1.0, 0.0, 0.0, 1.0]}, ParseError,
+         "model 'd_prime' must be int, got '2'"),
+        ({"d_prime": -1, "d": 2, "w": [1.0, 0.0, 0.0, 1.0]}, DimensionMismatch,
+         "model 'w' has 4 weights, d_prime*d = -1*2 = -2"),
+    ], ids=["count", "missing-w", "string-weight", "list-file", "string-d-prime",
+            "negative-d-prime"])
+    def test_malformed_file_rejected_naming_the_fault(self, payload, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             MetricModel.from_dict(payload)
 
 

@@ -285,6 +285,22 @@ class TestQueries:
             g = graph_from_edges(edges, n_nodes=n)
             assert g.component_count() == oracles.components_union_find(n, edges)
 
+    def test_components_match_connectivity_oracle(self, rng):
+        """Sorted index lists, ordered by smallest member, that put two nodes
+        together exactly when a path joins them."""
+        for _ in range(40):
+            n, edges = oracles.random_graph(rng, max_nodes=7, max_edges=8)
+            g = graph_from_edges(edges, n_nodes=n)
+            comps = g.components()
+            assert comps == sorted(map(sorted, comps))
+            assert sorted(v for c in comps for v in c) == list(range(n))
+            comp_of = {g.node_id(v): k for k, c in enumerate(comps) for v in c}
+            everything = (1 << len(edges)) - 1
+            for a in range(n):
+                for b in range(n):
+                    assert (comp_of[a] == comp_of[b]) == oracles.connected(
+                        n, edges, everything, a, b)
+
     def test_removal_increase_leaf_of_path(self):
         g = graph_from_edges([("a", "s"), ("s", "b"), ("b", "c")])
         assert increase_of(g, "a") == 0
